@@ -29,6 +29,11 @@ __all__ = [
 ]
 
 
+def _check_weight(kind: str, weight: float) -> None:
+    if not (weight > 0 and math.isfinite(weight)):
+        raise ValueError(f"{kind} weight must be positive and finite, got {weight}")
+
+
 @dataclass(frozen=True)
 class ContractionRecord:
     """What a single edge contraction did to the graph.
@@ -85,8 +90,7 @@ class WeightedGraph:
         return g
 
     def add_node(self, u: int, weight: float = 1.0) -> None:
-        if weight <= 0:
-            raise ValueError(f"node weight must be positive, got {weight}")
+        _check_weight("node", weight)
         self._node_weight[u] = float(weight)
         self._adj.setdefault(u, {})
 
@@ -96,8 +100,7 @@ class WeightedGraph:
         A parallel edge merges into the existing one (weights sum) and the
         existing id is returned. Self loops are dropped; the returned id is -1.
         """
-        if weight <= 0:
-            raise ValueError(f"edge weight must be positive, got {weight}")
+        _check_weight("edge", weight)
         for n in (u, v):
             if n not in self._node_weight:
                 self.add_node(n)
@@ -142,6 +145,27 @@ class WeightedGraph:
         """Edge ids in ascending (insertion) order."""
         return sorted(self._edges)
 
+    def edge_arrays(self, nodes=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Array view of the graph for assembling matrices.
+
+        Returns (ends, edge_weights, node_weights): an m x 2 array holding
+        each edge's endpoints as positions in `nodes` (default: ascending
+        ids), with rows and `edge_weights` in edge-id order, and the node
+        weights in `nodes` order.
+        """
+        order = self.nodes() if nodes is None else list(nodes)
+        pos = {u: i for i, u in enumerate(order)}
+        edges = [self._edges[eid] for eid in self.edge_ids()]
+        ends = np.column_stack([
+            np.array([pos[u] for u, _, _ in edges], dtype=np.intp),
+            np.array([pos[v] for _, v, _ in edges], dtype=np.intp),
+        ])
+        return (
+            ends,
+            np.array([w for _, _, w in edges], dtype=float),
+            np.array([self._node_weight[u] for u in order], dtype=float),
+        )
+
     def node_weight(self, u: int) -> float:
         return self._node_weight[u]
 
@@ -181,8 +205,7 @@ class WeightedGraph:
     # -- mutation ----------------------------------------------------------
 
     def set_edge_weight(self, eid: int, weight: float) -> None:
-        if weight <= 0:
-            raise ValueError(f"edge weight must be positive, got {weight}")
+        _check_weight("edge", weight)
         u, v, _ = self._edges[eid]
         self._edges[eid] = (u, v, float(weight))
 

@@ -99,18 +99,16 @@ class PseudoinverseState:
 
 def laplacian_matrix(g: WeightedGraph, nodes=None) -> np.ndarray:
     """Dense W_n^{-1} B^T W_e B in the given (default: ascending) node order."""
-    order = list(nodes) if nodes is not None else g.nodes()
-    idx = {u: i for i, u in enumerate(order)}
-    n = len(order)
+    ends, w, wn = g.edge_arrays(nodes)
+    n = len(wn)
     S = np.zeros((n, n))
-    for eid in g.edge_ids():
-        u, v, w = g.edge(eid)
-        iu, iv = idx[u], idx[v]
-        S[iu, iu] += w
-        S[iv, iv] += w
-        S[iu, iv] -= w
-        S[iv, iu] -= w
-    wn = np.array([g.node_weight(u) for u in order])
+    iu, iv = ends.T
+    S[iu, iv] = -w
+    S[iv, iu] = -w
+    # add.at sums each diagonal entry edge by edge in edge-id order, so the
+    # rounding is that of the seeded goldens.
+    flat = ends.ravel()
+    np.add.at(S, (flat, flat), np.repeat(w, 2))
     return S / wn[:, None]
 
 

@@ -1,10 +1,16 @@
 """Randomized reduction loop: repeatedly act on matched edge sets.
 
-Each iteration matches an independent set of edges, scores every matched edge
-by the beta at which its expected reduction reaches the per-edge target, keeps
-the cheapest fraction, and applies an unbiased delete / contract / reweight
-draw to each kept edge. The running pseudoinverse is maintained by low-rank
-updates and the accumulated expected error is tracked against the budget.
+Each iteration matches an independent set of edges, measures every matched
+edge's leverage and update norm, scores it by the beta at which its expected
+reduction reaches the per-edge target, keeps the cheapest fraction, and
+applies an unbiased delete / contract / reweight draw to each kept edge. The
+accumulated expected error is tracked against the budget.
+
+One loop serves both modes; a backend chosen once from `config.mode` measures
+the edges and follows the graph. The exact backend keeps the dense
+pseudoinverse current by rank-one and contraction updates; the sketch backend
+estimates from a `SketchEstimator` it rebuilds after every round that acted,
+and forms the dense pseudoinverse only at the end.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from .action import (
     expected_error,
     optimal_action,
 )
-from .graph import ContractionMap, WeightedGraph
+from .graph import ContractionMap, ContractionRecord, WeightedGraph
 from .laplacian import (
     REBUILD_INTERVAL,
     PseudoinverseState,
@@ -66,6 +72,14 @@ class SketchMode:
     n_probes: int = 0
     epsilon: float = 0.25
     solver_tol: float = 1e-8
+
+    def __post_init__(self):
+        if not self.n_probes >= 0:
+            raise ValueError(f"n_probes must be >= 0, got {self.n_probes}")
+        if not self.epsilon > 0:
+            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        if not self.solver_tol > 0:
+            raise ValueError(f"solver_tol must be positive, got {self.solver_tol}")
 
 
 @dataclass(frozen=True)
@@ -169,6 +183,8 @@ class ReductionConfig:
             raise ValueError(
                 f"target_reduction must be positive, got {self.target_reduction}"
             )
+        if not isinstance(self.mode, (ExactMode, SketchMode)):
+            raise ValueError(f"mode must be ExactMode or SketchMode, got {self.mode!r}")
 
 
 @dataclass(frozen=True)
@@ -265,17 +281,64 @@ def _draw_action(dist: ActionDistribution, rng: np.random.Generator) -> str:
     return "reweight"
 
 
-class _ExactQuantities:
-    def __init__(self, state: PseudoinverseState):
-        self.state = state
+class _ExactBackend:
+    """Dense pseudoinverse kept current by rank-one and contraction updates."""
 
-    def measure(self, g: WeightedGraph, eid: int, priority: Priority) -> EdgeQuantities:
-        u, v, w = g.edge(eid)
-        lev = edge_leverage(self.state, u, v, w)
-        norm = update_norm(self.state, u, v, w)
-        return EdgeQuantities.from_measurements(
-            lev, norm, g.triangle_count(eid), priority
-        )
+    def __init__(self, g: WeightedGraph):
+        self.state = build_pseudoinverse(g)
+
+    def _current(self, g: WeightedGraph) -> PseudoinverseState:
+        # Rebuilt between rounds, once the updates may have drifted.
+        if self.state.updates >= REBUILD_INTERVAL:
+            self.state = build_pseudoinverse(g)
+        return self.state
+
+    def measure(self, g: WeightedGraph, eids: list[int], iteration: int):
+        state = self._current(g)
+        leverages, norms = [], []
+        for eid in eids:
+            u, v, w = g.edge(eid)
+            leverages.append(edge_leverage(state, u, v, w))
+            norms.append(update_norm(state, u, v, w))
+        return np.array(leverages), np.array(norms)
+
+    def reweight(self, u: int, v: int, delta_w: float) -> None:
+        woodbury_reweight(self.state, u, v, delta_w)
+
+    def contract(self, record: ContractionRecord) -> None:
+        contraction_update(self.state, record)
+
+    def finalize(self, g: WeightedGraph) -> PseudoinverseState:
+        return self._current(g)
+
+
+class _SketchBackend:
+    """Sketched estimates, rebuilt for the first round after any action."""
+
+    def __init__(self, mode: SketchMode, seed: int):
+        self.mode = mode
+        self.seed = seed
+        self.estimator: SketchEstimator | None = None
+
+    def measure(self, g: WeightedGraph, eids: list[int], iteration: int):
+        if self.estimator is None:
+            self.estimator = SketchEstimator.build(
+                g,
+                n_probes=self.mode.n_probes,
+                epsilon=self.mode.epsilon,
+                solver_tol=self.mode.solver_tol,
+                rng=_rng(self.seed, iteration, 2),
+            )
+        return self.estimator.measure(g, eids)
+
+    def reweight(self, u: int, v: int, delta_w: float) -> None:
+        self.estimator = None
+
+    def contract(self, record: ContractionRecord) -> None:
+        self.estimator = None
+
+    def finalize(self, g: WeightedGraph) -> PseudoinverseState:
+        return build_pseudoinverse(g)
 
 
 def reduce_graph(
@@ -304,28 +367,21 @@ def reduce_graph(
 
     g = graph.copy()
     cmap = ContractionMap.identity(g.nodes())
-    sketch_mode = isinstance(config.mode, SketchMode)
-    if sketch_mode:
-        state = None
-        estimated_error = 0.0
-        estimator: SketchEstimator | None = None
-        est_dirty = True
+    if isinstance(config.mode, SketchMode):
+        backend = _SketchBackend(config.mode, seed)
     else:
-        state = build_pseudoinverse(g)
+        backend = _ExactBackend(g)
 
     trace = ReductionTrace()
+    estimated_error = 0.0
     stall = 0
     iteration = 0  # index t of the iteration about to run
-
-    def error_now() -> float:
-        return estimated_error if sketch_mode else state.estimated_error
 
     def stop_reason() -> str | None:
         if max_iters is not None and iteration >= max_iters:
             return "MaxIterations"
-        err = error_now()
         for s in stops:
-            if s.done(g, err):
+            if s.done(g, estimated_error):
                 return type(s).__name__
         return None
 
@@ -339,21 +395,13 @@ def reduce_graph(
             break
 
         matched = g.independent_edge_set(_rng(seed, iteration, 0))
-        if sketch_mode:
-            if est_dirty:
-                estimator = SketchEstimator.build(
-                    g,
-                    n_probes=config.mode.n_probes,
-                    epsilon=config.mode.epsilon,
-                    solver_tol=config.mode.solver_tol,
-                    rng=_rng(seed, iteration, 2),
-                )
-                est_dirty = False
-            measure = estimator
-        else:
-            measure = _ExactQuantities(state)
-
-        quantities = [measure.measure(g, eid, config.priority) for eid in matched]
+        leverages, norms = backend.measure(g, matched, iteration)
+        quantities = [
+            EdgeQuantities.from_measurements(
+                lev, norm, g.triangle_count(eid), config.priority
+            )
+            for eid, lev, norm in zip(matched, leverages, norms)
+        ]
         scores = [
             activation_beta(eq, config.target_reduction, config.allow_contraction)
             for eq in quantities
@@ -373,7 +421,7 @@ def reduce_graph(
             trace.append(
                 IterationRecord(
                     iteration, len(matched), 0, math.inf, 0, 0, 0, 0,
-                    g.n_nodes, g.n_edges, error_now(),
+                    g.n_nodes, g.n_edges, estimated_error,
                 )
             )
             iteration += 1
@@ -408,46 +456,29 @@ def reduce_graph(
         redraws = attempt
 
         n_del = n_con = n_rew = 0
-        acted = False
         # Deletes and reweights first (all endpoints still present), then
         # contractions; matched edges are disjoint so ids stay valid.
         for p, act in zip(plans, chosen):
             if act == "delete":
                 g.delete_edge(p.edge)
-                if not sketch_mode:
-                    woodbury_reweight(state, p.u, p.v, -p.weight)
+                backend.reweight(p.u, p.v, -p.weight)
                 n_del += 1
-                acted = True
             elif act == "reweight":
                 ratio = p.dist.reweight_ratio
                 if ratio == 0.0:
                     continue
                 g.set_edge_weight(p.edge, p.weight * (1.0 + ratio))
-                if not sketch_mode:
-                    woodbury_reweight(state, p.u, p.v, p.weight * ratio)
+                backend.reweight(p.u, p.v, p.weight * ratio)
                 n_rew += 1
-                acted = True
         for p, act in zip(plans, chosen):
             if act == "contract":
                 rec = g.contract_edge(p.edge)
-                if not sketch_mode:
-                    contraction_update(state, rec)
+                backend.contract(rec)
                 cmap.merge(rec.survivor, rec.removed)
                 n_con += 1
-                acted = True
 
-        increment = sum(expected_error(p.quantities, p.dist) for p in plans)
-        if sketch_mode:
-            estimated_error += increment
-            est_dirty = est_dirty or acted
-        else:
-            state.estimated_error += increment
-            if state.updates >= REBUILD_INTERVAL:
-                err = state.estimated_error
-                state = build_pseudoinverse(g)
-                state.estimated_error = err
-
-        stall = 0 if acted else stall + 1
+        estimated_error += sum(expected_error(p.quantities, p.dist) for p in plans)
+        stall = 0 if n_del + n_con + n_rew else stall + 1
         if stall >= STALL_LIMIT:
             raise StallError(
                 f"no action applied in {STALL_LIMIT} consecutive iterations"
@@ -455,12 +486,11 @@ def reduce_graph(
         trace.append(
             IterationRecord(
                 iteration, len(matched), len(kept), beta, n_del, n_con, n_rew,
-                redraws, g.n_nodes, g.n_edges, error_now(),
+                redraws, g.n_nodes, g.n_edges, estimated_error,
             )
         )
         iteration += 1
 
-    if sketch_mode:
-        state = build_pseudoinverse(g)
-        state.estimated_error = estimated_error
+    state = backend.finalize(g)
+    state.estimated_error = estimated_error
     return ReductionResult(g, cmap, state, trace)

@@ -25,7 +25,6 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .action import EdgeQuantities, Priority
 from .graph import WeightedGraph
 from .laplacian import DisconnectedGraphError
 
@@ -103,25 +102,18 @@ def symmetrized_laplacian(
     g: WeightedGraph, nodes: list[int] | None = None
 ) -> tuple[sp.csr_matrix, np.ndarray]:
     """Sparse Lhat = W^{-1/2} S W^{-1/2} and the node weight square roots."""
-    if nodes is None:
-        nodes = g.nodes()
-    index = {u: i for i, u in enumerate(nodes)}
-    n = len(nodes)
-    w_sqrt = np.array([math.sqrt(g.node_weight(u)) for u in nodes])
-    rows, cols, vals = [], [], []
+    ends, w, wn = g.edge_arrays(nodes)
+    n = len(wn)
+    w_sqrt = np.sqrt(wn)
+    s = w / (w_sqrt[ends[:, 0]] * w_sqrt[ends[:, 1]])
+    flat = ends.ravel()
     diag = np.zeros(n)
-    for eid in g.edge_ids():
-        u, v, w = g.edge(eid)
-        iu, iv = index[u], index[v]
-        s = w / (w_sqrt[iu] * w_sqrt[iv])
-        rows += [iu, iv]
-        cols += [iv, iu]
-        vals += [-s, -s]
-        diag[iu] += w / (w_sqrt[iu] ** 2)
-        diag[iv] += w / (w_sqrt[iv] ** 2)
-    rows += list(range(n))
-    cols += list(range(n))
-    vals += list(diag)
+    # float_power calls pow; array ** 2 multiplies instead, which differs in
+    # the last bit on some inputs and would change every seeded reduction.
+    np.add.at(diag, flat, np.repeat(w, 2) / np.float_power(w_sqrt[flat], 2))
+    rows = np.concatenate([flat, np.arange(n)])
+    cols = np.concatenate([ends[:, ::-1].ravel(), np.arange(n)])
+    vals = np.concatenate([np.repeat(-s, 2), diag])
     lhat = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
     return lhat, w_sqrt
 
@@ -137,21 +129,24 @@ def build_projection(
     Starts from +-1/sqrt(k) entries (exactly unit columns) and alternates
     projecting rows off what = w_sqrt / ||w_sqrt|| with renormalizing columns
     until the columns are within epsilon/4 of unit right after a projection
-    step, so the returned rows are orthogonal to what up to roundoff.
+    step, so the returned rows are orthogonal to what up to roundoff. When
+    the node weights allow no such columns (one sqrt weight exceeding the sum
+    of the others, as after contracting most of a graph into one node) or
+    the sweeps do not get there, it returns the sign matrix projected once,
+    which still estimates squared norms without bias.
     """
     n = len(w_sqrt)
     what = w_sqrt / np.linalg.norm(w_sqrt)
     q = (rng.integers(0, 2, size=(n_probes, n)) * 2.0 - 1.0) / math.sqrt(n_probes)
+    q -= np.outer(q @ what, what)
+    plain = q.copy()
     for _ in range(PROJECTION_MAX_ITERS):
-        q -= np.outer(q @ what, what)
         col = np.linalg.norm(q, axis=0)
         if np.max(np.abs(col - 1.0)) <= epsilon / 4.0:
             return q
         q /= np.maximum(col, 1e-12)[None, :]
-    raise ConvergenceError(
-        f"projection cleanup: column norms not within {epsilon / 4.0:g} "
-        f"after {PROJECTION_MAX_ITERS} sweeps"
-    )
+        q -= np.outer(q @ what, what)
+    return plain
 
 
 def lowest_modes(
@@ -201,69 +196,20 @@ def _solve_rows(
     return out
 
 
-def update_norms_from_projection(
-    g: WeightedGraph, projection: np.ndarray, solver_tol: float = 1e-10
-) -> dict[int, float]:
-    """Estimated w_e ||pinv column gap||^2 for every edge, given probe rows.
-
-    With the exact orthonormal basis of the kernel complement as the
-    projection this reproduces the exact values up to solver tolerance.
-    """
-    nodes = g.nodes()
-    index = {u: i for i, u in enumerate(nodes)}
-    lhat, w_sqrt = symmetrized_laplacian(g, nodes)
-    what = w_sqrt / np.linalg.norm(w_sqrt)
-    z = _solve_rows(lhat, projection, what, solver_tol)
-    y = z / w_sqrt[None, :]
-    out = {}
-    for eid in g.edge_ids():
-        u, v, w = g.edge(eid)
-        gap = y[:, index[u]] - y[:, index[v]]
-        out[eid] = w * float(gap @ gap)
-    return out
-
-
 def edge_projection_rows(
     g: WeightedGraph, projection: np.ndarray
 ) -> np.ndarray:
     """Rows of projection @ W_e^{1/2} B W^{-1/2} for the current edge order."""
-    nodes = g.nodes()
-    index = {u: i for i, u in enumerate(nodes)}
-    w_sqrt = np.array([math.sqrt(g.node_weight(u)) for u in nodes])
-    eids = g.edge_ids()
-    m = len(eids)
-    rows, cols, vals = [], [], []
-    for e_pos, eid in enumerate(eids):
-        u, v, w = g.edge(eid)
-        root = math.sqrt(w)
-        rows += [e_pos, e_pos]
-        cols += [index[u], index[v]]
-        vals += [root / w_sqrt[index[u]], -root / w_sqrt[index[v]]]
-    incidence = sp.coo_matrix((vals, (rows, cols)), shape=(m, len(nodes))).tocsr()
+    ends, w, wn = g.edge_arrays()
+    m = len(w)
+    w_sqrt = np.sqrt(wn)
+    root = np.sqrt(w)
+    vals = np.column_stack([root / w_sqrt[ends[:, 0]], -root / w_sqrt[ends[:, 1]]])
+    incidence = sp.coo_matrix(
+        (vals.ravel(), (np.repeat(np.arange(m), 2), ends.ravel())),
+        shape=(m, len(wn)),
+    ).tocsr()
     return np.asarray(projection @ incidence)
-
-
-def leverages_from_projection(
-    g: WeightedGraph, projection: np.ndarray, solver_tol: float = 1e-10
-) -> dict[int, float]:
-    """Estimated leverage w_e * resistance for every edge.
-
-    `projection` has one column per edge (in edge_ids order). The identity
-    matrix reproduces the exact leverages up to solver tolerance.
-    """
-    nodes = g.nodes()
-    index = {u: i for i, u in enumerate(nodes)}
-    lhat, w_sqrt = symmetrized_laplacian(g, nodes)
-    what = w_sqrt / np.linalg.norm(w_sqrt)
-    r = edge_projection_rows(g, projection)
-    gmat = _solve_rows(lhat, r, what, solver_tol)
-    h = gmat / w_sqrt[None, :]
-    out = {}
-    for eid in g.edge_ids():
-        u, v, w = g.edge(eid)
-        gap = h[:, index[u]] - h[:, index[v]]
-        out[eid] = w * float(gap @ gap)
-    return out
 
 
 @dataclass
@@ -277,8 +223,9 @@ class SketchEstimator:
     complement, the norms are exact and no probes are drawn; below k = 4, r
     is 0 and this is the plain sign sketch. Leverages use k edge probes.
 
-    Estimates go stale as soon as the graph changes; callers rebuild after
-    every modifying round.
+    `measure` reads both quantities for a list of edges. Estimates go stale
+    as soon as the graph changes; callers rebuild after every modifying
+    round.
     """
 
     index: dict[int, int]
@@ -329,31 +276,19 @@ class SketchEstimator:
         return cls(index, y, h, k)
 
     def measure(
-        self, g: WeightedGraph, eid: int, priority: Priority
-    ) -> EdgeQuantities:
-        u, v, w = g.edge(eid)
-        iu, iv = self.index[u], self.index[v]
-        ngap = self.norm_columns[:, iu] - self.norm_columns[:, iv]
-        lgap = self.leverage_columns[:, iu] - self.leverage_columns[:, iv]
-        return EdgeQuantities.from_measurements(
-            w * float(lgap @ lgap),
-            w * float(ngap @ ngap),
-            g.triangle_count(eid),
-            priority,
-        )
-
-    def update_norm_of(self, g: WeightedGraph, eid: int) -> float:
-        u, v, w = g.edge(eid)
-        gap = self.norm_columns[:, self.index[u]] - self.norm_columns[:, self.index[v]]
-        return w * float(gap @ gap)
-
-    def leverage_of(self, g: WeightedGraph, eid: int) -> float:
-        u, v, w = g.edge(eid)
-        gap = (
-            self.leverage_columns[:, self.index[u]]
-            - self.leverage_columns[:, self.index[v]]
-        )
-        return w * float(gap @ gap)
+        self, g: WeightedGraph, eids: list[int]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Estimated leverages and update norms of the edges `eids`."""
+        leverages = np.empty(len(eids))
+        norms = np.empty(len(eids))
+        for i, eid in enumerate(eids):
+            u, v, w = g.edge(eid)
+            iu, iv = self.index[u], self.index[v]
+            lgap = self.leverage_columns[:, iu] - self.leverage_columns[:, iv]
+            ngap = self.norm_columns[:, iu] - self.norm_columns[:, iv]
+            leverages[i] = w * float(lgap @ lgap)
+            norms[i] = w * float(ngap @ ngap)
+        return leverages, norms
 
 
 def orthonormal_complement_basis(w_sqrt: np.ndarray) -> np.ndarray:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -45,11 +47,20 @@ def test_self_loop_dropped():
 
 
 def test_nonpositive_weights_rejected():
-    g = WeightedGraph()
-    with pytest.raises(ValueError):
-        g.add_edge(0, 1, 0.0)
-    with pytest.raises(ValueError):
-        g.add_node(0, -1.0)
+    g = WeightedGraph.from_edges([(0, 1, 1.0)])
+    for bad in (0.0, -1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            g.add_edge(1, 2, bad)
+        with pytest.raises(ValueError):
+            g.add_node(0, bad)
+        with pytest.raises(ValueError):
+            g.set_edge_weight(0, bad)
+        with pytest.raises(ValueError):
+            WeightedGraph.from_edges([(0, 1, bad), (1, 2, 1.0)])
+    # Rejected before anything changed.
+    assert g.nodes() == [0, 1]
+    assert g.edge(0) == (0, 1, 1.0)
+    assert g.node_weight(0) == 1.0
 
 
 def test_triangle_count():
@@ -241,3 +252,11 @@ def test_edgelist_malformed_line_raises(tmp_path):
     p.write_text("0 1 2 3\n")
     with pytest.raises(ValueError, match="bad.txt:1"):
         read_edgelist(p)
+    p.write_text("0 1 nan\n")
+    with pytest.raises(ValueError):
+        read_edgelist(p)
+    p.write_text("0 1\n")
+    weights = tmp_path / "bad.nodes"
+    weights.write_text("0 inf\n")
+    with pytest.raises(ValueError):
+        read_edgelist(p, node_weight_path=weights)

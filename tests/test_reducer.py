@@ -3,10 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphreduce.action import EdgeQuantities, Priority, optimal_action
 from graphreduce.graph import WeightedGraph
 from graphreduce.laplacian import (
+    IDENTITY_TOL,
     DisconnectedGraphError,
     build_pseudoinverse,
     identity_residual,
@@ -136,6 +139,13 @@ def test_validation_errors():
         reduce_graph(unit_triangle(), [])
     with pytest.raises(ValueError):
         reduce_graph(unit_triangle(), MaxIterations(1), seed=-1)
+    for mode in ("sketch", None, SketchMode):
+        with pytest.raises(ValueError):
+            ReductionConfig(mode=mode)
+    for bad in ({"n_probes": -5}, {"epsilon": 0.0}, {"epsilon": math.nan},
+                {"solver_tol": 0.0}, {"solver_tol": -1e-8}):
+        with pytest.raises(ValueError):
+            SketchMode(**bad)
 
 
 def test_disconnected_input_rejected():
@@ -353,5 +363,71 @@ def test_sketch_mode_deterministic():
     assert a.trace.records == b.trace.records
 
 
+def test_sketch_mode_coarsens_onto_one_heavy_node():
+    # sqrt(30) exceeds the other sqrt weights together: no probe matrix with
+    # unit columns is orthogonal to the kernel, and the sketch must cope.
+    g = WeightedGraph.from_edges(
+        [(0, i, 1.0) for i in range(1, 6)] + [(1, 2, 1.0), (3, 4, 1.0)]
+    )
+    g.add_node(0, 30.0)
+    config = ReductionConfig(mode=SketchMode(n_probes=8))
+    result = reduce_graph(g, EdgeBudget(0), config, seed=0)
+    assert result.graph.n_edges == 0
+    assert result.graph.node_weight(0) == pytest.approx(35.0)
+
+
 def test_exact_mode_default():
     assert isinstance(ReductionConfig().mode, ExactMode)
+
+
+# -- invariants over both backends -------------------------------------------
+
+
+@st.composite
+def connected_graphs(draw):
+    """A random spanning tree plus random extra edges, with node weights."""
+    n = draw(st.integers(2, 12))
+    weight = st.floats(0.1, 10.0)
+    g = WeightedGraph()
+    for v in range(1, n):
+        g.add_edge(draw(st.integers(0, v - 1)), v, draw(weight))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    for u, v in draw(st.lists(st.sampled_from(pairs), max_size=2 * n, unique=True)):
+        g.add_edge(u, v, draw(weight))
+    for u in range(n):
+        g.add_node(u, draw(st.floats(0.2, 5.0)))
+    return g
+
+
+stop_criteria = st.one_of(
+    st.builds(EdgeBudget, st.integers(0, 30)),
+    st.builds(NodeBudget, st.integers(1, 12)),
+    st.builds(MaxIterations, st.integers(0, 10)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(connected_graphs(), stop_criteria, st.integers(0, 2**16))
+def test_reduction_invariants_in_both_modes(g, stop, seed):
+    for mode in (ExactMode(), SketchMode(n_probes=8)):
+        config = ReductionConfig(mode=mode)
+        result = reduce_graph(g, stop, config, seed=seed)
+        h = result.graph
+        assert h.total_node_weight() == pytest.approx(g.total_node_weight())
+        groups = result.cmap.groups()
+        assert sorted(groups) == h.nodes()
+        for sup, members in groups.items():
+            total = sum(g.node_weight(u) for u in members)
+            assert h.node_weight(sup) == pytest.approx(total)
+        assert h.is_connected()
+        assert identity_residual(result.state, h) <= IDENTITY_TOL
+        errors = [rec.error_after for rec in result.trace.records]
+        assert all(math.isfinite(e) for e in errors)
+        assert errors == sorted(errors)
+
+        again = reduce_graph(g, stop, config, seed=seed)
+        assert {e: h.edge(e) for e in h.edge_ids()} == {
+            e: again.graph.edge(e) for e in again.graph.edge_ids()
+        }
+        assert again.cmap.assignment == result.cmap.assignment
+        assert np.array_equal(again.state.pinv, result.state.pinv)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from graphreduce.action import Priority
+from graphreduce.action import EdgeQuantities
 from graphreduce.graph import WeightedGraph
 from graphreduce.laplacian import (
     DisconnectedGraphError,
@@ -18,12 +18,11 @@ from graphreduce.sketch import (
     SketchEstimator,
     build_projection,
     default_probe_count,
-    leverages_from_projection,
+    edge_projection_rows,
     lowest_modes,
     orthonormal_complement_basis,
     pcg,
     symmetrized_laplacian,
-    update_norms_from_projection,
 )
 from tests.conftest import random_connected_graph
 
@@ -36,6 +35,17 @@ def exact_quantities(g):
         lev[eid] = edge_leverage(state, u, v, w)
         norm[eid] = update_norm(state, u, v, w)
     return lev, norm
+
+
+def estimator_from_rows(g, rows, solver_tol=1e-12):
+    """An estimator whose norm and leverage columns both solve the given
+    probe rows, as `SketchEstimator.build` solves its random ones."""
+    lhat, w_sqrt = symmetrized_laplacian(g)
+    what = w_sqrt / np.linalg.norm(w_sqrt)
+    z = np.array([pcg(lhat, r, rtol=solver_tol, deflate=what) for r in rows])
+    columns = z / w_sqrt[None, :]
+    index = {u: i for i, u in enumerate(g.nodes())}
+    return SketchEstimator(index, columns, columns, len(rows))
 
 
 # -- conjugate gradients ---------------------------------------------------
@@ -112,6 +122,18 @@ def test_projection_rows_orthogonal_and_columns_near_unit():
     assert np.max(np.abs(col - 1.0)) <= eps / 4.0
 
 
+def test_projection_falls_back_to_plain_signs_without_unit_columns():
+    # sqrt(30) exceeds the other five sqrt weights together, so no matrix
+    # with unit columns has rows orthogonal to what.
+    w_sqrt = np.sqrt([30.0, 1.0, 1.0, 1.0, 1.0, 1.0])
+    what = w_sqrt / np.linalg.norm(w_sqrt)
+    q = build_projection(6, w_sqrt, np.random.default_rng(0))
+    signs = np.random.default_rng(0).integers(0, 2, size=(6, 6)) * 2.0 - 1.0
+    signs /= math.sqrt(6)
+    assert np.array_equal(q, signs - np.outer(signs @ what, what))
+    assert np.max(np.abs(q @ what)) <= 1e-12
+
+
 def test_default_probe_count():
     assert default_probe_count(1, 0.25) == 1
     expected = math.ceil(4 * math.log(256) / 0.25**2)
@@ -136,18 +158,19 @@ def test_exact_basis_recovers_update_norms():
     _, exact_norm = exact_quantities(g)
     _, w_sqrt = symmetrized_laplacian(g)
     basis = orthonormal_complement_basis(w_sqrt)
-    approx = update_norms_from_projection(g, basis, solver_tol=1e-12)
-    for eid, val in exact_norm.items():
-        assert approx[eid] == pytest.approx(val, rel=1e-6)
+    est = estimator_from_rows(g, basis)
+    _, approx = est.measure(g, g.edge_ids())
+    assert approx == pytest.approx(list(exact_norm.values()), rel=1e-6)
 
 
 def test_identity_edge_projection_recovers_leverages():
     rng = np.random.default_rng(17)
     g = random_connected_graph(rng, 14, extra_edges=12, weighted_nodes=True)
     exact_lev, _ = exact_quantities(g)
-    approx = leverages_from_projection(g, np.eye(g.n_edges), solver_tol=1e-12)
-    for eid, val in exact_lev.items():
-        assert approx[eid] == pytest.approx(val, rel=1e-6)
+    rows = edge_projection_rows(g, np.eye(g.n_edges))
+    est = estimator_from_rows(g, rows)
+    approx, _ = est.measure(g, g.edge_ids())
+    assert approx == pytest.approx(list(exact_lev.values()), rel=1e-6)
 
 
 # -- exact low modes ---------------------------------------------------------
@@ -191,8 +214,8 @@ def test_modes_covering_complement_give_exact_norms():
     # 4 * 9 probes: r = 9 = n - 1 modes cover the complement, no probes left.
     est = SketchEstimator.build(g, n_probes=36, rng=np.random.default_rng(0))
     assert est.norm_columns.shape == (9, 10)
-    for eid, val in exact_norm.items():
-        assert est.update_norm_of(g, eid) == pytest.approx(val, rel=1e-9)
+    _, norms = est.measure(g, g.edge_ids())
+    assert norms == pytest.approx(list(exact_norm.values()), rel=1e-9)
 
 
 def test_probe_count_below_four_uses_plain_sketch():
@@ -201,10 +224,11 @@ def test_probe_count_below_four_uses_plain_sketch():
     est = SketchEstimator.build(g, n_probes=3, rng=np.random.default_rng(5))
     _, w_sqrt = symmetrized_laplacian(g)
     q = build_projection(3, w_sqrt, np.random.default_rng(5))
-    plain = update_norms_from_projection(g, q, solver_tol=1e-8)
+    plain = estimator_from_rows(g, q, solver_tol=1e-8)
     assert est.norm_columns.shape == (3, 12)
-    for eid, val in plain.items():
-        assert est.update_norm_of(g, eid) == pytest.approx(val, rel=1e-6)
+    _, norms = est.measure(g, g.edge_ids())
+    _, plain_norms = plain.measure(g, g.edge_ids())
+    assert norms == pytest.approx(plain_norms, rel=1e-6)
 
 
 def test_deflated_sketch_deterministic_on_lanczos_path():
@@ -228,9 +252,8 @@ def test_deflated_sketch_unbiased_and_tightens_with_probes():
     def ratios(k, seed):
         est = SketchEstimator.build(g, n_probes=k, rng=np.random.default_rng(seed))
         assert est.norm_columns.shape == (k, g.n_nodes)
-        return np.array(
-            [est.update_norm_of(g, eid) / exact_norm[eid] for eid in g.edge_ids()]
-        )
+        _, norms = est.measure(g, g.edge_ids())
+        return norms / np.array([exact_norm[eid] for eid in g.edge_ids()])
 
     spread = {}
     for k in (16, 64):
@@ -247,10 +270,9 @@ def test_estimator_accuracy_on_random_graph():
     g = random_connected_graph(rng, 60, extra_edges=120)
     est = SketchEstimator.build(g, n_probes=400, solver_tol=1e-10, rng=rng)
     exact_lev, exact_norm = exact_quantities(g)
-    norm_ratios, lev_ratios = [], []
-    for eid in g.edge_ids():
-        norm_ratios.append(est.update_norm_of(g, eid) / exact_norm[eid])
-        lev_ratios.append(est.leverage_of(g, eid) / exact_lev[eid])
+    leverages, norms = est.measure(g, g.edge_ids())
+    norm_ratios = norms / np.array([exact_norm[eid] for eid in g.edge_ids()])
+    lev_ratios = leverages / np.array([exact_lev[eid] for eid in g.edge_ids()])
     # 400 probes put almost every edge within ~25% of truth.
     assert np.quantile(np.abs(np.log(norm_ratios)), 0.95) <= math.log(1.35)
     assert np.quantile(np.abs(np.log(lev_ratios)), 0.95) <= math.log(1.35)
@@ -265,11 +287,9 @@ def test_probe_count_improves_accuracy():
         est = SketchEstimator.build(
             g, n_probes=k, rng=np.random.default_rng(seed)
         )
-        logs = [
-            abs(math.log(est.update_norm_of(g, eid) / exact_norm[eid]))
-            for eid in g.edge_ids()
-        ]
-        return float(np.mean(logs))
+        _, norms = est.measure(g, g.edge_ids())
+        exact = np.array([exact_norm[eid] for eid in g.edge_ids()])
+        return float(np.mean(np.abs(np.log(norms / exact))))
 
     coarse = np.mean([worst_dev(25, s) for s in range(5)])
     fine = np.mean([worst_dev(400, s) for s in range(5)])
@@ -280,11 +300,19 @@ def test_estimator_measure_returns_valid_quantities():
     rng = np.random.default_rng(37)
     g = random_connected_graph(rng, 30, extra_edges=40)
     est = SketchEstimator.build(g, n_probes=64, rng=rng)
-    for eid in g.edge_ids():
-        eq = est.measure(g, eid, Priority.EDGES)
+    eids = g.edge_ids()
+    leverages, norms = est.measure(g, eids)
+    assert leverages.shape == norms.shape == (len(eids),)
+    assert np.all(leverages > 0.0) and np.all(norms > 0.0)
+    # The loop clamps raw estimates into the solver's domain.
+    for eid, lev, norm in zip(eids, leverages, norms):
+        eq = EdgeQuantities.from_measurements(lev, norm, g.triangle_count(eid))
         assert 0.0 < eq.leverage <= 1.0
         assert eq.update_norm > 0.0
-        assert eq.triangles == g.triangle_count(eid)
+    # Each edge reads the same whatever else is measured with it.
+    sub_leverages, sub_norms = est.measure(g, eids[::-3])
+    assert np.array_equal(sub_leverages, leverages[::-3])
+    assert np.array_equal(sub_norms, norms[::-3])
 
 
 def test_estimator_rejects_disconnected_graph():
