@@ -22,7 +22,7 @@ import numpy as np
 from .action import Priority
 from .baselines import matching_coarsen, samples_for_edge_target, ss_sparsify
 from .generators import generate
-from .graph import WeightedGraph, read_edgelist
+from .graph import ContractionMap, WeightedGraph, read_edgelist
 from .laplacian import DisconnectedGraphError, build_pseudoinverse, lift
 from .metrics import (
     eigen_relative_error,
@@ -208,17 +208,6 @@ def load_graph(spec: ExperimentSpec) -> WeightedGraph:
     return generate(spec.graph["kind"], spec.graph.get("params", {}), spec.seed)
 
 
-def lifted_pseudoinverse(
-    reduced: WeightedGraph, cmap, original_weights: np.ndarray | None = None
-) -> np.ndarray:
-    """Pseudoinverse of a reduced graph, lifted back to the original nodes."""
-    nodes = reduced.nodes()
-    weights = np.array([reduced.node_weight(u) for u in nodes])
-    return lift(
-        build_pseudoinverse(reduced).pinv, cmap, nodes, weights, original_weights
-    )
-
-
 def _run_reduce(g, options: dict, target: str, size: int, seed: int):
     default_priority = "edges" if target == "edges" else "nodes"
     config = ReductionConfig(
@@ -232,9 +221,7 @@ def _run_reduce(g, options: dict, target: str, size: int, seed: int):
     for extra in options.get("stop", []):
         stops.extend(parse_stop(extra))
     result = reduce_graph(g, stops, config, seed=seed)
-    nodes = result.graph.nodes()
-    weights = np.array([result.graph.node_weight(u) for u in nodes])
-    return lift(result.state.pinv, result.cmap, nodes, weights), result.graph
+    return result.graph, result.cmap, result.state
 
 
 def _run_sparsify(g, options: dict, target: str, size: int, seed: int):
@@ -242,7 +229,8 @@ def _run_sparsify(g, options: dict, target: str, size: int, seed: int):
         raise ValueError("sparsify targets edge counts, schedule counts nodes")
     n_samples = samples_for_edge_target(g, size)
     h = ss_sparsify(g, n_samples, np.random.default_rng(seed))
-    return build_pseudoinverse(h).pinv, h  # raises when disconnected
+    # build_pseudoinverse raises when h is disconnected
+    return h, ContractionMap.identity(h.nodes()), build_pseudoinverse(h)
 
 
 def _run_coarsen(g, options: dict, target: str, size: int, seed: int):
@@ -255,9 +243,10 @@ def _run_coarsen(g, options: dict, target: str, size: int, seed: int):
         rng=np.random.default_rng(seed),
         target_nodes=size,
     )
-    return lifted_pseudoinverse(coarse, cmap), coarse
+    return coarse, cmap, build_pseudoinverse(coarse)
 
 
+# Each runner returns (output graph, contraction map, pseudoinverse state).
 _RUNNERS = {"reduce": _run_reduce, "sparsify": _run_sparsify, "coarsen": _run_coarsen}
 
 
@@ -289,12 +278,13 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
                     np.random.SeedSequence((spec.seed, ai, li, r)).generate_state(1)[0]
                 )
                 try:
-                    candidate, out_graph = _RUNNERS[algo.kind](
+                    out_graph, cmap, state = _RUNNERS[algo.kind](
                         g, algo.options, spec.levels.target, size, sub_seed
                     )
                 except ALGORITHM_FAILURES:
                     failures += 1
                     continue
+                candidate = lift(state.pinv, cmap, state.nodes, state.weights, node_w)
                 for label, vec in vectors.items():
                     distances[label].append(
                         hyperbolic_distance(

@@ -36,21 +36,10 @@ def _check_weight(kind: str, weight: float) -> None:
 
 @dataclass(frozen=True)
 class ContractionRecord:
-    """What a single edge contraction did to the graph.
+    """The node a single edge contraction kept and the node it merged away."""
 
-    merged lists (kept_edge, dropped_edge, combined_weight) for every pair of
-    parallel edges produced by the merge; moved lists edges re-attached from
-    the removed node to the survivor. single_node flags that the graph was
-    reduced to one node.
-    """
-
-    edge: int
     survivor: int
     removed: int
-    weight: float
-    merged: tuple[tuple[int, int, float], ...] = ()
-    moved: tuple[int, ...] = ()
-    single_node: bool = False
 
 
 class WeightedGraph:
@@ -188,9 +177,6 @@ class WeightedGraph:
     def edge_between(self, u: int, v: int) -> int | None:
         return self._adj.get(u, {}).get(v)
 
-    def neighbors(self, u: int) -> list[int]:
-        return sorted(self._adj[u])
-
     def degree(self, u: int) -> int:
         return len(self._adj[u])
 
@@ -221,41 +207,28 @@ class WeightedGraph:
         node's edges (parallel pairs merge by weight sum, the loop the edge
         itself would form is dropped) and the node weights add.
         """
-        u, v, w = self._edges.pop(eid)
+        u, v, _ = self._edges.pop(eid)
         survivor, removed = (u, v) if u < v else (v, u)
         del self._adj[survivor][removed]
         del self._adj[removed][survivor]
 
-        merged: list[tuple[int, int, float]] = []
-        moved: list[int] = []
         for nbr in sorted(self._adj[removed]):
             other = self._adj[removed][nbr]
-            a, b, ow = self._edges[other]
+            _, _, ow = self._edges[other]
             kept = self._adj[survivor].get(nbr)
             if kept is not None:
                 ka, kb, kw = self._edges[kept]
                 self._edges[kept] = (ka, kb, kw + ow)
-                merged.append((kept, other, kw + ow))
                 del self._edges[other]
-                del self._adj[nbr][removed]
             else:
                 lo, hi = (survivor, nbr) if survivor < nbr else (nbr, survivor)
                 self._edges[other] = (lo, hi, ow)
                 self._adj[survivor][nbr] = other
                 self._adj[nbr][survivor] = other
-                del self._adj[nbr][removed]
-                moved.append(other)
+            del self._adj[nbr][removed]
         del self._adj[removed]
         self._node_weight[survivor] += self._node_weight.pop(removed)
-        return ContractionRecord(
-            edge=eid,
-            survivor=survivor,
-            removed=removed,
-            weight=w,
-            merged=tuple(merged),
-            moved=tuple(moved),
-            single_node=self.n_nodes == 1,
-        )
+        return ContractionRecord(survivor, removed)
 
     # -- connectivity ------------------------------------------------------
 

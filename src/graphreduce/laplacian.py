@@ -86,16 +86,6 @@ class PseudoinverseState:
     def n(self) -> int:
         return len(self.nodes)
 
-    def copy(self) -> "PseudoinverseState":
-        return PseudoinverseState(
-            nodes=self.nodes,
-            weights=self.weights.copy(),
-            pinv=self.pinv.copy(),
-            estimated_error=self.estimated_error,
-            updates=self.updates,
-            index=dict(self.index),
-        )
-
 
 def laplacian_matrix(g: WeightedGraph, nodes=None) -> np.ndarray:
     """Dense W_n^{-1} B^T W_e B in the given (default: ascending) node order."""

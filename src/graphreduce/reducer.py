@@ -43,7 +43,6 @@ from .laplacian import (
 from .sketch import SketchEstimator
 
 MAX_REDRAWS = 32
-STALL_LIMIT = 1000
 
 
 class RedrawLimitError(RuntimeError):
@@ -51,7 +50,7 @@ class RedrawLimitError(RuntimeError):
 
 
 class StallError(RuntimeError):
-    """No selected edge acted for many consecutive iterations."""
+    """Every edge was matched since the last action and none acted."""
 
 
 @dataclass(frozen=True)
@@ -64,22 +63,21 @@ class SketchMode:
     """Estimate per-edge quantities with random projections and linear solves.
 
     The dense pseudoinverse is only built once at the end, so peak cost stays
-    near-linear for sparse graphs. `n_probes` of 0 picks the default rank.
-    Of the k = `n_probes` vectors, update norms spend k // 4 on exact lowest
-    eigenmodes and the rest on random probes; leverages use k edge probes.
+    near-linear for sparse graphs. `n_probes` of 0 picks the default rank,
+    `default_probe_count(n, epsilon)`; that is `epsilon`'s only use. Of the
+    k = `n_probes` vectors, update norms spend k // 4 on exact lowest
+    eigenmodes and the rest on unbiased sign probes; leverages use k edge
+    probes.
     """
 
     n_probes: int = 0
     epsilon: float = 0.25
-    solver_tol: float = 1e-8
 
     def __post_init__(self):
         if not self.n_probes >= 0:
             raise ValueError(f"n_probes must be >= 0, got {self.n_probes}")
         if not self.epsilon > 0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if not self.solver_tol > 0:
-            raise ValueError(f"solver_tol must be positive, got {self.solver_tol}")
 
 
 @dataclass(frozen=True)
@@ -185,6 +183,9 @@ class ReductionConfig:
             )
         if not isinstance(self.mode, (ExactMode, SketchMode)):
             raise ValueError(f"mode must be ExactMode or SketchMode, got {self.mode!r}")
+        if self.priority is Priority.NODES and not self.allow_contraction:
+            # Deletion earns no node credit, so no edge could ever be selected.
+            raise ValueError("NODES priority needs allow_contraction=True")
 
 
 @dataclass(frozen=True)
@@ -326,7 +327,6 @@ class _SketchBackend:
                 g,
                 n_probes=self.mode.n_probes,
                 epsilon=self.mode.epsilon,
-                solver_tol=self.mode.solver_tol,
                 rng=_rng(self.seed, iteration, 2),
             )
         return self.estimator.measure(g, eids)
@@ -351,8 +351,9 @@ def reduce_graph(
 
     The input graph is not modified. Raises DisconnectedGraphError for
     disconnected input, RedrawLimitError when an iteration cannot find a
-    connectivity-preserving draw, StallError when selection repeatedly yields
-    no action.
+    connectivity-preserving draw, StallError once every edge was matched
+    since the last action without acting: a round that acts on nothing
+    leaves the graph and the backend as they were, so none ever will.
     """
     config = config or ReductionConfig()
     if seed < 0:
@@ -374,7 +375,7 @@ def reduce_graph(
 
     trace = ReductionTrace()
     estimated_error = 0.0
-    stall = 0
+    idle: set[int] = set()  # edges matched since the last action
     iteration = 0  # index t of the iteration about to run
 
     def stop_reason() -> str | None:
@@ -411,21 +412,6 @@ def reduce_graph(
         if kept and beta > beta_cap:
             trace.stopped_by = "BetaCap"
             break
-
-        if not kept:
-            stall += 1
-            if stall >= STALL_LIMIT:
-                raise StallError(
-                    f"no edge selected in {STALL_LIMIT} consecutive iterations"
-                )
-            trace.append(
-                IterationRecord(
-                    iteration, len(matched), 0, math.inf, 0, 0, 0, 0,
-                    g.n_nodes, g.n_edges, estimated_error,
-                )
-            )
-            iteration += 1
-            continue
 
         plans = [
             _PlannedAction(
@@ -478,11 +464,15 @@ def reduce_graph(
                 n_con += 1
 
         estimated_error += sum(expected_error(p.quantities, p.dist) for p in plans)
-        stall = 0 if n_del + n_con + n_rew else stall + 1
-        if stall >= STALL_LIMIT:
-            raise StallError(
-                f"no action applied in {STALL_LIMIT} consecutive iterations"
-            )
+        if n_del + n_con + n_rew:
+            idle.clear()
+        else:
+            idle.update(matched)
+            if len(idle) == g.n_edges:
+                raise StallError(
+                    f"iteration {iteration}: all {g.n_edges} edges matched "
+                    "since the last action and none acted"
+                )
         trace.append(
             IterationRecord(
                 iteration, len(matched), len(kept), beta, n_del, n_con, n_rew,

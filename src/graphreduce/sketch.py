@@ -11,8 +11,11 @@ With a budget of k vectors, leverages use k random edge probes. Update norms
 are dominated by the low-frequency end of the spectrum, so they split the
 budget: the r = k // 4 lowest non-kernel eigenpairs of Lhat are handled
 exactly and k - r sign probes sample only the orthogonal rest (a deflated
-sketch in the spirit of Hutch++). The two parts are orthogonal, so the
-estimate stays unbiased, and its variance only comes from the residual.
+sketch in the spirit of Hutch++). The probes are +-1/sqrt(k) signs projected
+once off the kernel, so their average Q^T Q is the projector I - what what^T
+and every squared norm they estimate is unbiased (Spielman & Srivastava's
+resistance sketch). The two parts are orthogonal, so the whole estimate stays
+unbiased, and its variance only comes from the residual.
 """
 
 from __future__ import annotations
@@ -28,7 +31,8 @@ import scipy.sparse.linalg as spla
 from .graph import WeightedGraph
 from .laplacian import DisconnectedGraphError
 
-PROJECTION_MAX_ITERS = 100
+# Relative residual every probe solve is run to.
+SOLVER_TOL = 1e-8
 
 
 class ConvergenceError(RuntimeError):
@@ -69,11 +73,14 @@ def pcg(
             vec = vec - deflate * (deflate @ vec)
         return vec
 
-    b = strip(np.asarray(rhs, dtype=float))
-    b_norm = float(np.linalg.norm(b))
+    rhs = np.asarray(rhs, dtype=float)
+    b = strip(rhs)
     x = np.zeros(n)
-    if b_norm == 0.0:
+    if float(np.linalg.norm(b)) == 0.0:
         return x
+    # Against the rhs as given: a probe row that lies along the kernel strips
+    # to roundoff, which no iteration can reduce by a further factor rtol.
+    tol = rtol * float(np.linalg.norm(rhs))
     r = b.copy()
     z = strip(r / diag)
     p = z.copy()
@@ -87,7 +94,7 @@ def pcg(
         x += alpha * p
         r -= alpha * ap
         r = strip(r)
-        if np.linalg.norm(r) <= rtol * b_norm:
+        if np.linalg.norm(r) <= tol:
             return x
         z = strip(r / diag)
         rz_new = float(r @ z)
@@ -122,31 +129,18 @@ def build_projection(
     n_probes: int,
     w_sqrt: np.ndarray,
     rng: np.random.Generator,
-    epsilon: float = 0.25,
 ) -> np.ndarray:
-    """Random sign projection with rows orthogonal to the kernel direction.
+    """Random +-1/sqrt(k) signs with the rows projected once off the kernel.
 
-    Starts from +-1/sqrt(k) entries (exactly unit columns) and alternates
-    projecting rows off what = w_sqrt / ||w_sqrt|| with renormalizing columns
-    until the columns are within epsilon/4 of unit right after a projection
-    step, so the returned rows are orthogonal to what up to roundoff. When
-    the node weights allow no such columns (one sqrt weight exceeding the sum
-    of the others, as after contracting most of a graph into one node) or
-    the sweeps do not get there, it returns the sign matrix projected once,
-    which still estimates squared norms without bias.
+    With what = w_sqrt / ||w_sqrt||, the rows are orthogonal to what up to
+    roundoff and E[Q^T Q] = I - what what^T, so ||Q x||^2 estimates ||x||^2
+    without bias for every x off the kernel.
     """
     n = len(w_sqrt)
     what = w_sqrt / np.linalg.norm(w_sqrt)
     q = (rng.integers(0, 2, size=(n_probes, n)) * 2.0 - 1.0) / math.sqrt(n_probes)
     q -= np.outer(q @ what, what)
-    plain = q.copy()
-    for _ in range(PROJECTION_MAX_ITERS):
-        col = np.linalg.norm(q, axis=0)
-        if np.max(np.abs(col - 1.0)) <= epsilon / 4.0:
-            return q
-        q /= np.maximum(col, 1e-12)[None, :]
-        q -= np.outer(q @ what, what)
-    return plain
+    return q
 
 
 def lowest_modes(
@@ -188,11 +182,10 @@ def _solve_rows(
     lhat: sp.csr_matrix,
     rhs_rows: np.ndarray,
     what: np.ndarray,
-    rtol: float,
 ) -> np.ndarray:
     out = np.empty_like(rhs_rows)
     for i in range(rhs_rows.shape[0]):
-        out[i] = pcg(lhat, rhs_rows[i], rtol=rtol, deflate=what)
+        out[i] = pcg(lhat, rhs_rows[i], rtol=SOLVER_TOL, deflate=what)
     return out
 
 
@@ -233,23 +226,19 @@ class SketchEstimator:
     # update norm = w_e ||col_u - col_v||^2
     norm_columns: np.ndarray
     leverage_columns: np.ndarray  # k x n, leverage = w_e ||col_u - col_v||^2
-    n_probes: int
 
     @classmethod
     def build(
         cls,
         g: WeightedGraph,
+        rng: np.random.Generator,
         n_probes: int = 0,
         epsilon: float = 0.25,
-        solver_tol: float = 1e-8,
-        rng: np.random.Generator | None = None,
     ) -> "SketchEstimator":
         if not g.is_connected():
             raise DisconnectedGraphError(
                 "sketch estimates require a connected graph"
             )
-        if rng is None:
-            rng = np.random.default_rng()
         nodes = g.nodes()
         index = {u: i for i, u in enumerate(nodes)}
         n = len(nodes)
@@ -262,18 +251,18 @@ class SketchEstimator:
         lam, modes = lowest_modes(lhat, what, r, rng)
         rows = [modes.T / lam[:, None]]
         if r < n - 1:
-            q_norm = build_projection(k - r, w_sqrt, rng, epsilon)
+            q_norm = build_projection(k - r, w_sqrt, rng)
             q_norm -= (q_norm @ modes) @ modes.T
-            z = _solve_rows(lhat, q_norm, what, solver_tol)
+            z = _solve_rows(lhat, q_norm, what)
             rows.append(z - (z @ modes) @ modes.T)
         y = np.vstack(rows) / w_sqrt[None, :]
 
         m = g.n_edges
         q_edge = (rng.integers(0, 2, size=(k, m)) * 2.0 - 1.0) / math.sqrt(k)
         r = edge_projection_rows(g, q_edge)
-        gmat = _solve_rows(lhat, r, what, solver_tol)
+        gmat = _solve_rows(lhat, r, what)
         h = gmat / w_sqrt[None, :]
-        return cls(index, y, h, k)
+        return cls(index, y, h)
 
     def measure(
         self, g: WeightedGraph, eids: list[int]

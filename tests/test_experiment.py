@@ -260,6 +260,33 @@ class TestRunExperiment:
         rows = run_experiment(spec)
         assert any(r.metric == "hyperbolic" for r in rows)
 
+    @pytest.mark.parametrize(
+        "target, kind", [("edges", "reduce"), ("nodes", "coarsen")]
+    )
+    def test_identity_output_scores_zero_on_weighted_nodes(
+        self, tmp_path, target, kind
+    ):
+        # An output equal to the input must lift back onto the original
+        # pseudoinverse, which needs the original node weights.
+        rng = np.random.default_rng(6)
+        g = er(40, 0.2, rng)
+        for u in g.nodes():
+            g.add_node(u, rng.uniform(0.5, 4.0))
+        write_edgelist(g, tmp_path / "g.edges", tmp_path / "g.nodeweights")
+        size = g.n_edges if target == "edges" else g.n_nodes
+        spec = ExperimentSpec(
+            graph={"path": str(tmp_path / "g.edges"),
+                   "node_weights": str(tmp_path / "g.nodeweights")},
+            levels=LevelSchedule(target, (size,)),
+            algorithms=(AlgorithmSpec("same", kind),),
+            runs=1,
+            vectors=("fiedler", "median"),
+        )
+        rows = run_experiment(spec)
+        distances = [r.mean for r in rows if r.metric == "hyperbolic"]
+        assert len(distances) == 2
+        assert max(distances) <= 1e-9
+
 
 class TestReportFiles:
     def test_csv_roundtrip(self, tmp_path):

@@ -79,14 +79,12 @@ def test_contract_merges_parallels_and_weights():
     eid = g.edge_between(0, 2)
     assert g.edge_weight(eid) == pytest.approx(6.0)
     assert g.node_weight(0) == pytest.approx(2.0)
-    assert len(rec.merged) == 1
-    assert not rec.single_node
 
 
 def test_contract_to_single_node_flagged():
     g = WeightedGraph.from_edges([(0, 1, 1.0)])
     rec = g.contract_edge(0)
-    assert rec.single_node
+    assert (rec.survivor, rec.removed) == (0, 1)
     assert g.n_nodes == 1 and g.n_edges == 0
     assert g.node_weight(0) == pytest.approx(2.0)
 

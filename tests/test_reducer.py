@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -142,10 +143,12 @@ def test_validation_errors():
     for mode in ("sketch", None, SketchMode):
         with pytest.raises(ValueError):
             ReductionConfig(mode=mode)
-    for bad in ({"n_probes": -5}, {"epsilon": 0.0}, {"epsilon": math.nan},
-                {"solver_tol": 0.0}, {"solver_tol": -1e-8}):
+    for bad in ({"n_probes": -5}, {"epsilon": 0.0}, {"epsilon": math.nan}):
         with pytest.raises(ValueError):
             SketchMode(**bad)
+    # NODES priority credits contractions only, so without them nothing scores.
+    with pytest.raises(ValueError):
+        ReductionConfig(priority=Priority.NODES, allow_contraction=False)
 
 
 def test_disconnected_input_rejected():
@@ -324,6 +327,17 @@ def test_stall_guard_raises():
         reduce_graph(g, EdgeBudget(0), config, seed=0)
 
 
+def test_stall_raises_once_every_edge_was_matched():
+    # Every K10 leverage is 0.2: contracting whenever possible removes 0.2
+    # nodes in expectation, below the target 0.25, so every score is infinite.
+    g = WeightedGraph.from_edges([(u, v) for u in range(10) for v in range(u + 1, 10)])
+    config = ReductionConfig(priority=Priority.NODES)
+    with pytest.raises(StallError) as info:
+        reduce_graph(g, [NodeBudget(2), MaxIterations(200)], config, seed=0)
+    named = re.match(r"iteration (\d+):", str(info.value))
+    assert named and int(named.group(1)) < 200
+
+
 def test_error_accounting_is_cumulative():
     rng = np.random.default_rng(13)
     g = random_connected_graph(rng, 18, extra_edges=24)
@@ -374,6 +388,18 @@ def test_sketch_mode_coarsens_onto_one_heavy_node():
     result = reduce_graph(g, EdgeBudget(0), config, seed=0)
     assert result.graph.n_edges == 0
     assert result.graph.node_weight(0) == pytest.approx(35.0)
+
+
+def test_sketch_mode_reduces_uniform_star():
+    # Five equal node weights: each sign probe is constant, so lies along the
+    # kernel and projects to roundoff, with probability 1/16.
+    g = WeightedGraph.from_edges([(0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.9375), (0, 4, 4.0)])
+    for u in g.nodes():
+        g.add_node(u, 0.2)
+    config = ReductionConfig(mode=SketchMode(n_probes=8))
+    for seed in range(4):
+        result = reduce_graph(g, EdgeBudget(0), config, seed=seed)
+        assert result.graph.n_nodes == 1
 
 
 def test_exact_mode_default():

@@ -14,6 +14,7 @@ from graphreduce.laplacian import (
 )
 from graphreduce import sketch
 from graphreduce.sketch import (
+    SOLVER_TOL,
     ConvergenceError,
     SketchEstimator,
     build_projection,
@@ -37,15 +38,15 @@ def exact_quantities(g):
     return lev, norm
 
 
-def estimator_from_rows(g, rows, solver_tol=1e-12):
+def estimator_from_rows(g, rows, rtol=1e-12):
     """An estimator whose norm and leverage columns both solve the given
     probe rows, as `SketchEstimator.build` solves its random ones."""
     lhat, w_sqrt = symmetrized_laplacian(g)
     what = w_sqrt / np.linalg.norm(w_sqrt)
-    z = np.array([pcg(lhat, r, rtol=solver_tol, deflate=what) for r in rows])
+    z = np.array([pcg(lhat, r, rtol=rtol, deflate=what) for r in rows])
     columns = z / w_sqrt[None, :]
     index = {u: i for i, u in enumerate(g.nodes())}
-    return SketchEstimator(index, columns, columns, len(rows))
+    return SketchEstimator(index, columns, columns)
 
 
 # -- conjugate gradients ---------------------------------------------------
@@ -75,6 +76,21 @@ def test_pcg_singular_laplacian_with_deflation():
     x = pcg(lhat, b, rtol=1e-12, deflate=what)
     assert np.linalg.norm(lhat @ x - b) <= 1e-9 * np.linalg.norm(b)
     assert abs(what @ x) <= 1e-10
+
+
+def test_pcg_rhs_along_kernel_returns_roundoff():
+    # A constant sign row projected off a uniform kernel leaves only roundoff
+    # along the kernel; stripped, it is far below rtol times itself.
+    g = WeightedGraph.from_edges([(0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.9375), (0, 4, 4.0)])
+    for u in g.nodes():
+        g.add_node(u, 0.2)
+    lhat, w_sqrt = symmetrized_laplacian(g)
+    what = w_sqrt / np.linalg.norm(w_sqrt)
+    # Such a row as one reduction drew it: -2^-53 with one entry an ulp off.
+    rhs = np.full(5, -(2.0**-53))
+    rhs[3] = np.nextafter(rhs[3], 0.0)
+    x = pcg(lhat, rhs, rtol=SOLVER_TOL, deflate=what)
+    assert np.linalg.norm(x) <= 1e-20
 
 
 def test_pcg_iteration_cap():
@@ -111,27 +127,34 @@ def test_symmetrized_laplacian_matches_dense():
 # -- projection ------------------------------------------------------------
 
 
-def test_projection_rows_orthogonal_and_columns_near_unit():
+def test_projection_is_unbiased_and_orthogonal_to_kernel():
+    # A small n exposes biases of order 1 / n, such as the n / (n - 1)
+    # inflation that renormalising the columns would bring.
     rng = np.random.default_rng(5)
-    w_sqrt = np.sqrt(rng.uniform(0.5, 3.0, size=50))
-    eps = 0.25
-    q = build_projection(20, w_sqrt, rng, epsilon=eps)
+    n, k = 8, 8
+    w_sqrt = np.sqrt(rng.uniform(0.5, 3.0, size=n))
     what = w_sqrt / np.linalg.norm(w_sqrt)
-    assert np.max(np.abs(q @ what)) <= 1e-10
-    col = np.linalg.norm(q, axis=0)
-    assert np.max(np.abs(col - 1.0)) <= eps / 4.0
+    total = np.zeros((n, n))
+    draws = 4000
+    for _ in range(draws):
+        q = build_projection(k, w_sqrt, rng)
+        assert np.max(np.abs(q @ what)) <= 1e-12
+        total += q.T @ q
+    mean = total / draws
+    assert abs(np.trace(mean) / (n - 1) - 1.0) <= 0.02
+    assert np.max(np.abs(mean - (np.eye(n) - np.outer(what, what)))) <= 0.05
 
 
-def test_projection_falls_back_to_plain_signs_without_unit_columns():
-    # sqrt(30) exceeds the other five sqrt weights together, so no matrix
-    # with unit columns has rows orthogonal to what.
-    w_sqrt = np.sqrt([30.0, 1.0, 1.0, 1.0, 1.0, 1.0])
-    what = w_sqrt / np.linalg.norm(w_sqrt)
-    q = build_projection(6, w_sqrt, np.random.default_rng(0))
-    signs = np.random.default_rng(0).integers(0, 2, size=(6, 6)) * 2.0 - 1.0
-    signs /= math.sqrt(6)
-    assert np.array_equal(q, signs - np.outer(signs @ what, what))
-    assert np.max(np.abs(q @ what)) <= 1e-12
+def test_projection_is_signs_projected_once():
+    # Uniform weights, and a node whose sqrt weight exceeds the others' sum,
+    # where no matrix with unit columns has rows orthogonal to what.
+    for w_sqrt in (np.ones(6), np.sqrt([30.0, 1.0, 1.0, 1.0, 1.0, 1.0])):
+        what = w_sqrt / np.linalg.norm(w_sqrt)
+        q = build_projection(6, w_sqrt, np.random.default_rng(0))
+        signs = np.random.default_rng(0).integers(0, 2, size=(6, 6)) * 2.0 - 1.0
+        signs /= math.sqrt(6)
+        assert np.array_equal(q, signs - np.outer(signs @ what, what))
+        assert np.max(np.abs(q @ what)) <= 1e-12
 
 
 def test_default_probe_count():
@@ -224,7 +247,7 @@ def test_probe_count_below_four_uses_plain_sketch():
     est = SketchEstimator.build(g, n_probes=3, rng=np.random.default_rng(5))
     _, w_sqrt = symmetrized_laplacian(g)
     q = build_projection(3, w_sqrt, np.random.default_rng(5))
-    plain = estimator_from_rows(g, q, solver_tol=1e-8)
+    plain = estimator_from_rows(g, q, rtol=SOLVER_TOL)
     assert est.norm_columns.shape == (3, 12)
     _, norms = est.measure(g, g.edge_ids())
     _, plain_norms = plain.measure(g, g.edge_ids())
@@ -268,7 +291,7 @@ def test_deflated_sketch_unbiased_and_tightens_with_probes():
 def test_estimator_accuracy_on_random_graph():
     rng = np.random.default_rng(23)
     g = random_connected_graph(rng, 60, extra_edges=120)
-    est = SketchEstimator.build(g, n_probes=400, solver_tol=1e-10, rng=rng)
+    est = SketchEstimator.build(g, n_probes=400, rng=rng)
     exact_lev, exact_norm = exact_quantities(g)
     leverages, norms = est.measure(g, g.edge_ids())
     norm_ratios = norms / np.array([exact_norm[eid] for eid in g.edge_ids()])
@@ -318,7 +341,7 @@ def test_estimator_measure_returns_valid_quantities():
 def test_estimator_rejects_disconnected_graph():
     g = WeightedGraph.from_edges([(0, 1, 1.0), (2, 3, 1.0)])
     with pytest.raises(DisconnectedGraphError):
-        SketchEstimator.build(g, n_probes=4)
+        SketchEstimator.build(g, n_probes=4, rng=np.random.default_rng(0))
 
 
 def test_estimator_deterministic_given_rng_seed():
