@@ -18,9 +18,7 @@ def leverage_probabilities(g: WeightedGraph) -> tuple[list[int], np.ndarray]:
     """Edge ids and their normalized leverage sampling probabilities."""
     state = build_pseudoinverse(g)
     eids = g.edge_ids()
-    lev = np.array(
-        [edge_leverage(state, *g.edge(eid)) for eid in eids]
-    )
+    lev = edge_leverage(state, *g.edge_columns(eids))
     return eids, lev / lev.sum()
 
 

@@ -155,6 +155,15 @@ class WeightedGraph:
             np.array([self._node_weight[u] for u in order], dtype=float),
         )
 
+    def edge_columns(self, eids) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Endpoint ids and weights of the edges `eids`, as three arrays."""
+        edges = [self._edges[eid] for eid in eids]
+        return (
+            np.array([u for u, _, _ in edges], dtype=np.intp),
+            np.array([v for _, v, _ in edges], dtype=np.intp),
+            np.array([w for _, _, w in edges], dtype=float),
+        )
+
     def node_weight(self, u: int) -> float:
         return self._node_weight[u]
 

@@ -1,4 +1,4 @@
-"""Node-weighted Laplacians, their pseudoinverses, and rank-one maintenance.
+"""Node-weighted Laplacians, their pseudoinverses, and rank-k maintenance.
 
 The operator of interest for a graph with edge-weight matrix W_e, node-weight
 matrix W_n and signed incidence B is W_n^{-1} B^T W_e B. Its pseudoinverse is
@@ -6,11 +6,14 @@ obtained through the rank-one correction J = ones * w_n^T / sum(w_n):
 
     pinv = inv(L + J) - J,            L @ pinv = pinv @ L = I - J.
 
-A reweighted edge changes the pseudoinverse by a rank-one term with a scalar
-denominator (Sherman-Morrison); contraction is the infinite-weight limit of
-that update followed by merging the two rows/columns. Both updates are exact,
-so a long chain of them agrees with recomputation up to float drift; callers
-are expected to rebuild periodically (see `REBUILD_INTERVAL`).
+Changing the weights of k node-disjoint edges by D = diag(delta_w) is one
+rank-k Woodbury update, pinv -= Y (I + D Omega)^{-1} D Z with Y = pinv W_n^{-1}
+B, Z = B^T pinv and the k x k capacitance built from Omega = B^T Y; deletion
+is delta_w = -weight. Contracting k such edges is the infinite-weight limit of
+that update, pinv -= Y Omega^{-1} Z, followed by merging each pair's rows and
+columns and one compaction. Both updates are exact, so a long chain of them
+agrees with recomputation up to float drift; callers are expected to rebuild
+periodically (see `REBUILD_INTERVAL`).
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -42,7 +46,8 @@ __all__ = [
     "save_matrix_json",
 ]
 
-# Dense rebuild cadence used by incremental consumers to bound float drift.
+# Dense rebuild cadence used by incremental consumers to bound float drift,
+# in rank applied since the last build (`PseudoinverseState.updates`).
 REBUILD_INTERVAL = 512
 
 IDENTITY_TOL = 1e-8
@@ -53,10 +58,12 @@ class DisconnectedGraphError(ValueError):
 
 
 class SingularUpdateError(ValueError):
-    """A rank-one update with non-positive denominator was requested.
+    """An update with a non-positive denominator was requested.
 
     Deleting a bridge is the canonical way to get here: its leverage is 1, so
-    the deletion denominator 1 - w * resistance vanishes.
+    the deletion denominator 1 - w * resistance vanishes. In a rank-k update
+    the denominators are those of its k rank-one steps taken in order; the
+    message names the node pair of the first that fails.
     """
 
 
@@ -67,8 +74,8 @@ class PseudoinverseState:
     `nodes` fixes the row/column ordering of `pinv`; `weights` holds the node
     weights in that order. `estimated_error` accumulates the expected squared
     Frobenius error of the probabilistic updates applied so far (maintained by
-    the reducer, not by this module). `updates` counts rank-one updates since
-    the last dense build.
+    the reducer, not by this module). `updates` counts the rank applied since
+    the last dense build: a batch of k reweights or contractions adds k.
     """
 
     nodes: tuple[int, ...]
@@ -125,89 +132,156 @@ def build_pseudoinverse(g: WeightedGraph) -> PseudoinverseState:
     return PseudoinverseState(nodes=tuple(order), weights=wn, pinv=P)
 
 
-def _column_gap(state: PseudoinverseState, iu: int, iv: int) -> np.ndarray:
-    # P W_n^{-1} b for the incidence vector b of (u, v).
+def _positions(state: PseudoinverseState, u, v) -> tuple[np.ndarray, np.ndarray]:
+    # Row positions of the endpoint ids, which may be scalars or arrays.
+    index = state.index
+    iu = np.array([index[a] for a in np.atleast_1d(u).tolist()], dtype=np.intp)
+    iv = np.array([index[b] for b in np.atleast_1d(v).tolist()], dtype=np.intp)
+    return iu, iv
+
+
+def _like(u, values: np.ndarray):
+    # A float for scalar endpoints, the array for arrays of endpoints.
+    return float(values[0]) if np.ndim(u) == 0 else values
+
+
+def _resistances(state: PseudoinverseState, iu: np.ndarray, iv: np.ndarray) -> np.ndarray:
+    # b^T pinv W_n^{-1} b from the four entries of pinv each pair touches.
     P, w = state.pinv, state.weights
-    return P[:, iu] / w[iu] - P[:, iv] / w[iv]
+    return (P[iu, iu] / w[iu] - P[iu, iv] / w[iv]) - (
+        P[iv, iu] / w[iu] - P[iv, iv] / w[iv]
+    )
 
 
-def effective_resistance(state: PseudoinverseState, u: int, v: int) -> float:
-    """Node-weighted effective resistance b^T pinv W_n^{-1} b of a node pair."""
-    iu, iv = state.index[u], state.index[v]
-    y = _column_gap(state, iu, iv)
-    return float(y[iu] - y[iv])
+def _gaps(state: PseudoinverseState, iu: np.ndarray, iv: np.ndarray):
+    # Y = pinv W_n^{-1} B (n x k) and Z = B^T pinv (k x n) for the incidence
+    # columns B of the pairs; Omega = B^T Y is then Y[iu] - Y[iv].
+    P, w = state.pinv, state.weights
+    return P[:, iu] / w[iu] - P[:, iv] / w[iv], P[iu, :] - P[iv, :]
 
 
-def edge_leverage(state: PseudoinverseState, u: int, v: int, weight: float) -> float:
-    """weight * resistance; lies in (0, 1] for graph edges, 1 iff bridge."""
-    return weight * effective_resistance(state, u, v)
+def _check_pivots(
+    state: PseudoinverseState, iu: np.ndarray, iv: np.ndarray, A: np.ndarray,
+    floor: float, describe,
+) -> None:
+    """Raise SingularUpdateError unless every pivot of A exceeds `floor`.
+
+    The pivots of unpivoted elimination on the capacitance matrix A are the
+    denominators the rank-one steps would meet, applied one after another in
+    row order. The first that fails is named by its node pair.
+    """
+    A = np.array(A, dtype=float)
+    for j in range(len(A)):
+        pivot = A[j, j]
+        if not pivot > floor:
+            pair = (state.nodes[iu[j]], state.nodes[iv[j]])
+            raise SingularUpdateError(f"edge {pair}: {describe(j, pivot)}")
+        A[j + 1 :, j + 1 :] -= np.outer(A[j + 1 :, j], A[j, j + 1 :] / pivot)
 
 
-def update_norm(state: PseudoinverseState, u: int, v: int, weight: float) -> float:
+def effective_resistance(state: PseudoinverseState, u, v):
+    """Node-weighted effective resistance b^T pinv W_n^{-1} b of node pairs.
+
+    `u` and `v` are node ids or equal-length arrays of them; a float comes
+    back for scalars, an array for arrays.
+    """
+    return _like(u, _resistances(state, *_positions(state, u, v)))
+
+
+def edge_leverage(state: PseudoinverseState, u, v, weight):
+    """weight * resistance; lies in (0, 1] for graph edges, 1 iff bridge.
+
+    Takes scalars or equal-length arrays, as `effective_resistance` does.
+    """
+    iu, iv = _positions(state, u, v)
+    return _like(u, np.asarray(weight, dtype=float) * _resistances(state, iu, iv))
+
+
+def update_norm(state: PseudoinverseState, u, v, weight):
     """Frobenius norm of the rank-one pseudoinverse update matrix of an edge.
 
     Equals weight * b^T pinv pinv W_n^{-1} b; multiplied by the update scalar
     it gives the Frobenius norm of the pseudoinverse change of any single
-    action on the edge (measured in the lifted/original index space).
+    action on the edge (measured in the lifted/original index space). Takes
+    scalars or equal-length arrays, as `effective_resistance` does.
+
+    pinv W_n^{-1} is symmetric, so pinv W_n^{-1} b = W_n^{-1} (b^T pinv)^T and
+    the norm needs only the rows z = b^T pinv: weight * sum(z**2 / w_n).
     """
-    iu, iv = state.index[u], state.index[v]
-    y = _column_gap(state, iu, iv)
-    z = state.pinv[iu, :] - state.pinv[iv, :]
-    return float(weight * (z @ y))
+    iu, iv = _positions(state, u, v)
+    Z = state.pinv[iu, :] - state.pinv[iv, :]
+    return _like(u, np.asarray(weight, dtype=float) * (np.square(Z) @ (1.0 / state.weights)))
 
 
 def woodbury_reweight(
-    state: PseudoinverseState, u: int, v: int, delta_w: float
+    state: PseudoinverseState, u, v, delta_w
 ) -> PseudoinverseState:
-    """Apply the rank-one pseudoinverse update for edge weight change delta_w.
+    """Apply the pseudoinverse update for edge weight changes delta_w.
+
+    `u`, `v` and `delta_w` are scalars or equal-length arrays of node-disjoint
+    pairs; k pairs are one rank-k Woodbury update
+
+        pinv -= Y (I + D Omega)^{-1} D Z,    D = diag(delta_w).
 
     Mutates `state` in place (and returns it). The graph itself is updated by
-    the caller; `delta_w = -weight` realizes a deletion and raises
-    SingularUpdateError on a bridge, where the denominator vanishes.
+    the caller; `delta_w = -weight` realizes a deletion. A bridge deletion
+    makes a denominator vanish and raises SingularUpdateError before `state`
+    is touched.
     """
-    iu, iv = state.index[u], state.index[v]
-    y = _column_gap(state, iu, iv)
-    omega = y[iu] - y[iv]
-    denom = 1.0 + delta_w * omega
-    if denom <= 1e-12:
-        raise SingularUpdateError(
-            f"update denominator {denom:.3e} <= 0 for delta_w={delta_w}; "
+    iu, iv = _positions(state, u, v)
+    delta = np.broadcast_to(np.asarray(delta_w, dtype=float), iu.shape)
+    Y, Z = _gaps(state, iu, iv)
+    capacitance = np.eye(len(iu)) + delta[:, None] * (Y[iu] - Y[iv])
+    _check_pivots(
+        state, iu, iv, capacitance, 1e-12,
+        lambda j, denom: (
+            f"update denominator {denom:.3e} <= 0 for delta_w={delta[j]}; "
             "deleting a bridge or overshooting a high-leverage edge"
-        )
-    z = state.pinv[iu, :] - state.pinv[iv, :]
-    state.pinv -= (delta_w / denom) * np.outer(y, z)
-    state.updates += 1
+        ),
+    )
+    state.pinv -= Y @ np.linalg.solve(capacitance, delta[:, None] * Z)
+    state.updates += len(iu)
     return state
 
 
 def contraction_update(
-    state: PseudoinverseState, record: ContractionRecord
+    state: PseudoinverseState, records: ContractionRecord | Sequence[ContractionRecord]
 ) -> PseudoinverseState:
-    """Shrink the pseudoinverse after the graph contraction in `record`.
+    """Shrink the pseudoinverse after the graph contractions in `records`.
 
-    Applies the infinite-weight limit of the reweight update, then merges the
-    two node slots: rows by node-weighted average (they are equal in exact
-    arithmetic at the limit), columns by sum. Mutates and returns `state`.
+    Takes one record or a sequence of node-disjoint ones. Applies the
+    infinite-weight limit of the reweight update, pinv -= Y Omega^{-1} Z,
+    then merges each pair's node slots: rows by node-weighted average (they
+    are equal in exact arithmetic at the limit), columns by sum; one gather
+    drops the removed slots. Mutates and returns `state`.
     """
-    iu = state.index[record.survivor]
-    iv = state.index[record.removed]
-    y = _column_gap(state, iu, iv)
-    omega = y[iu] - y[iv]
-    if omega <= 0:
-        raise SingularUpdateError(f"non-positive resistance {omega:.3e}")
-    z = state.pinv[iu, :] - state.pinv[iv, :]
-    P = state.pinv - np.outer(y, z) / omega
+    if isinstance(records, ContractionRecord):
+        records = [records]
+    iu, iv = _positions(
+        state, [r.survivor for r in records], [r.removed for r in records]
+    )
+    Y, Z = _gaps(state, iu, iv)
+    omega = Y[iu] - Y[iv]
+    _check_pivots(
+        state, iu, iv, omega, 0.0,
+        lambda j, res: f"non-positive resistance {res:.3e}",
+    )
+    P = state.pinv
+    P -= Y @ np.linalg.solve(omega, Z)
 
-    wu, wv = state.weights[iu], state.weights[iv]
+    wu, wv = state.weights[iu, None], state.weights[iv, None]
     P[iu, :] = (wu * P[iu, :] + wv * P[iv, :]) / (wu + wv)
     P[:, iu] += P[:, iv]
-    keep = [i for i in range(state.n) if i != iv]
-    state.pinv = P[np.ix_(keep, keep)]
-    state.weights = state.weights[keep]
-    state.nodes = tuple(u for u in state.nodes if u != record.removed)
+    weights = state.weights.copy()
+    weights[iu] += weights[iv]
+    keep = np.ones(state.n, dtype=bool)
+    keep[iv] = False
+    kept = np.flatnonzero(keep)
+    state.pinv = P[np.ix_(kept, kept)]
+    state.weights = weights[kept]
+    state.nodes = tuple(state.nodes[i] for i in kept)
     state.index = {u: i for i, u in enumerate(state.nodes)}
-    state.weights[state.index[record.survivor]] += wv
-    state.updates += 1
+    state.updates += len(iu)
     return state
 
 

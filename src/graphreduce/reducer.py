@@ -7,10 +7,12 @@ applies an unbiased delete / contract / reweight draw to each kept edge. The
 accumulated expected error is tracked against the budget.
 
 One loop serves both modes; a backend chosen once from `config.mode` measures
-the edges and follows the graph. The exact backend keeps the dense
-pseudoinverse current by rank-one and contraction updates; the sketch backend
-estimates from a `SketchEstimator` it rebuilds after every round that acted,
-and forms the dense pseudoinverse only at the end.
+the edges and follows the graph. Matched edges share no endpoints, so a
+round's deletions and reweights reach the backend as one batch and its
+contractions as another. The exact backend applies each batch to the dense
+pseudoinverse as one rank-k update; the sketch backend estimates from a
+`SketchEstimator` it rebuilds after every round that acted, and forms the
+dense pseudoinverse only at the end.
 """
 
 from __future__ import annotations
@@ -283,7 +285,13 @@ def _draw_action(dist: ActionDistribution, rng: np.random.Generator) -> str:
 
 
 class _ExactBackend:
-    """Dense pseudoinverse kept current by rank-one and contraction updates."""
+    """Dense pseudoinverse kept current by one rank-k update per batch.
+
+    A round's reweights and deletions are one Woodbury update, its
+    contractions one infinite-weight limit of it and one compaction. The
+    state is rebuilt at the first `measure` or `finalize` after the rank
+    applied since the last build reaches `REBUILD_INTERVAL`.
+    """
 
     def __init__(self, g: WeightedGraph):
         self.state = build_pseudoinverse(g)
@@ -296,18 +304,14 @@ class _ExactBackend:
 
     def measure(self, g: WeightedGraph, eids: list[int], iteration: int):
         state = self._current(g)
-        leverages, norms = [], []
-        for eid in eids:
-            u, v, w = g.edge(eid)
-            leverages.append(edge_leverage(state, u, v, w))
-            norms.append(update_norm(state, u, v, w))
-        return np.array(leverages), np.array(norms)
+        u, v, w = g.edge_columns(eids)
+        return edge_leverage(state, u, v, w), update_norm(state, u, v, w)
 
-    def reweight(self, u: int, v: int, delta_w: float) -> None:
+    def reweight(self, u: np.ndarray, v: np.ndarray, delta_w: np.ndarray) -> None:
         woodbury_reweight(self.state, u, v, delta_w)
 
-    def contract(self, record: ContractionRecord) -> None:
-        contraction_update(self.state, record)
+    def contract(self, records: list[ContractionRecord]) -> None:
+        contraction_update(self.state, records)
 
     def finalize(self, g: WeightedGraph) -> PseudoinverseState:
         return self._current(g)
@@ -331,14 +335,53 @@ class _SketchBackend:
             )
         return self.estimator.measure(g, eids)
 
-    def reweight(self, u: int, v: int, delta_w: float) -> None:
+    def reweight(self, u: np.ndarray, v: np.ndarray, delta_w: np.ndarray) -> None:
         self.estimator = None
 
-    def contract(self, record: ContractionRecord) -> None:
+    def contract(self, records: list[ContractionRecord]) -> None:
         self.estimator = None
 
     def finalize(self, g: WeightedGraph) -> PseudoinverseState:
         return build_pseudoinverse(g)
+
+
+def _apply(
+    g: WeightedGraph,
+    backend: _ExactBackend | _SketchBackend,
+    cmap: ContractionMap,
+    plans: list[_PlannedAction],
+    chosen: list[str],
+) -> tuple[int, int, int]:
+    """Apply a round's drawn actions; returns (deleted, contracted, reweighted).
+
+    Deletes and reweights go first (all endpoints still present), then
+    contractions. Matched edges are disjoint, so ids stay valid and each of
+    the two batches reaches the backend in one call.
+    """
+    n_del = n_rew = 0
+    changes = []
+    for p, act in zip(plans, chosen):
+        if act == "delete":
+            g.delete_edge(p.edge)
+            changes.append((p.u, p.v, -p.weight))
+            n_del += 1
+        elif act == "reweight":
+            ratio = p.dist.reweight_ratio
+            if ratio == 0.0:
+                continue
+            g.set_edge_weight(p.edge, p.weight * (1.0 + ratio))
+            changes.append((p.u, p.v, p.weight * ratio))
+            n_rew += 1
+    if changes:
+        backend.reweight(*(np.array(col) for col in zip(*changes)))
+    records = [
+        g.contract_edge(p.edge) for p, act in zip(plans, chosen) if act == "contract"
+    ]
+    if records:
+        backend.contract(records)
+    for rec in records:
+        cmap.merge(rec.survivor, rec.removed)
+    return n_del, len(records), n_rew
 
 
 def reduce_graph(
@@ -441,28 +484,7 @@ def reduce_graph(
             )
         redraws = attempt
 
-        n_del = n_con = n_rew = 0
-        # Deletes and reweights first (all endpoints still present), then
-        # contractions; matched edges are disjoint so ids stay valid.
-        for p, act in zip(plans, chosen):
-            if act == "delete":
-                g.delete_edge(p.edge)
-                backend.reweight(p.u, p.v, -p.weight)
-                n_del += 1
-            elif act == "reweight":
-                ratio = p.dist.reweight_ratio
-                if ratio == 0.0:
-                    continue
-                g.set_edge_weight(p.edge, p.weight * (1.0 + ratio))
-                backend.reweight(p.u, p.v, p.weight * ratio)
-                n_rew += 1
-        for p, act in zip(plans, chosen):
-            if act == "contract":
-                rec = g.contract_edge(p.edge)
-                backend.contract(rec)
-                cmap.merge(rec.survivor, rec.removed)
-                n_con += 1
-
+        n_del, n_con, n_rew = _apply(g, backend, cmap, plans, chosen)
         estimated_error += sum(expected_error(p.quantities, p.dist) for p in plans)
         if n_del + n_con + n_rew:
             idle.clear()

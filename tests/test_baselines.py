@@ -10,7 +10,7 @@ from graphreduce.baselines import (
 )
 from graphreduce.generators import cycle, path
 from graphreduce.graph import WeightedGraph
-from graphreduce.laplacian import laplacian_matrix
+from graphreduce.laplacian import build_pseudoinverse, edge_leverage, laplacian_matrix
 from tests.conftest import random_connected_graph
 
 
@@ -153,3 +153,12 @@ def test_coarsen_preserves_connectivity():
             g, strategy=strategy, levels=3, rng=np.random.default_rng(13)
         )
         assert coarse.is_connected()
+
+
+def test_leverage_probabilities_match_per_edge_reads():
+    rng = np.random.default_rng(4)
+    g = random_connected_graph(rng, 30, extra_edges=60, weighted_nodes=True)
+    eids, probs = leverage_probabilities(g)
+    state = build_pseudoinverse(g)
+    lev = np.array([edge_leverage(state, *g.edge(eid)) for eid in eids])
+    np.testing.assert_allclose(probs, lev / lev.sum(), rtol=1e-12, atol=0)

@@ -297,3 +297,102 @@ def test_matrix_exports(tmp_path):
     payload = json.loads(json_path.read_text())
     np.testing.assert_allclose(np.array(payload["data"]), mat)
     assert payload["nodes"] == [0, 1, 2, 3]
+
+
+def _matched_actions(rng, g):
+    # A random matching split into reweights, deletions that keep the graph
+    # connected, and contractions; returns (changes, contraction edge ids).
+    changes, deleted, contract = [], set(), []
+    for eid in g.independent_edge_set(rng):
+        u, v, w = g.edge(eid)
+        kind = int(rng.integers(3))
+        if kind == 1 and g.connected_without(deleted | {eid}):
+            deleted.add(eid)
+            changes.append((eid, u, v, -w))
+        elif kind == 2:
+            contract.append(eid)
+        else:
+            changes.append((eid, u, v, w * float(rng.uniform(-0.8, 2.0))))
+    return changes, contract
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10_000))
+def test_batched_updates_match_rank_one_steps_and_rebuild(seed):
+    rng = np.random.default_rng(seed)
+    g = random_connected_graph(rng, int(rng.integers(6, 16)), extra_edges=12, weighted_nodes=True)
+    batched = build_pseudoinverse(g)
+    stepped = build_pseudoinverse(g)
+    changes, contract = _matched_actions(rng, g)
+
+    for eid, _, _, delta in changes:
+        w = g.edge_weight(eid)
+        if delta == -w:
+            g.delete_edge(eid)
+        else:
+            g.set_edge_weight(eid, w + delta)
+    records = [g.contract_edge(eid) for eid in contract]
+
+    if changes:
+        _, u, v, delta = (np.array(col) for col in zip(*changes))
+        woodbury_reweight(batched, u, v, delta)
+        for _, a, b, d in changes:
+            woodbury_reweight(stepped, a, b, d)
+    assert batched.updates == stepped.updates == len(changes)
+    if records:
+        contraction_update(batched, records)
+        for rec in records:
+            contraction_update(stepped, rec)
+    assert batched.updates == stepped.updates == len(changes) + len(records)
+
+    fresh = build_pseudoinverse(g)
+    assert batched.nodes == stepped.nodes == fresh.nodes
+    np.testing.assert_array_equal(batched.weights, fresh.weights)
+    np.testing.assert_allclose(batched.pinv, stepped.pinv, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(batched.pinv, fresh.pinv, rtol=0, atol=1e-10)
+
+
+def test_batch_with_bridge_deletion_raises_and_leaves_state_unchanged():
+    # Two triangles joined by the bridge (2, 3); the bridge is deleted in the
+    # middle of a matched batch.
+    g = WeightedGraph.from_edges(
+        [(0, 1, 1.0), (1, 2, 1.5), (0, 2, 1.0), (2, 3, 2.0),
+         (3, 4, 1.0), (4, 5, 0.5), (3, 5, 1.0)]
+    )
+    for u in g.nodes():
+        g.add_node(u, 1.0 + 0.25 * u)
+    state = build_pseudoinverse(g)
+    state.updates = 7
+    pinv, nodes, weights = state.pinv.copy(), state.nodes, state.weights.copy()
+    with pytest.raises(SingularUpdateError, match=r"edge \(2, 3\)"):
+        woodbury_reweight(state, [0, 2, 4], [1, 3, 5], [0.5, -2.0, -0.5])
+    assert np.array_equal(state.pinv, pinv)
+    assert state.nodes == nodes
+    assert np.array_equal(state.weights, weights)
+    assert state.updates == 7
+
+
+def test_array_reads_match_scalar_reads_and_definitions():
+    rng = np.random.default_rng(11)
+    g = random_connected_graph(rng, 14, extra_edges=18, weighted_nodes=True)
+    state = build_pseudoinverse(g)
+    P, wn = state.pinv, state.weights
+    eids = g.edge_ids()
+    u, v, w = g.edge_columns(eids)
+    lev = edge_leverage(state, u, v, w)
+    norms = update_norm(state, u, v, w)
+    res = effective_resistance(state, u, v)
+    assert lev.shape == norms.shape == res.shape == (len(eids),)
+    for i, eid in enumerate(eids):
+        a, b, we = g.edge(eid)
+        assert lev[i] == edge_leverage(state, a, b, we)
+        # The norm's row sums may round differently in a batch.
+        assert norms[i] == pytest.approx(update_norm(state, a, b, we), rel=1e-14)
+        assert res[i] == effective_resistance(state, a, b)
+        # The definitions: y = pinv W_n^{-1} b, z = b^T pinv.
+        bvec = np.zeros(state.n)
+        bvec[state.index[a]], bvec[state.index[b]] = 1.0, -1.0
+        y = P @ (bvec / wn)
+        z = bvec @ P
+        assert res[i] == pytest.approx(bvec @ y, rel=1e-12)
+        assert norms[i] == pytest.approx(we * (z @ y), rel=1e-12)

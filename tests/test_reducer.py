@@ -9,13 +9,16 @@ from hypothesis import strategies as st
 
 from graphreduce.action import EdgeQuantities, Priority, optimal_action
 from graphreduce.graph import WeightedGraph
+from graphreduce.generators import triangular_lattice
 from graphreduce.laplacian import (
     IDENTITY_TOL,
+    REBUILD_INTERVAL,
     DisconnectedGraphError,
     build_pseudoinverse,
     identity_residual,
     lift,
 )
+import graphreduce.reducer as reducer
 from graphreduce.reducer import (
     BetaCap,
     EdgeBudget,
@@ -262,6 +265,32 @@ def test_maintained_state_matches_rebuild():
     fresh = build_pseudoinverse(result.graph)
     assert np.allclose(result.state.pinv, fresh.pinv, atol=1e-8)
     assert identity_residual(result.state, result.graph) < 1e-7
+
+
+def test_rebuild_follows_the_rank_applied_since_the_last_build(monkeypatch):
+    # Each round's batches add their rank to `updates`; the backend rebuilds
+    # at the first measure (or the end) after the sum reaches the interval.
+    g = triangular_lattice(16, 16)
+    built = []
+
+    def counting_build(graph):
+        built.append((graph.n_nodes, graph.n_edges))
+        return build_pseudoinverse(graph)
+
+    monkeypatch.setattr(reducer, "build_pseudoinverse", counting_build)
+    config = ReductionConfig(keep_fraction=0.25, priority=Priority.NODES)
+    result = reduce_graph(g, NodeBudget(40), config, seed=3)
+
+    expected, rank = [(g.n_nodes, g.n_edges)], 0
+    for rec in result.trace.records:
+        rank += rec.deleted + rec.contracted + rec.reweighted
+        if rank >= REBUILD_INTERVAL:
+            expected.append((rec.nodes_after, rec.edges_after))
+            rank = 0
+    assert len(expected) >= 2
+    assert built == expected
+    assert result.state.updates == rank
+    assert identity_residual(result.state, result.graph) <= IDENTITY_TOL
 
 
 def test_trace_monotonicity_and_roundtrip(tmp_path):
