@@ -1,4 +1,4 @@
-"""Optimal probabilistic actions on a single edge.
+"""Optimal probabilistic actions on a column of edges.
 
 An edge can be deleted, contracted, or reweighted. Each action changes the
 Laplacian pseudoinverse by `scalar * M_e`, where M_e is the edge's fixed
@@ -17,8 +17,14 @@ has a closed form with three regimes in the pressure parameter beta: below
 both onset thresholds nothing happens; between onset and saturation a single
 action (whichever onset is lower) is mixed with a compensating reweight; above
 saturation the edge is deleted with probability 1 - leverage and contracted
-with probability leverage. `grid_search_action` minimizes the same objective
-numerically and exists to cross-check the closed form, not to be fast.
+with probability leverage.
+
+The closed form runs elementwise on a column: an `EdgeQuantities` whose fields
+are arrays, one entry per edge, such as a round's matched set. Fields that are
+numbers make a column of one edge; the same code then returns floats, a
+`Regime` and a branch string. `grid_search_action` minimizes the same
+objective numerically for one edge and exists to cross-check the closed form,
+not to be fast.
 """
 
 from __future__ import annotations
@@ -76,82 +82,90 @@ class Regime(enum.Enum):
 
 @dataclass(frozen=True)
 class EdgeQuantities:
-    """Everything the action solver needs to know about one edge.
+    """Everything the action solver needs to know about a column of edges.
 
     leverage = weight * effective resistance, in (0, 1], 1 iff bridge;
     update_norm = Frobenius norm of the edge's rank-one update matrix;
     triangles = triangle count through the edge in the current graph.
+    Each is an array with one entry per edge, or a number for one edge; the
+    priority is shared.
     """
 
-    leverage: float
-    update_norm: float
-    triangles: int
+    leverage: float | np.ndarray
+    update_norm: float | np.ndarray
+    triangles: int | np.ndarray
     priority: Priority = Priority.EDGES
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.leverage <= 1.0:
+        lev = np.asarray(self.leverage)
+        if not np.all((lev > 0.0) & (lev <= 1.0)):
             raise ValueError(f"leverage must be in (0, 1], got {self.leverage}")
-        if self.update_norm <= 0.0:
+        if not np.all(np.asarray(self.update_norm) > 0.0):
             raise ValueError(f"update_norm must be positive, got {self.update_norm}")
-        if self.triangles < 0:
+        if not np.all(np.asarray(self.triangles) >= 0):
             raise ValueError(f"triangles must be >= 0, got {self.triangles}")
 
     @classmethod
     def from_measurements(
         cls,
-        leverage: float,
-        update_norm: float,
-        triangles: int,
+        leverage: float | np.ndarray,
+        update_norm: float | np.ndarray,
+        triangles: int | np.ndarray,
         priority: Priority = Priority.EDGES,
     ) -> "EdgeQuantities":
         """Clamp raw (possibly sketched) measurements into the valid domain."""
-        lev = min(float(leverage), 1.0)
-        if lev > 1.0 - BRIDGE_SNAP:
-            lev = 1.0
-        lev = max(lev, 1e-12)
-        return cls(lev, max(float(update_norm), 1e-300), triangles, priority)
+        lev = np.minimum(leverage, 1.0)
+        lev = np.maximum(np.where(lev > 1.0 - BRIDGE_SNAP, 1.0, lev), 1e-12)
+        return cls(lev, np.maximum(update_norm, 1e-300), triangles, priority)
 
     @property
-    def r_delete(self) -> float:
+    def r_delete(self) -> float | np.ndarray:
         return self.priority.reduction_counts(self.triangles)[0]
 
     @property
-    def r_contract(self) -> float:
+    def r_contract(self) -> float | np.ndarray:
         return self.priority.reduction_counts(self.triangles)[1]
 
 
 @dataclass(frozen=True)
 class Thresholds:
-    """Regime boundaries in beta for one edge.
+    """Regime boundaries in beta, per edge of a column.
 
     onset_delete / onset_contract: below both, no action is worthwhile; the
     smaller one marks where its action starts mixing in. saturation: above it
     the reweight option drops out entirely. Any of these may be +inf.
     """
 
-    onset_delete: float
-    onset_contract: float
-    saturation: float
+    onset_delete: float | np.ndarray
+    onset_contract: float | np.ndarray
+    saturation: float | np.ndarray
 
     @property
-    def onset(self) -> float:
-        return min(self.onset_delete, self.onset_contract)
+    def onset(self) -> float | np.ndarray:
+        return np.minimum(self.onset_delete, self.onset_contract)
 
 
 @dataclass(frozen=True)
 class ActionDistribution:
-    """Unbiased mixture over delete / contract / reweight for one edge.
+    """Unbiased mixture over delete / contract / reweight, per edge of a column.
 
     reweight_ratio is the relative weight change delta_w / w applied when the
-    reweight branch is drawn (0.0 when the edge is left alone).
+    reweight branch is drawn (0.0 when the edge is left alone). branch names
+    the single action mixed in ("delete" or "contract") in that regime and is
+    None otherwise. For a column, regime and branch are object arrays.
     """
 
-    p_delete: float
-    p_contract: float
-    p_reweight: float
-    reweight_ratio: float
-    regime: Regime
-    branch: str | None = None
+    p_delete: float | np.ndarray
+    p_contract: float | np.ndarray
+    p_reweight: float | np.ndarray
+    reweight_ratio: float | np.ndarray
+    regime: Regime | np.ndarray
+    branch: str | None | np.ndarray = None
+
+
+# Indexed by regime code (the `Regime` value) and by branch code.
+_REGIMES = np.array([None, *Regime], dtype=object)
+_BRANCHES = np.array([None, "delete", "contract"], dtype=object)
 
 
 def update_scalar(ratio: float, leverage: float) -> float:
@@ -173,130 +187,127 @@ def update_scalar(ratio: float, leverage: float) -> float:
     return -ratio / denom
 
 
-def _delete_scalar(leverage: float) -> float:
-    return math.inf if leverage >= 1.0 else 1.0 / (1.0 - leverage)
-
-
 def regime_thresholds(eq: EdgeQuantities) -> Thresholds:
     """Closed-form regime boundaries of the cost minimization."""
-    x, m = eq.leverage, eq.update_norm
-    rd, rc = eq.r_delete, eq.r_contract
-    if rd == 0.0 or x >= 1.0:
-        onset_d = math.inf
-    else:
-        onset_d = m / ((1.0 - x) * math.sqrt(rd))
-    onset_c = m / (x * math.sqrt(rc))
-    if x >= 1.0:
-        saturation = math.inf
-    else:
-        saturation = m / (x * (1.0 - x) * (math.sqrt(rd) + math.sqrt(rc)))
-    return Thresholds(onset_d, onset_c, saturation)
-
-
-def _single_action(eq: EdgeQuantities, beta: float, th: Thresholds) -> ActionDistribution:
-    x = eq.leverage
-    if th.onset_delete < th.onset_contract:
-        branch, onset = "delete", th.onset_delete
-        f_a = _delete_scalar(x)
-    else:
-        # Ties break toward contraction: it reduces at least as much.
-        branch, onset = "contract", th.onset_contract
-        f_a = -1.0 / x
-    p = 1.0 - onset / beta
-    if p >= 1.0:
-        # beta so far past onset that p rounds to 1; keep the compensating
-        # reweight finite (its weight update then trips the singularity guard
-        # instead of propagating nan)
-        p = math.nextafter(1.0, 0.0)
-    f_r = -p * f_a / (1.0 - p)
-    ratio = -f_r / (1.0 + f_r * x)
-    if branch == "delete":
-        return ActionDistribution(p, 0.0, 1.0 - p, ratio, Regime.SINGLE_ACTION, branch)
-    return ActionDistribution(0.0, p, 1.0 - p, ratio, Regime.SINGLE_ACTION, branch)
+    x, m = np.asarray(eq.leverage, dtype=float), eq.update_norm
+    sd, sc = np.sqrt(eq.r_delete), np.sqrt(eq.r_contract)
+    # A bridge (x = 1) or a deletion without payoff (r_delete = 0) divides the
+    # positive m by zero, which puts that threshold at +inf.
+    with np.errstate(divide="ignore"):
+        return Thresholds(
+            (m / ((1.0 - x) * sd))[()],
+            (m / (x * sc))[()],
+            (m / (x * (1.0 - x) * (sd + sc)))[()],
+        )
 
 
 def optimal_action(
     eq: EdgeQuantities, beta: float, allow_contraction: bool = True
 ) -> ActionDistribution:
-    """Cost-minimizing unbiased action mixture for one edge at pressure beta.
+    """Cost-minimizing unbiased action mixture per edge at the shared beta.
 
     With allow_contraction False the same objective is minimized subject to
-    zero contraction probability; the edge then only acts while the deletion
+    zero contraction probability; an edge then only acts while the deletion
     branch is active and strictly below the beta where its compensating
     reweight would degenerate into a contraction.
     """
     if beta < 0:
         raise ValueError(f"beta must be >= 0, got {beta}")
     th = regime_thresholds(eq)
-    none = ActionDistribution(0.0, 0.0, 1.0, 0.0, Regime.NO_ACTION)
-    if not allow_contraction:
-        if math.isinf(th.onset_delete) or beta <= th.onset_delete:
-            return none
-        # p_delete reaches its cap 1 - leverage at onset_delete / leverage;
-        # at the cap the reweight ratio diverges, so stop strictly before.
-        if beta >= th.onset_delete / eq.leverage:
-            return none
-        forced = Thresholds(th.onset_delete, math.inf, th.saturation)
-        return _single_action(eq, beta, forced)
-    # The corner owns the saturation point itself: both mixtures cost the
-    # same there, but only the corner delivers the jumped expected reduction
-    # that activation_beta promises. Checked first because onset can equal
-    # saturation (leverage 1/2 with equal reduction payoffs leaves regime 2
-    # empty), and that point must corner, not idle.
-    if math.isfinite(th.saturation) and beta >= th.saturation:
-        x = eq.leverage
-        return ActionDistribution(1.0 - x, x, 0.0, 0.0, Regime.DELETE_OR_CONTRACT)
-    if beta <= th.onset:
-        return none
-    return _single_action(eq, beta, th)
+    x = np.asarray(eq.leverage, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # Ties break toward contraction: it reduces at least as much. Without
+        # contraction, deletion is the only single action.
+        delete = (th.onset_delete < th.onset_contract) | (not allow_contraction)
+        # The corner owns the saturation point itself: both mixtures cost the
+        # same there, but only the corner delivers the jumped expected
+        # reduction that activation_beta promises. It takes precedence over
+        # the single action because onset can equal saturation (leverage 1/2
+        # with equal reduction payoffs leaves regime 2 empty), and that point
+        # must corner, not idle.
+        corner = (
+            allow_contraction & np.isfinite(th.saturation) & (beta >= th.saturation)
+        )
+        if allow_contraction:
+            single = ~corner & (beta > th.onset)
+        else:
+            # p_delete reaches its cap 1 - leverage at onset_delete / leverage;
+            # at the cap the reweight ratio diverges, so stop strictly before.
+            single = (beta > th.onset_delete) & (beta < th.onset_delete / x)
+        onset = np.where(delete, th.onset_delete, th.onset_contract)
+        f_a = np.where(delete, 1.0 / (1.0 - x), -1.0 / x)
+        p = 1.0 - onset / beta
+        # beta so far past onset that p rounds to 1; keep the compensating
+        # reweight finite (its weight update then trips the singularity guard
+        # instead of propagating nan)
+        p = np.where(p >= 1.0, np.nextafter(1.0, 0.0), p)
+        f_r = -p * f_a / (1.0 - p)
+        ratio = -f_r / (1.0 + f_r * x)
+    return ActionDistribution(
+        np.where(corner, 1.0 - x, np.where(single & delete, p, 0.0))[()],
+        np.where(corner, x, np.where(single & ~delete, p, 0.0))[()],
+        np.where(corner, 0.0, np.where(single, 1.0 - p, 1.0))[()],
+        np.where(single, ratio, 0.0)[()],
+        _REGIMES[np.where(corner, 3, np.where(single, 2, 1))],
+        _BRANCHES[np.where(single, np.where(delete, 1, 2), 0)],
+    )
 
 
 def activation_beta(
     eq: EdgeQuantities, min_reduction: float, allow_contraction: bool = True
-) -> float:
-    """Smallest beta at which the edge's expected reduction reaches the target.
+) -> float | np.ndarray:
+    """Smallest beta at which each edge's expected reduction reaches the target.
 
     Acts as an importance score: low values mark edges that give up a lot of
     reduction for little error. +inf when no beta delivers the target.
     """
     d = min_reduction
-    if d <= 0:
+    if not d > 0:
         raise ValueError(f"min_reduction must be positive, got {d}")
     th = regime_thresholds(eq)
-    if not allow_contraction:
-        rd = eq.r_delete
-        if rd == 0.0 or math.isinf(th.onset_delete) or d >= rd * (1.0 - eq.leverage):
-            return math.inf
-        return th.onset_delete / (1.0 - d / rd)
-    if th.onset_delete < th.onset_contract:
-        onset, r_a = th.onset_delete, eq.r_delete
-    else:
-        onset, r_a = th.onset_contract, eq.r_contract
-    if d < r_a:
+    x = np.asarray(eq.leverage, dtype=float)
+    rd, rc = np.asarray(eq.r_delete, dtype=float), eq.r_contract
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if not allow_contraction:
+            # Deletion alone delivers at most rd * (1 - x), which is 0 for a
+            # bridge or a deletion without payoff.
+            reachable = d < rd * (1.0 - x)
+            return np.where(reachable, th.onset_delete / (1.0 - d / rd), np.inf)[()]
+        delete = th.onset_delete < th.onset_contract
+        onset = np.where(delete, th.onset_delete, th.onset_contract)
+        r_a = np.where(delete, rd, rc)
         beta = onset / (1.0 - d / r_a)
-        if beta <= th.saturation:
-            return beta
-    full = eq.r_delete * (1.0 - eq.leverage) + eq.r_contract * eq.leverage
-    if d <= full and not math.isinf(th.saturation):
-        return th.saturation
-    return math.inf
+        full = rd * (1.0 - x) + rc * x
+        saturated = np.where(
+            (d <= full) & np.isfinite(th.saturation), th.saturation, np.inf
+        )
+        return np.where((d < r_a) & (beta <= th.saturation), beta, saturated)[()]
 
 
-def expected_reduction(eq: EdgeQuantities, dist: ActionDistribution) -> float:
+def expected_reduction(
+    eq: EdgeQuantities, dist: ActionDistribution
+) -> float | np.ndarray:
     return eq.r_delete * dist.p_delete + eq.r_contract * dist.p_contract
 
 
-def expected_error(eq: EdgeQuantities, dist: ActionDistribution) -> float:
+def expected_error(eq: EdgeQuantities, dist: ActionDistribution) -> float | np.ndarray:
     """Expected squared Frobenius change of the pseudoinverse under `dist`."""
-    x, m = eq.leverage, eq.update_norm
-    total = 0.0
-    if dist.p_delete > 0.0:
-        total += dist.p_delete * _delete_scalar(x) ** 2
-    if dist.p_contract > 0.0:
-        total += dist.p_contract * (1.0 / x) ** 2
-    if dist.p_reweight > 0.0 and dist.reweight_ratio != 0.0:
-        total += dist.p_reweight * update_scalar(dist.reweight_ratio, x) ** 2
-    return m * m * total
+    x, m = np.asarray(eq.leverage, dtype=float), eq.update_norm
+    ratio = dist.reweight_ratio
+    # float_power squares with libm's pow, as Python's float ** 2 does; numpy's
+    # ** 2 multiplies, which differs in the last bit for about 1 in 1,200 inputs.
+    sq = np.float_power
+    with np.errstate(divide="ignore", invalid="ignore"):
+        total = (
+            np.where(dist.p_delete > 0.0, dist.p_delete * sq(1.0 / (1.0 - x), 2), 0.0)
+            + np.where(dist.p_contract > 0.0, dist.p_contract * sq(1.0 / x, 2), 0.0)
+            + np.where(
+                (dist.p_reweight > 0.0) & (ratio != 0.0),
+                dist.p_reweight * sq(-ratio / (1.0 + ratio * x), 2),
+                0.0,
+            )
+        )
+    return (m * m * total)[()]
 
 
 def action_cost(eq: EdgeQuantities, dist: ActionDistribution, beta: float) -> float:

@@ -13,11 +13,10 @@ import sys
 
 import numpy as np
 
-from .action import Priority
 from .baselines import matching_coarsen, samples_for_edge_target, ss_sparsify
 from .experiment import (
     ExperimentSpec,
-    parse_mode,
+    parse_config,
     parse_stop,
     run_experiment_to_files,
     probe_vectors,
@@ -39,7 +38,7 @@ from .metrics import (
     eigen_relative_error,
     laplacian_spectrum,
 )
-from .reducer import ReductionConfig, reduce_graph
+from .reducer import reduce_graph
 
 
 def _load_input(args) -> "WeightedGraph":
@@ -56,13 +55,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_reduce(args) -> int:
     g = _load_input(args)
-    config = ReductionConfig(
-        keep_fraction=args.q,
-        target_reduction=args.d,
-        priority=Priority(args.priority),
-        allow_contraction=not args.no_contraction,
-        mode=parse_mode(args.mode),
-    )
+    config = parse_config(vars(args))
     stops = []
     for spec in args.stop:
         stops.extend(parse_stop(spec))

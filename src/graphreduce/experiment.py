@@ -93,6 +93,21 @@ def parse_mode(spec: str) -> ExactMode | SketchMode:
     return SketchMode(n_probes=probes, epsilon=eps)
 
 
+def parse_config(options: dict, default_priority: str = "edges") -> ReductionConfig:
+    """Reduction config from the keys q, d, priority, no_contraction and mode.
+
+    The `reduce` command's flags and an experiment's reduce options share these
+    names; each missing key takes its default.
+    """
+    return ReductionConfig(
+        keep_fraction=float(options.get("q", 0.25)),
+        target_reduction=float(options.get("d", 0.25)),
+        priority=Priority(options.get("priority", default_priority)),
+        allow_contraction=not options.get("no_contraction", False),
+        mode=parse_mode(options.get("mode", "exact")),
+    )
+
+
 def probe_vectors(g: WeightedGraph, labels: Sequence[str]) -> dict[str, np.ndarray]:
     """Named eigenvectors of the node-weighted Laplacian used as probes."""
     lhat, w_sqrt = symmetrized_laplacian(g)
@@ -209,14 +224,7 @@ def load_graph(spec: ExperimentSpec) -> WeightedGraph:
 
 
 def _run_reduce(g, options: dict, target: str, size: int, seed: int):
-    default_priority = "edges" if target == "edges" else "nodes"
-    config = ReductionConfig(
-        keep_fraction=float(options.get("q", 0.25)),
-        target_reduction=float(options.get("d", 0.25)),
-        priority=Priority(options.get("priority", default_priority)),
-        allow_contraction=not options.get("no_contraction", False),
-        mode=parse_mode(options.get("mode", "exact")),
-    )
+    config = parse_config(options, "edges" if target == "edges" else "nodes")
     stops = [EdgeBudget(size) if target == "edges" else NodeBudget(size)]
     for extra in options.get("stop", []):
         stops.extend(parse_stop(extra))

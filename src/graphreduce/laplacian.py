@@ -19,7 +19,6 @@ periodically (see `REBUILD_INTERVAL`).
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -43,7 +42,6 @@ __all__ = [
     "lift",
     "identity_residual",
     "save_matrix_csv",
-    "save_matrix_json",
 ]
 
 # Dense rebuild cadence used by incremental consumers to bound float drift,
@@ -324,11 +322,3 @@ def save_matrix_csv(path, matrix: np.ndarray) -> None:
         writer = csv.writer(fh)
         for row in np.asarray(matrix):
             writer.writerow([repr(float(x)) for x in row])
-
-
-def save_matrix_json(path, matrix: np.ndarray, nodes=None) -> None:
-    payload = {"data": np.asarray(matrix).tolist()}
-    if nodes is not None:
-        payload["nodes"] = [int(u) for u in nodes]
-    with open(path, "w") as fh:
-        json.dump(payload, fh)

@@ -86,16 +86,6 @@ def hyperbolic_distance(
     return hyperbolic_distances(a, b, vector, node_weights)
 
 
-def hyperbolic_distance_sup(
-    a: np.ndarray,
-    b: np.ndarray,
-    vectors: np.ndarray,
-    node_weights: np.ndarray | None = None,
-) -> float:
-    """Largest per-column distance over the given test vectors."""
-    return float(np.max(hyperbolic_distances(a, b, vectors, node_weights)))
-
-
 @dataclass(frozen=True)
 class SigmaReport:
     sigma: float
@@ -168,12 +158,6 @@ def eigen_relative_error(
     if np.any(ref <= 0):
         raise ValueError("reference spectrum has a non-positive nontrivial value")
     return float(np.mean(np.abs(b[1 : k + 1] - ref) / ref))
-
-
-def first_order_eigen_shift(delta: np.ndarray, eigvec: np.ndarray) -> float:
-    """Leading-order eigenvalue change under a symmetric perturbation."""
-    v = np.asarray(eigvec, dtype=float)
-    return float(v @ delta @ v / (v @ v))
 
 
 @dataclass

@@ -4,7 +4,10 @@ Each iteration matches an independent set of edges, measures every matched
 edge's leverage and update norm, scores it by the beta at which its expected
 reduction reaches the per-edge target, keeps the cheapest fraction, and
 applies an unbiased delete / contract / reweight draw to each kept edge. The
-accumulated expected error is tracked against the budget.
+accumulated expected error is tracked against the budget. A round's edges
+travel as one column: they are scored, selected, solved, drawn into action
+codes and applied as arrays; only the triangle counts and the per-edge draw
+generators loop over edges.
 
 One loop serves both modes; a backend chosen once from `config.mode` measures
 the edges and follows the graph. Matched edges share no endpoints, so a
@@ -25,7 +28,6 @@ from typing import Sequence
 import numpy as np
 
 from .action import (
-    ActionDistribution,
     EdgeQuantities,
     Priority,
     activation_beta,
@@ -45,6 +47,9 @@ from .laplacian import (
 from .sketch import SketchEstimator
 
 MAX_REDRAWS = 32
+
+# Codes of the drawn actions.
+_DELETE, _CONTRACT, _REWEIGHT = range(3)
 
 
 class RedrawLimitError(RuntimeError):
@@ -89,7 +94,7 @@ class EdgeBudget:
     edges: int
 
     def __post_init__(self):
-        if self.edges < 0:
+        if not self.edges >= 0:
             raise ValueError(f"edge budget must be >= 0, got {self.edges}")
 
     def done(self, graph: WeightedGraph, error: float) -> bool:
@@ -103,7 +108,7 @@ class NodeBudget:
     nodes: int
 
     def __post_init__(self):
-        if self.nodes < 1:
+        if not self.nodes >= 1:
             raise ValueError(f"node budget must be >= 1, got {self.nodes}")
 
     def done(self, graph: WeightedGraph, error: float) -> bool:
@@ -117,7 +122,7 @@ class ErrorCap:
     cap: float
 
     def __post_init__(self):
-        if self.cap <= 0:
+        if not self.cap > 0:
             raise ValueError(f"error cap must be positive, got {self.cap}")
 
     def done(self, graph: WeightedGraph, error: float) -> bool:
@@ -135,7 +140,7 @@ class BetaCap:
     cap: float
 
     def __post_init__(self):
-        if self.cap <= 0:
+        if not self.cap > 0:
             raise ValueError(f"beta cap must be positive, got {self.cap}")
 
     def done(self, graph: WeightedGraph, error: float) -> bool:
@@ -149,7 +154,7 @@ class MaxIterations:
     iterations: int
 
     def __post_init__(self):
-        if self.iterations < 0:
+        if not self.iterations >= 0:
             raise ValueError(f"iterations must be >= 0, got {self.iterations}")
 
     def done(self, graph: WeightedGraph, error: float) -> bool:
@@ -179,9 +184,10 @@ class ReductionConfig:
     def __post_init__(self):
         if not 0.0 < self.keep_fraction <= 1.0:
             raise ValueError(f"keep_fraction in (0, 1], got {self.keep_fraction}")
-        if self.target_reduction <= 0.0:
+        if not 0.0 < self.target_reduction < math.inf:
             raise ValueError(
-                f"target_reduction must be positive, got {self.target_reduction}"
+                f"target_reduction must be positive and finite, "
+                f"got {self.target_reduction}"
             )
         if not isinstance(self.mode, (ExactMode, SketchMode)):
             raise ValueError(f"mode must be ExactMode or SketchMode, got {self.mode!r}")
@@ -241,47 +247,26 @@ class ReductionResult:
     trace: ReductionTrace
 
 
-@dataclass(frozen=True)
-class _PlannedAction:
-    edge: int
-    u: int
-    v: int
-    weight: float
-    quantities: EdgeQuantities
-    dist: ActionDistribution
-
-
 def select_beta(
-    scores: Sequence[float], keep_fraction: float
+    scores: Sequence[float] | np.ndarray, keep_fraction: float
 ) -> tuple[float, list[int]]:
     """Pick the ceil(keep_fraction * len) lowest finite scores.
 
     Returns the largest kept score (the iteration's shared beta) and the kept
-    indices. The quota counts infinite scores, so a matching whose edges are
-    mostly saturated may keep fewer than the quota, possibly none.
+    indices, lowest score first; equal scores keep their index order. The
+    quota counts infinite scores, so a matching whose edges are mostly
+    saturated may keep fewer than the quota, possibly none.
     """
-    n = len(scores)
-    if n == 0:
+    scores = np.asarray(scores, dtype=float)
+    order = np.argsort(scores, kind="stable")[: math.ceil(keep_fraction * len(scores))]
+    kept = order[np.isfinite(scores[order])]
+    if not kept.size:
         return math.inf, []
-    quota = math.ceil(keep_fraction * n)
-    order = sorted(range(n), key=lambda i: (scores[i], i))
-    kept = [i for i in order[:quota] if math.isfinite(scores[i])]
-    if not kept:
-        return math.inf, []
-    return max(scores[i] for i in kept), kept
+    return float(scores[kept[-1]]), kept.tolist()
 
 
 def _rng(*key: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(key)))
-
-
-def _draw_action(dist: ActionDistribution, rng: np.random.Generator) -> str:
-    u = rng.random()
-    if u < dist.p_delete:
-        return "delete"
-    if u < dist.p_delete + dist.p_contract:
-        return "contract"
-    return "reweight"
 
 
 class _ExactBackend:
@@ -349,39 +334,36 @@ def _apply(
     g: WeightedGraph,
     backend: _ExactBackend | _SketchBackend,
     cmap: ContractionMap,
-    plans: list[_PlannedAction],
-    chosen: list[str],
+    eids: list[int],
+    codes: np.ndarray,
+    ratios: np.ndarray,
 ) -> tuple[int, int, int]:
     """Apply a round's drawn actions; returns (deleted, contracted, reweighted).
 
-    Deletes and reweights go first (all endpoints still present), then
-    contractions. Matched edges are disjoint, so ids stay valid and each of
-    the two batches reaches the backend in one call.
+    `codes` holds each edge's drawn action and `ratios` its reweight ratio; a
+    reweight by ratio 0 leaves the edge alone. Deletes and reweights go first
+    (all endpoints still present), then contractions. Matched edges are
+    disjoint, so ids stay valid and each of the two batches reaches the
+    backend in one call.
     """
-    n_del = n_rew = 0
-    changes = []
-    for p, act in zip(plans, chosen):
-        if act == "delete":
-            g.delete_edge(p.edge)
-            changes.append((p.u, p.v, -p.weight))
-            n_del += 1
-        elif act == "reweight":
-            ratio = p.dist.reweight_ratio
-            if ratio == 0.0:
-                continue
-            g.set_edge_weight(p.edge, p.weight * (1.0 + ratio))
-            changes.append((p.u, p.v, p.weight * ratio))
-            n_rew += 1
-    if changes:
-        backend.reweight(*(np.array(col) for col in zip(*changes)))
-    records = [
-        g.contract_edge(p.edge) for p, act in zip(plans, chosen) if act == "contract"
-    ]
+    u, v, w = g.edge_columns(eids)
+    deleted = codes == _DELETE
+    reweighted = (codes == _REWEIGHT) & (ratios != 0.0)
+    for i in np.flatnonzero(deleted):
+        g.delete_edge(eids[i])
+    new_weights = w * (1.0 + ratios)
+    for i in np.flatnonzero(reweighted):
+        g.set_edge_weight(eids[i], new_weights[i])
+    changed = deleted | reweighted
+    if changed.any():
+        delta_w = np.where(deleted, -w, w * ratios)
+        backend.reweight(u[changed], v[changed], delta_w[changed])
+    records = [g.contract_edge(eids[i]) for i in np.flatnonzero(codes == _CONTRACT)]
     if records:
         backend.contract(records)
     for rec in records:
         cmap.merge(rec.survivor, rec.removed)
-    return n_del, len(records), n_rew
+    return int(deleted.sum()), len(records), int(reweighted.sum())
 
 
 def reduce_graph(
@@ -440,41 +422,36 @@ def reduce_graph(
 
         matched = g.independent_edge_set(_rng(seed, iteration, 0))
         leverages, norms = backend.measure(g, matched, iteration)
-        quantities = [
-            EdgeQuantities.from_measurements(
-                lev, norm, g.triangle_count(eid), config.priority
-            )
-            for eid, lev, norm in zip(matched, leverages, norms)
-        ]
-        scores = [
-            activation_beta(eq, config.target_reduction, config.allow_contraction)
-            for eq in quantities
-        ]
+        triangles = np.array([g.triangle_count(eid) for eid in matched])
+        eq = EdgeQuantities.from_measurements(
+            leverages, norms, triangles, config.priority
+        )
+        scores = activation_beta(eq, config.target_reduction, config.allow_contraction)
         beta, kept = select_beta(scores, config.keep_fraction)
 
         if kept and beta > beta_cap:
             trace.stopped_by = "BetaCap"
             break
 
-        plans = [
-            _PlannedAction(
-                matched[i],
-                *g.edge(matched[i]),
-                quantities[i],
-                optimal_action(quantities[i], beta, config.allow_contraction),
-            )
-            for i in kept
-        ]
+        eq = EdgeQuantities(
+            eq.leverage[kept], eq.update_norm[kept], eq.triangles[kept], eq.priority
+        )
+        dist = optimal_action(eq, beta, config.allow_contraction)
+        eids = [matched[i] for i in kept]
 
         # Redraw the whole iteration's actions until deletions keep the graph
         # connected. Contractions and reweights never disconnect, and matched
         # edges share no endpoints, so checking the deletions alone suffices.
         for attempt in range(MAX_REDRAWS):
-            chosen = [
-                _draw_action(p.dist, _rng(seed, iteration, 1, p.edge, attempt))
-                for p in plans
-            ]
-            deletions = {p.edge for p, act in zip(plans, chosen) if act == "delete"}
+            draws = np.array(
+                [_rng(seed, iteration, 1, eid, attempt).random() for eid in eids]
+            )
+            codes = np.where(
+                draws < dist.p_delete,
+                _DELETE,
+                np.where(draws < dist.p_delete + dist.p_contract, _CONTRACT, _REWEIGHT),
+            )
+            deletions = [eid for eid, code in zip(eids, codes) if code == _DELETE]
             if not deletions or g.connected_without(deletions):
                 break
         else:
@@ -484,8 +461,10 @@ def reduce_graph(
             )
         redraws = attempt
 
-        n_del, n_con, n_rew = _apply(g, backend, cmap, plans, chosen)
-        estimated_error += sum(expected_error(p.quantities, p.dist) for p in plans)
+        n_del, n_con, n_rew = _apply(g, backend, cmap, eids, codes, dist.reweight_ratio)
+        # Python's sum adds edge by edge in kept order; np.sum's pairwise
+        # order would round the total differently.
+        estimated_error += sum(expected_error(eq, dist).tolist())
         if n_del + n_con + n_rew:
             idle.clear()
         else:

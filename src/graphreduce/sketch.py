@@ -278,12 +278,3 @@ class SketchEstimator:
             leverages[i] = w * float(lgap @ lgap)
             norms[i] = w * float(ngap @ ngap)
         return leverages, norms
-
-
-def orthonormal_complement_basis(w_sqrt: np.ndarray) -> np.ndarray:
-    """Exact orthonormal basis (as rows) of the space orthogonal to w_sqrt."""
-    n = len(w_sqrt)
-    what = w_sqrt / np.linalg.norm(w_sqrt)
-    full = np.concatenate([what[:, None], np.eye(n)], axis=1)
-    q, _ = np.linalg.qr(full)
-    return q[:, 1:n].T

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -318,6 +319,46 @@ def test_no_contraction_activation_beta():
     # Targets at or above the deletion cap 1 - leverage are unreachable.
     assert math.isinf(activation_beta(eq, 0.75, allow_contraction=False))
     assert math.isinf(activation_beta(eq, 0.76, allow_contraction=False))
+
+
+# -- columns ---------------------------------------------------------------
+
+
+def column_strategy():
+    edge = st.tuples(
+        st.one_of(st.floats(0.02, 0.98), st.just(1.0)),  # 1.0 is a bridge
+        st.floats(1e-3, 10.0),
+        st.integers(0, 5),
+    )
+    return st.lists(edge, min_size=1, max_size=16)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    column_strategy(),
+    st.sampled_from(list(Priority)),
+    st.booleans(),
+    st.floats(0.01, 3.0),
+    st.floats(0.0, 100.0),
+)
+def test_column_equals_one_edge_calls(edges, priority, allow_contraction, d, beta):
+    column = EdgeQuantities(*(np.array(c) for c in zip(*edges)), priority)
+    singles = [EdgeQuantities(*edge, priority) for edge in edges]
+    scores = activation_beta(column, d, allow_contraction)
+    assert scores.shape == (len(edges),)
+    for score, eq in zip(scores, singles):
+        assert score == activation_beta(eq, d, allow_contraction)
+    # A shared beta taken from the column's own scores sits exactly on some
+    # edge's regime boundary, as it does in the reducer.
+    for b in [beta, *scores[np.isfinite(scores)]]:
+        dist = optimal_action(column, b, allow_contraction)
+        errors = expected_error(column, dist)
+        for i, eq in enumerate(singles):
+            one = optimal_action(eq, b, allow_contraction)
+            for f in fields(ActionDistribution):
+                assert getattr(dist, f.name)[i] == getattr(one, f.name), f.name
+            assert isinstance(one.regime, Regime)
+            assert errors[i] == expected_error(eq, one)
 
 
 # -- grid oracle -----------------------------------------------------------

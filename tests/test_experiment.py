@@ -4,12 +4,14 @@ import math
 import numpy as np
 import pytest
 
+from graphreduce.action import Priority
 from graphreduce.experiment import (
     AlgorithmSpec,
     ExperimentSpec,
     LevelSchedule,
     ResultRow,
     load_graph,
+    parse_config,
     parse_mode,
     parse_stop,
     read_rows_csv,
@@ -27,6 +29,7 @@ from graphreduce.reducer import (
     ExactMode,
     MaxIterations,
     NodeBudget,
+    ReductionConfig,
     SketchMode,
 )
 from graphreduce.sketch import symmetrized_laplacian
@@ -76,6 +79,15 @@ class TestParsing:
     def test_mode_rejects_unknown(self):
         with pytest.raises(ValueError):
             parse_mode("approximate")
+
+    def test_config_defaults_and_keys(self):
+        assert parse_config({}) == ReductionConfig()
+        assert parse_config({}, "nodes").priority is Priority.NODES
+        options = {"q": 1, "d": 0.5, "priority": "nodes", "mode": "sketch:8"}
+        assert parse_config(options) == ReductionConfig(
+            1.0, 0.5, Priority.NODES, True, SketchMode(n_probes=8)
+        )
+        assert not parse_config({"no_contraction": True}).allow_contraction
 
 
 class TestSpecValidation:

@@ -15,7 +15,6 @@ from graphreduce.laplacian import (
     laplacian_matrix,
     lift,
     save_matrix_csv,
-    save_matrix_json,
     update_norm,
     weighted_projector,
     woodbury_reweight,
@@ -287,16 +286,9 @@ def test_update_counter_increments():
 def test_matrix_exports(tmp_path):
     mat = PATH4_PINV
     csv_path = tmp_path / "m.csv"
-    json_path = tmp_path / "m.json"
     save_matrix_csv(csv_path, mat)
-    save_matrix_json(json_path, mat, nodes=[0, 1, 2, 3])
     loaded = np.loadtxt(csv_path, delimiter=",")
     np.testing.assert_allclose(loaded, mat, rtol=0, atol=0)
-    import json
-
-    payload = json.loads(json_path.read_text())
-    np.testing.assert_allclose(np.array(payload["data"]), mat)
-    assert payload["nodes"] == [0, 1, 2, 3]
 
 
 def _matched_actions(rng, g):

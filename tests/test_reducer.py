@@ -139,6 +139,18 @@ def test_validation_errors():
         ReductionConfig(keep_fraction=0.0)
     with pytest.raises(ValueError):
         ReductionConfig(target_reduction=0.0)
+    # NaN slips past a `x <= 0` check, and an infinite target selects nothing.
+    for bad in (
+        lambda: EdgeBudget(math.nan),
+        lambda: NodeBudget(math.nan),
+        lambda: ErrorCap(math.nan),
+        lambda: BetaCap(math.nan),
+        lambda: MaxIterations(math.nan),
+        lambda: ReductionConfig(target_reduction=math.nan),
+        lambda: ReductionConfig(target_reduction=math.inf),
+    ):
+        with pytest.raises(ValueError):
+            bad()
     with pytest.raises(ValueError):
         reduce_graph(unit_triangle(), [])
     with pytest.raises(ValueError):

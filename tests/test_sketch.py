@@ -21,7 +21,6 @@ from graphreduce.sketch import (
     default_probe_count,
     edge_projection_rows,
     lowest_modes,
-    orthonormal_complement_basis,
     pcg,
     symmetrized_laplacian,
 )
@@ -161,6 +160,15 @@ def test_default_probe_count():
     assert default_probe_count(1, 0.25) == 1
     expected = math.ceil(4 * math.log(256) / 0.25**2)
     assert default_probe_count(256, 0.25) == expected
+
+
+def orthonormal_complement_basis(w_sqrt: np.ndarray) -> np.ndarray:
+    """Exact orthonormal basis (as rows) of the space orthogonal to w_sqrt."""
+    n = len(w_sqrt)
+    what = w_sqrt / np.linalg.norm(w_sqrt)
+    full = np.concatenate([what[:, None], np.eye(n)], axis=1)
+    q, _ = np.linalg.qr(full)
+    return q[:, 1:n].T
 
 
 def test_orthonormal_complement_basis():

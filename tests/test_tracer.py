@@ -59,6 +59,9 @@ def test_traced_reduction_calls_mode_spans_and_restores(tracer, mode, spans):
     traced = t.call(reduce_graph, g, EdgeBudget(12), config, seed=5)
     for span in spans:
         assert t.calls[span] > 0, span
+    # Each round scores, solves and sums its error as one column.
+    for span in ("action.score", "action.solve", "action.error"):
+        assert t.calls[span] == len(traced.trace.records), span
     after = bound_objects(tracer)
     assert all(a is b for a, b in zip(before, after))
     plain = reduce_graph(g, EdgeBudget(12), config, seed=5)
