@@ -294,6 +294,14 @@ class ContractionMap:
 
     originals: tuple[int, ...]
     assignment: dict[int, int] = field(default_factory=dict)
+    # Supernode -> its originals, so a merge touches only the removed ones.
+    _members: dict[int, list[int]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self):
+        for orig, sup in self.assignment.items():
+            self._members.setdefault(sup, []).append(orig)
 
     @classmethod
     def identity(cls, nodes) -> "ContractionMap":
@@ -302,9 +310,10 @@ class ContractionMap:
 
     def merge(self, survivor: int, removed: int) -> None:
         """Reassign everything mapped to `removed` onto `survivor`."""
-        for orig, sup in self.assignment.items():
-            if sup == removed:
-                self.assignment[orig] = survivor
+        moved = self._members.pop(removed, [])
+        for orig in moved:
+            self.assignment[orig] = survivor
+        self._members.setdefault(survivor, []).extend(moved)
 
     def supernode(self, original: int) -> int:
         return self.assignment[original]

@@ -69,12 +69,15 @@ class ExactMode:
 class SketchMode:
     """Estimate per-edge quantities with random projections and linear solves.
 
-    The dense pseudoinverse is only built once at the end, so peak cost stays
-    near-linear for sparse graphs. `n_probes` of 0 picks the default rank,
-    `default_probe_count(n, epsilon)`; that is `epsilon`'s only use. Of the
-    k = `n_probes` vectors, update norms spend k // 4 on exact lowest
-    eigenmodes and the rest on unbiased sign probes; leverages use k edge
-    probes.
+    The dense pseudoinverse is only built once at the end. `n_probes` of 0
+    picks the default rank, `default_probe_count(n, epsilon)`; that is
+    `epsilon`'s only use. Of the k = `n_probes` vectors, update norms spend
+    k // 4 on exact lowest eigenmodes and the rest on unbiased sign probes;
+    leverages use k edge probes. Each build solves with Jacobi-PCG while its
+    first probe converges within sqrt(n) matvecs (expanders), with memory
+    linear in the edges; otherwise (grids, tori, lattices) with one sparse
+    factor of the grounded Laplacian, holding fill x nnz entries, that also
+    serves the eigensolve.
     """
 
     n_probes: int = 0

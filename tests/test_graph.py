@@ -224,6 +224,31 @@ def test_contraction_map_transitive_merge():
     assert cmap.groups() == {0: [0, 1, 2]}
 
 
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_contraction_map_merge_matches_full_scan(data):
+    # The scan over every original that `merge` used before it kept members,
+    # as a reference; merges run in a random contraction order.
+    n = data.draw(st.integers(2, 30))
+    cmap = ContractionMap.identity(range(n))
+    reference = dict(cmap.assignment)
+    alive = list(range(n))
+    while len(alive) > 1 and data.draw(st.booleans()):
+        survivor, removed = data.draw(st.permutations(alive))[:2]
+        alive.remove(removed)
+        cmap.merge(survivor, removed)
+        for orig, sup in reference.items():
+            if sup == removed:
+                reference[orig] = survivor
+        assert cmap.assignment == reference
+    assert list(cmap.assignment) == list(reference)
+    assert cmap.groups() == {
+        s: sorted(o for o in range(n) if reference[o] == s) for s in alive
+    }
+    scanned = ContractionMap(cmap.originals, reference)
+    assert np.array_equal(cmap.matrix(alive), scanned.matrix(alive))
+
+
 def test_edgelist_roundtrip(tmp_path):
     g = WeightedGraph.from_edges([(0, 1, 0.1), (1, 2, 1 / 3), (0, 2, 7.25)])
     g.add_node(1, 2.5)

@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from graphreduce.action import EdgeQuantities
+from graphreduce.generators import generate
 from graphreduce.graph import WeightedGraph
 from graphreduce.laplacian import (
     DisconnectedGraphError,
@@ -16,10 +17,12 @@ from graphreduce import sketch
 from graphreduce.sketch import (
     SOLVER_TOL,
     ConvergenceError,
+    LaplacianSolver,
     SketchEstimator,
     build_projection,
     default_probe_count,
     edge_projection_rows,
+    grounded_factor,
     lowest_modes,
     pcg,
     symmetrized_laplacian,
@@ -44,8 +47,33 @@ def estimator_from_rows(g, rows, rtol=1e-12):
     what = w_sqrt / np.linalg.norm(w_sqrt)
     z = np.array([pcg(lhat, r, rtol=rtol, deflate=what) for r in rows])
     columns = z / w_sqrt[None, :]
-    index = {u: i for i, u in enumerate(g.nodes())}
-    return SketchEstimator(index, columns, columns)
+    return SketchEstimator(np.array(g.nodes()), columns, columns)
+
+
+def weighted_torus(side):
+    # The sketch-torus workload's family: edge weights exp(U(-1, 1)).
+    params = {"rows": side, "cols": side, "weight_law": "exp-uniform:-1,1"}
+    return generate("torus", params, seed=0)
+
+
+def probe_rows(g, k, rng):
+    """k edge probes and k sign probes, as a build draws them."""
+    _, w_sqrt = symmetrized_laplacian(g)
+    signs = (rng.integers(0, 2, size=(k, g.n_edges)) * 2.0 - 1.0) / math.sqrt(k)
+    edge_rows = edge_projection_rows(g, signs)
+    return np.vstack([edge_rows, build_projection(k, w_sqrt, rng)])
+
+
+def count_factors(monkeypatch):
+    """Record each `grounded_factor` call a build makes, without changing it."""
+    calls = []
+
+    def spy(lhat):
+        calls.append(lhat.shape[0])
+        return grounded_factor(lhat)
+
+    monkeypatch.setattr(sketch, "grounded_factor", spy)
+    return calls
 
 
 # -- conjugate gradients ---------------------------------------------------
@@ -204,6 +232,58 @@ def test_identity_edge_projection_recovers_leverages():
     assert approx == pytest.approx(list(exact_lev.values()), rel=1e-6)
 
 
+# -- solver paths ------------------------------------------------------------
+
+
+def test_build_solver_follows_the_graph(monkeypatch):
+    # PCG needs about 60 matvecs on a 16 x 16 torus, over its cap of 16, and
+    # 17 on this expander, under its cap of 31.
+    calls = count_factors(monkeypatch)
+    torus = weighted_torus(16)
+    SketchEstimator.build(torus, n_probes=33, rng=np.random.default_rng(0))
+    assert calls == [256]
+    expander = generate("er", {"n": 1000, "p": 0.01}, seed=0)
+    SketchEstimator.build(expander, n_probes=33, rng=np.random.default_rng(0))
+    assert calls == [256]
+
+
+def test_direct_and_pcg_solutions_agree():
+    g = weighted_torus(16)
+    lhat, w_sqrt = symmetrized_laplacian(g)
+    what = w_sqrt / np.linalg.norm(w_sqrt)
+    rows = probe_rows(g, 8, np.random.default_rng(3))
+    direct = LaplacianSolver(lhat, what, grounded_factor(lhat)).solve(rows)
+    iterative = LaplacianSolver(lhat, what).solve(rows)
+    scale = np.linalg.norm(rows, axis=1)
+    stripped = rows - np.outer(rows @ what, what)
+    assert np.all(np.linalg.norm(direct @ lhat - stripped, axis=1) <= 1e-12 * scale)
+    assert np.max(np.abs(direct @ what)) <= 1e-12 * np.max(np.abs(direct))
+    # PCG stops at a residual of SOLVER_TOL; the direct solve is exact to it.
+    gap = np.linalg.norm((direct - iterative) @ lhat, axis=1)
+    assert np.all(gap <= SOLVER_TOL * scale)
+
+
+def test_twin_builds_on_factor_path_are_identical(monkeypatch):
+    calls = count_factors(monkeypatch)
+    g = weighted_torus(16)
+    a = SketchEstimator.build(g, n_probes=33, rng=np.random.default_rng(7))
+    b = SketchEstimator.build(g, n_probes=33, rng=np.random.default_rng(7))
+    assert len(calls) == 2
+    assert np.array_equal(a.norm_columns, b.norm_columns)
+    assert np.array_equal(a.leverage_columns, b.leverage_columns)
+
+
+def test_direct_solve_above_tolerance_raises():
+    # A factor of a slightly shifted matrix solves every row to about 1e-3.
+    g = weighted_torus(8)
+    lhat, w_sqrt = symmetrized_laplacian(g)
+    what = w_sqrt / np.linalg.norm(w_sqrt)
+    shifted = grounded_factor((lhat + 1e-3 * sp.eye(g.n_nodes)).tocsr())
+    rows = probe_rows(g, 4, np.random.default_rng(1))
+    with pytest.raises(ConvergenceError):
+        LaplacianSolver(lhat, what, shifted).solve(rows)
+
+
 # -- exact low modes ---------------------------------------------------------
 
 
@@ -212,17 +292,23 @@ def test_lowest_modes_lanczos_matches_dense_eigh():
     g = random_connected_graph(rng, 80, extra_edges=120, weighted_nodes=True)
     lhat, w_sqrt = symmetrized_laplacian(g)
     what = w_sqrt / np.linalg.norm(w_sqrt)
-    # 80 nodes > 4 * 6 modes, so this takes the Lanczos path.
-    lam, vec = lowest_modes(lhat, what, 6, rng)
     lam_dense, vec_dense = np.linalg.eigh(lhat.toarray())
     lam_dense, vec_dense = lam_dense[1:7], vec_dense[:, 1:7]
-    assert np.allclose(lam, lam_dense, rtol=1e-9)
-    assert np.all(lam > 0.0)
-    assert np.allclose(vec.T @ vec, np.eye(6), atol=1e-10)
-    assert np.max(np.abs(what @ vec)) <= 1e-12
-    assert np.allclose(lhat @ vec, vec * lam[None, :], atol=1e-9)
-    # Same invariant subspace whatever the solver (eigenvalues are simple).
-    assert np.allclose(np.abs(vec_dense.T @ vec), np.eye(6), atol=1e-8)
+    start = rng.standard_normal(80)
+    # 80 nodes > 4 * 6 modes, so both solvers take the Lanczos path: on
+    # Lhat itself, and on the grounded factor's Lhat^+.
+    for solver in (
+        LaplacianSolver(lhat, what),
+        LaplacianSolver(lhat, what, grounded_factor(lhat)),
+    ):
+        lam, vec = lowest_modes(solver, 6, start)
+        assert np.allclose(lam, lam_dense, rtol=1e-9)
+        assert np.all(lam > 0.0)
+        assert np.allclose(vec.T @ vec, np.eye(6), atol=1e-10)
+        assert np.max(np.abs(what @ vec)) <= 1e-12
+        assert np.allclose(lhat @ vec, vec * lam[None, :], atol=1e-9)
+        # Same invariant subspace whatever the solver (eigenvalues are simple).
+        assert np.allclose(np.abs(vec_dense.T @ vec), np.eye(6), atol=1e-8)
 
 
 def test_lowest_modes_nonconvergence_raises(monkeypatch):
@@ -234,8 +320,9 @@ def test_lowest_modes_nonconvergence_raises(monkeypatch):
         raise sketch.spla.ArpackNoConvergence("no convergence", [], [])
 
     monkeypatch.setattr(sketch.spla, "eigsh", no_convergence)
+    solver = LaplacianSolver(lhat, w_sqrt / np.linalg.norm(w_sqrt))
     with pytest.raises(ConvergenceError):
-        lowest_modes(lhat, w_sqrt / np.linalg.norm(w_sqrt), 4, rng)
+        lowest_modes(solver, 4, rng.standard_normal(60))
 
 
 def test_modes_covering_complement_give_exact_norms():
@@ -340,6 +427,14 @@ def test_estimator_measure_returns_valid_quantities():
         eq = EdgeQuantities.from_measurements(lev, norm, g.triangle_count(eid))
         assert 0.0 < eq.leverage <= 1.0
         assert eq.update_norm > 0.0
+    # The per-edge loop the column read replaces, as a reference.
+    for i, eid in enumerate(eids):
+        u, v, w = g.edge(eid)
+        iu, iv = g.nodes().index(u), g.nodes().index(v)
+        lgap = est.leverage_columns[:, iu] - est.leverage_columns[:, iv]
+        ngap = est.norm_columns[:, iu] - est.norm_columns[:, iv]
+        assert leverages[i] == pytest.approx(w * float(lgap @ lgap), rel=1e-13)
+        assert norms[i] == pytest.approx(w * float(ngap @ ngap), rel=1e-13)
     # Each edge reads the same whatever else is measured with it.
     sub_leverages, sub_norms = est.measure(g, eids[::-3])
     assert np.array_equal(sub_leverages, leverages[::-3])
