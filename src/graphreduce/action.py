@@ -215,7 +215,9 @@ def optimal_action(
         raise ValueError(f"beta must be >= 0, got {beta}")
     th = regime_thresholds(eq)
     x = np.asarray(eq.leverage, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # p overflows for a tiny beta far below onset; such edges do not act, so
+    # their p is discarded.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # Ties break toward contraction: it reduces at least as much. Without
         # contraction, deletion is the only single action.
         delete = (th.onset_delete < th.onset_contract) | (not allow_contraction)

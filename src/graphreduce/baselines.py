@@ -47,10 +47,13 @@ def ss_sparsify(
     return out
 
 
+def _expected_distinct(probs: np.ndarray, n_samples: int) -> float:
+    return float(np.sum(1.0 - (1.0 - probs) ** n_samples))
+
+
 def expected_distinct_edges(g: WeightedGraph, n_samples: int) -> float:
     """Expected number of distinct edges kept by ss_sparsify."""
-    _, probs = leverage_probabilities(g)
-    return float(np.sum(1.0 - (1.0 - probs) ** n_samples))
+    return _expected_distinct(leverage_probabilities(g)[1], n_samples)
 
 
 def samples_for_edge_target(g: WeightedGraph, target_edges: int) -> int:
@@ -59,19 +62,15 @@ def samples_for_edge_target(g: WeightedGraph, target_edges: int) -> int:
     if not 1 <= target_edges <= m:
         raise ValueError(f"target must be in [1, {m}], got {target_edges}")
     _, probs = leverage_probabilities(g)
-
-    def expected(n):
-        return float(np.sum(1.0 - (1.0 - probs) ** n))
-
     hi = 1
-    while expected(hi) < target_edges:
+    while _expected_distinct(probs, hi) < target_edges:
         hi *= 2
         if hi > 1 << 40:
             raise RuntimeError("edge target unreachable by sampling")
     lo = hi // 2 if hi > 1 else 0
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if expected(mid) >= target_edges:
+        if _expected_distinct(probs, mid) >= target_edges:
             hi = mid
         else:
             lo = mid
@@ -85,15 +84,7 @@ def _heavy_edge_matching(
     eids = g.edge_ids()
     tie = {eid: rank for rank, eid in enumerate(rng.permutation(eids))}
     order = sorted(eids, key=lambda e: (-g.edge_weight(e), tie[e]))
-    used: set[int] = set()
-    matched = []
-    for eid in order:
-        u, v, _ = g.edge(eid)
-        if u in used or v in used:
-            continue
-        used.update((u, v))
-        matched.append(eid)
-    return matched
+    return g.greedy_matching(order)
 
 
 def matching_coarsen(

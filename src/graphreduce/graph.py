@@ -192,10 +192,7 @@ class WeightedGraph:
     def triangle_count(self, eid: int) -> int:
         """Number of triangles through an edge (common-neighbor count)."""
         u, v, _ = self._edges[eid]
-        a, b = self._adj[u], self._adj[v]
-        if len(a) > len(b):
-            a, b = b, a
-        return sum(1 for n in a if n in b)
+        return len(self._adj[u].keys() & self._adj[v].keys())
 
     # -- mutation ----------------------------------------------------------
 
@@ -262,30 +259,31 @@ class WeightedGraph:
                 stack.append(v)
         return len(seen) == self.n_nodes
 
-    # -- random matchings --------------------------------------------------
+    # -- matchings ---------------------------------------------------------
 
     def independent_edge_set(self, rng: np.random.Generator) -> list[int]:
-        """Greedy maximal set of vertex-disjoint edges.
+        """Greedy maximal set of vertex-disjoint edges, in one random order.
 
-        Nodes are visited in a random order and paired with a random still
-        unmatched neighbor. The result is maximal, so it has at least half
-        the edges of a maximum matching.
+        The edges are shuffled once and passed to `greedy_matching`. The
+        result is maximal, so it has at least half the edges of a maximum
+        matching.
         """
-        matched: set[int] = set()
-        chosen: list[int] = []
-        order = np.asarray(self.nodes())
-        for u in order[rng.permutation(len(order))]:
-            u = int(u)
-            if u in matched:
+        return self.greedy_matching(rng.permutation(self.edge_ids()).tolist())
+
+    def greedy_matching(self, order) -> list[int]:
+        """Edge ids of `order` kept greedily: each edge whose endpoints are
+        both still unmatched joins the matching. Maximal when `order` holds
+        every edge."""
+        used: set[int] = set()
+        matched = []
+        for eid in order:
+            u, v, _ = self._edges[eid]
+            if u in used or v in used:
                 continue
-            avail = [v for v in sorted(self._adj[u]) if v not in matched]
-            if not avail:
-                continue
-            v = avail[int(rng.integers(len(avail)))]
-            chosen.append(self._adj[u][v])
-            matched.add(u)
-            matched.add(v)
-        return chosen
+            used.add(u)
+            used.add(v)
+            matched.append(eid)
+        return matched
 
 
 @dataclass

@@ -6,8 +6,9 @@ reduction reaches the per-edge target, keeps the cheapest fraction, and
 applies an unbiased delete / contract / reweight draw to each kept edge. The
 accumulated expected error is tracked against the budget. A round's edges
 travel as one column: they are scored, selected, solved, drawn into action
-codes and applied as arrays; only the triangle counts and the per-edge draw
-generators loop over edges.
+codes and applied as arrays; only the greedy matching and the triangle counts
+loop over edges. One generator made from the seed feeds, in loop order, every
+round's matching, any sketch build and the action draws.
 
 One loop serves both modes; a backend chosen once from `config.mode` measures
 the edges and follows the graph. Matched edges share no endpoints, so a
@@ -268,10 +269,6 @@ def select_beta(
     return float(scores[kept[-1]]), kept.tolist()
 
 
-def _rng(*key: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(key)))
-
-
 class _ExactBackend:
     """Dense pseudoinverse kept current by one rank-k update per batch.
 
@@ -290,7 +287,7 @@ class _ExactBackend:
             self.state = build_pseudoinverse(g)
         return self.state
 
-    def measure(self, g: WeightedGraph, eids: list[int], iteration: int):
+    def measure(self, g: WeightedGraph, eids: list[int]):
         state = self._current(g)
         u, v, w = g.edge_columns(eids)
         return edge_leverage(state, u, v, w), update_norm(state, u, v, w)
@@ -308,18 +305,18 @@ class _ExactBackend:
 class _SketchBackend:
     """Sketched estimates, rebuilt for the first round after any action."""
 
-    def __init__(self, mode: SketchMode, seed: int):
+    def __init__(self, mode: SketchMode, rng: np.random.Generator):
         self.mode = mode
-        self.seed = seed
+        self.rng = rng
         self.estimator: SketchEstimator | None = None
 
-    def measure(self, g: WeightedGraph, eids: list[int], iteration: int):
+    def measure(self, g: WeightedGraph, eids: list[int]):
         if self.estimator is None:
             self.estimator = SketchEstimator.build(
                 g,
                 n_probes=self.mode.n_probes,
                 epsilon=self.mode.epsilon,
-                rng=_rng(self.seed, iteration, 2),
+                rng=self.rng,
             )
         return self.estimator.measure(g, eids)
 
@@ -396,8 +393,9 @@ def reduce_graph(
 
     g = graph.copy()
     cmap = ContractionMap.identity(g.nodes())
+    rng = np.random.default_rng(seed)
     if isinstance(config.mode, SketchMode):
-        backend = _SketchBackend(config.mode, seed)
+        backend = _SketchBackend(config.mode, rng)
     else:
         backend = _ExactBackend(g)
 
@@ -423,8 +421,8 @@ def reduce_graph(
             trace.stopped_by = "no_edges"
             break
 
-        matched = g.independent_edge_set(_rng(seed, iteration, 0))
-        leverages, norms = backend.measure(g, matched, iteration)
+        matched = g.independent_edge_set(rng)
+        leverages, norms = backend.measure(g, matched)
         triangles = np.array([g.triangle_count(eid) for eid in matched])
         eq = EdgeQuantities.from_measurements(
             leverages, norms, triangles, config.priority
@@ -446,9 +444,7 @@ def reduce_graph(
         # connected. Contractions and reweights never disconnect, and matched
         # edges share no endpoints, so checking the deletions alone suffices.
         for attempt in range(MAX_REDRAWS):
-            draws = np.array(
-                [_rng(seed, iteration, 1, eid, attempt).random() for eid in eids]
-            )
+            draws = rng.random(len(eids))
             codes = np.where(
                 draws < dist.p_delete,
                 _DELETE,

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -148,6 +149,14 @@ def test_no_action_below_onset():
     assert (dist.p_delete, dist.p_contract, dist.reweight_ratio) == (0.0, 0.0, 0.0)
     assert expected_error(TRIANGLE_EQ, dist) == 0.0
     assert optimal_action(TRIANGLE_EQ, 0.0).regime is Regime.NO_ACTION
+
+
+def test_tiny_beta_far_below_onset_is_silent():
+    # onset / beta overflows to inf; that edge's p is discarded, not warned on.
+    eq = EdgeQuantities(0.5, 1e10, 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert optimal_action(eq, 1e-300).regime is Regime.NO_ACTION
 
 
 def test_corner_owns_the_saturation_point():

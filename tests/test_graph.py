@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphreduce.baselines import _heavy_edge_matching
 from graphreduce.graph import (
     ContractionMap,
     WeightedGraph,
@@ -128,15 +129,25 @@ def _max_matching_size(n, edges):
     return max(best.values())
 
 
+MATCHINGS = {
+    "random-order": WeightedGraph.independent_edge_set,
+    "heavy-edge": _heavy_edge_matching,
+}
+
+
+@pytest.mark.parametrize("matching", MATCHINGS.values(), ids=MATCHINGS.keys())
 @settings(max_examples=40, deadline=None)
 @given(st.data())
-def test_independent_edge_set_maximal_and_large(data):
+def test_independent_edge_set_maximal_and_large(matching, data):
     n = data.draw(st.integers(2, 9))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     chosen = data.draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
     g = WeightedGraph.from_edges(chosen)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    picked = g.independent_edge_set(rng)
+    # Few distinct weights, so the heavy-edge order both sorts and breaks ties.
+    for eid in g.edge_ids():
+        g.set_edge_weight(eid, data.draw(st.sampled_from([1.0, 2.0, 3.0])))
+    picked = matching(g, rng)
 
     used = set()
     for eid in picked:
