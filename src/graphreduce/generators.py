@@ -109,24 +109,10 @@ def er(
     rng: np.random.Generator | None = None,
     weight_law: str | None = None,
 ) -> WeightedGraph:
-    """Connected Erdos-Renyi sample (resamples until connected)."""
+    """Connected Erdos-Renyi sample (resamples until connected): a one-block SBM."""
     if n < 2 or not 0.0 < p <= 1.0:
         raise ValueError(f"need n >= 2 and p in (0, 1], got n={n} p={p}")
-    law = parse_weight_law(weight_law)
-    if rng is None:
-        rng = np.random.default_rng()
-
-    def build(rng):
-        g = WeightedGraph()
-        for u in range(n):
-            g.add_node(u)
-        for u in range(n):
-            for v in range(u + 1, n):
-                if rng.random() < p:
-                    g.add_edge(u, v, law(rng))
-        return g
-
-    return _sample_until_connected(build, rng)
+    return sbm(n, 1, p, p, rng, weight_law)
 
 
 def sbm(

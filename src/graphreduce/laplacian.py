@@ -8,12 +8,15 @@ obtained through the rank-one correction J = ones * w_n^T / sum(w_n):
 
 Changing the weights of k node-disjoint edges by D = diag(delta_w) is one
 rank-k Woodbury update, pinv -= Y (I + D Omega)^{-1} D Z with Y = pinv W_n^{-1}
-B, Z = B^T pinv and the k x k capacitance built from Omega = B^T Y; deletion
-is delta_w = -weight. Contracting k such edges is the infinite-weight limit of
-that update, pinv -= Y Omega^{-1} Z, followed by merging each pair's rows and
-columns and one compaction. Both updates are exact, so a long chain of them
-agrees with recomputation up to float drift; callers are expected to rebuild
-periodically (see `REBUILD_INTERVAL`).
+B, Z = B^T pinv and the k x k capacitance built from Omega = B^T Y. Deletion
+is delta_w = -weight and contraction is delta_w = +inf: the pseudoinverse
+stays finite in that limit, where a contracted edge j's row of the system
+(I + D Omega) X = D Z, divided by its delta_w, tends to Omega_j X = Z_j. So
+one batch mixes all three, and one solve and one pass over pinv apply it;
+each contracted pair's rows and columns are then merged and one compaction
+drops the removed slots. The update is exact, so a long chain of them
+agrees with recomputation up to float drift; callers are expected to
+rebuild periodically (see `REBUILD_INTERVAL`).
 """
 
 from __future__ import annotations
@@ -160,20 +163,27 @@ def _gaps(state: PseudoinverseState, iu: np.ndarray, iv: np.ndarray):
 
 def _check_pivots(
     state: PseudoinverseState, iu: np.ndarray, iv: np.ndarray, A: np.ndarray,
-    floor: float, describe,
+    delta: np.ndarray,
 ) -> None:
-    """Raise SingularUpdateError unless every pivot of A exceeds `floor`.
+    """Raise SingularUpdateError unless every pivot of A clears its row's floor.
 
     The pivots of unpivoted elimination on the capacitance matrix A are the
     denominators the rank-one steps would meet, applied one after another in
-    row order. The first that fails is named by its node pair.
+    row order: 1 + delta_w * resistance on a reweight row, which must exceed
+    1e-12, and the resistance itself on a contraction row, which must exceed
+    0. The first that fails is named by its node pair.
     """
     A = np.array(A, dtype=float)
     for j in range(len(A)):
-        pivot = A[j, j]
-        if not pivot > floor:
+        pivot, contract = A[j, j], delta[j] == np.inf
+        if not pivot > (0.0 if contract else 1e-12):
             pair = (state.nodes[iu[j]], state.nodes[iv[j]])
-            raise SingularUpdateError(f"edge {pair}: {describe(j, pivot)}")
+            problem = (
+                f"non-positive resistance {pivot:.3e}" if contract else
+                f"update denominator {pivot:.3e} <= 0 for delta_w={delta[j]}; "
+                "deleting a bridge or overshooting a high-leverage edge"
+            )
+            raise SingularUpdateError(f"edge {pair}: {problem}")
         A[j + 1 :, j + 1 :] -= np.outer(A[j + 1 :, j], A[j, j + 1 :] / pivot)
 
 
@@ -221,52 +231,33 @@ def woodbury_reweight(
 
         pinv -= Y (I + D Omega)^{-1} D Z,    D = diag(delta_w).
 
+    `delta_w = -weight` realizes a deletion and `delta_w = +inf` a
+    contraction that merges `v` into `u`. An infinite row of the capacitance
+    is divided by its delta_w, which leaves Omega's row and the right-hand
+    side Z's row, so the batch takes one solve of diag(finite) + diag(scale)
+    Omega, with scale = delta_w on finite rows and 1 on infinite ones. The
+    contracted pairs are then merged: rows by node-weighted average (they
+    are equal in exact arithmetic at the limit), columns by sum; one gather
+    drops the removed slots.
+
     Mutates `state` in place (and returns it). The graph itself is updated by
-    the caller; `delta_w = -weight` realizes a deletion. A bridge deletion
-    makes a denominator vanish and raises SingularUpdateError before `state`
-    is touched.
+    the caller. A bridge deletion makes a denominator vanish and raises
+    SingularUpdateError before `state` is touched.
     """
     iu, iv = _positions(state, u, v)
     delta = np.broadcast_to(np.asarray(delta_w, dtype=float), iu.shape)
+    contract = delta == np.inf
+    scale = np.where(contract, 1.0, delta)
     Y, Z = _gaps(state, iu, iv)
-    capacitance = np.eye(len(iu)) + delta[:, None] * (Y[iu] - Y[iv])
-    _check_pivots(
-        state, iu, iv, capacitance, 1e-12,
-        lambda j, denom: (
-            f"update denominator {denom:.3e} <= 0 for delta_w={delta[j]}; "
-            "deleting a bridge or overshooting a high-leverage edge"
-        ),
-    )
-    state.pinv -= Y @ np.linalg.solve(capacitance, delta[:, None] * Z)
-    state.updates += len(iu)
-    return state
-
-
-def contraction_update(
-    state: PseudoinverseState, records: ContractionRecord | Sequence[ContractionRecord]
-) -> PseudoinverseState:
-    """Shrink the pseudoinverse after the graph contractions in `records`.
-
-    Takes one record or a sequence of node-disjoint ones. Applies the
-    infinite-weight limit of the reweight update, pinv -= Y Omega^{-1} Z,
-    then merges each pair's node slots: rows by node-weighted average (they
-    are equal in exact arithmetic at the limit), columns by sum; one gather
-    drops the removed slots. Mutates and returns `state`.
-    """
-    if isinstance(records, ContractionRecord):
-        records = [records]
-    iu, iv = _positions(
-        state, [r.survivor for r in records], [r.removed for r in records]
-    )
-    Y, Z = _gaps(state, iu, iv)
-    omega = Y[iu] - Y[iv]
-    _check_pivots(
-        state, iu, iv, omega, 0.0,
-        lambda j, res: f"non-positive resistance {res:.3e}",
-    )
+    capacitance = np.diag((~contract).astype(float)) + scale[:, None] * (Y[iu] - Y[iv])
+    _check_pivots(state, iu, iv, capacitance, delta)
     P = state.pinv
-    P -= Y @ np.linalg.solve(omega, Z)
+    P -= Y @ np.linalg.solve(capacitance, scale[:, None] * Z)
+    state.updates += len(iu)
+    if not contract.any():
+        return state
 
+    iu, iv = iu[contract], iv[contract]
     wu, wv = state.weights[iu, None], state.weights[iv, None]
     P[iu, :] = (wu * P[iu, :] + wv * P[iv, :]) / (wu + wv)
     P[:, iu] += P[:, iv]
@@ -279,8 +270,22 @@ def contraction_update(
     state.weights = weights[kept]
     state.nodes = tuple(state.nodes[i] for i in kept)
     state.index = {u: i for i, u in enumerate(state.nodes)}
-    state.updates += len(iu)
     return state
+
+
+def contraction_update(
+    state: PseudoinverseState, records: ContractionRecord | Sequence[ContractionRecord]
+) -> PseudoinverseState:
+    """Shrink the pseudoinverse after the graph contractions in `records`.
+
+    Takes one record or a sequence of node-disjoint ones, and applies them as
+    one `woodbury_reweight` batch with delta_w = +inf, which merges each
+    removed node into its survivor. Mutates and returns `state`.
+    """
+    if isinstance(records, ContractionRecord):
+        records = [records]
+    survivors = [r.survivor for r in records]
+    return woodbury_reweight(state, survivors, [r.removed for r in records], np.inf)
 
 
 def lift(

@@ -34,14 +34,24 @@ def kernel_project(
     return out[:, 0] if flat else out
 
 
-def _quadratic_pieces(a, b, xs):
+def _distances(a, b, xs):
+    """Per-column hyperbolic distances of 2-D `xs`, with the forms x'ax, x'bx.
+
+    Raises ValueError when a column's quadratic form is not positive.
+    """
     ga = a @ xs
     gb = b @ xs
     qa = np.einsum("it,it->t", xs, ga)
     qb = np.einsum("it,it->t", xs, gb)
     diff2 = np.einsum("it,it->t", ga - gb, ga - gb)
     x2 = np.einsum("it,it->t", xs, xs)
-    return qa, qb, diff2, x2
+    bad = (qa <= 0) | (qb <= 0)
+    if np.any(bad):
+        raise ValueError(
+            f"vector {int(np.argmax(bad))} has a non-positive quadratic form; "
+            "it lies in the kernel or an operator is not PSD"
+        )
+    return np.arccosh(1.0 + np.maximum(diff2 * x2 / (2.0 * qa * qb), 0.0)), qa, qb
 
 
 def hyperbolic_distances(
@@ -65,15 +75,7 @@ def hyperbolic_distances(
         xs = xs[:, None]
     if node_weights is not None:
         xs = kernel_project(xs, node_weights)
-    qa, qb, diff2, x2 = _quadratic_pieces(a, b, xs)
-    bad = (qa <= 0) | (qb <= 0)
-    if np.any(bad):
-        raise ValueError(
-            f"vector {int(np.argmax(bad))} has a non-positive quadratic form; "
-            "it lies in the kernel or an operator is not PSD"
-        )
-    arg = 1.0 + np.maximum(diff2 * x2 / (2.0 * qa * qb), 0.0)
-    out = np.arccosh(arg)
+    out, _, _ = _distances(a, b, xs)
     return float(out[0]) if squeeze else out
 
 
@@ -118,10 +120,7 @@ def check_sigma_approx(
     xs = np.asarray(vectors, dtype=float)
     if node_weights is not None:
         xs = kernel_project(xs, node_weights)
-    qa, qb, diff2, x2 = _quadratic_pieces(a, b, xs)
-    if np.any((qa <= 0) | (qb <= 0)):
-        raise ValueError("non-positive quadratic form among test vectors")
-    dist = np.arccosh(1.0 + np.maximum(diff2 * x2 / (2.0 * qa * qb), 0.0))
+    dist, qa, qb = _distances(a, b, xs)
     premise = dist <= math.log(sigma)
     ratio = qa / qb
     bad = premise & (

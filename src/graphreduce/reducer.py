@@ -5,15 +5,17 @@ edge's leverage and update norm, scores it by the beta at which its expected
 reduction reaches the per-edge target, keeps the cheapest fraction, and
 applies an unbiased delete / contract / reweight draw to each kept edge. The
 accumulated expected error is tracked against the budget. A round's edges
-travel as one column: they are scored, selected, solved, drawn into action
-codes and applied as arrays; only the greedy matching and the triangle counts
-loop over edges. One generator made from the seed feeds, in loop order, every
-round's matching, any sketch build and the action draws.
+travel as one column: they are scored, selected, solved, drawn and applied as
+arrays; only the greedy matching and the triangle counts loop over edges. The
+draw is one weight change ratio delta_w / w per edge: -1 deletes, +inf
+contracts, and the two actions are the limits of one reweight. One generator
+made from the seed feeds, in loop order, every round's matching, any sketch
+build and the action draws.
 
 One loop serves both modes; a backend chosen once from `config.mode` measures
 the edges and follows the graph. Matched edges share no endpoints, so a
-round's deletions and reweights reach the backend as one batch and its
-contractions as another. The exact backend applies each batch to the dense
+round's weight changes, contractions last as delta_w = +inf, reach the
+backend as one batch. The exact backend applies it to the dense
 pseudoinverse as one rank-k update; the sketch backend estimates from a
 `SketchEstimator` it rebuilds after every round that acted, and forms the
 dense pseudoinverse only at the end.
@@ -35,12 +37,12 @@ from .action import (
     expected_error,
     optimal_action,
 )
-from .graph import ContractionMap, ContractionRecord, WeightedGraph
+from .graph import ContractionMap, WeightedGraph
 from .laplacian import (
     REBUILD_INTERVAL,
     PseudoinverseState,
     build_pseudoinverse,
-    contraction_update,
+    contraction_update,  # unused here; perfbench/tracer.py patches it by this name
     edge_leverage,
     update_norm,
     woodbury_reweight,
@@ -48,9 +50,6 @@ from .laplacian import (
 from .sketch import SketchEstimator
 
 MAX_REDRAWS = 32
-
-# Codes of the drawn actions.
-_DELETE, _CONTRACT, _REWEIGHT = range(3)
 
 
 class RedrawLimitError(RuntimeError):
@@ -270,10 +269,10 @@ def select_beta(
 
 
 class _ExactBackend:
-    """Dense pseudoinverse kept current by one rank-k update per batch.
+    """Dense pseudoinverse kept current by one rank-k update per round.
 
-    A round's reweights and deletions are one Woodbury update, its
-    contractions one infinite-weight limit of it and one compaction. The
+    A round's reweights, deletions and contractions are one Woodbury update,
+    the contractions as its infinite-weight rows, then one compaction. The
     state is rebuilt at the first `measure` or `finalize` after the rank
     applied since the last build reaches `REBUILD_INTERVAL`.
     """
@@ -292,11 +291,8 @@ class _ExactBackend:
         u, v, w = g.edge_columns(eids)
         return edge_leverage(state, u, v, w), update_norm(state, u, v, w)
 
-    def reweight(self, u: np.ndarray, v: np.ndarray, delta_w: np.ndarray) -> None:
+    def apply(self, u: np.ndarray, v: np.ndarray, delta_w: np.ndarray) -> None:
         woodbury_reweight(self.state, u, v, delta_w)
-
-    def contract(self, records: list[ContractionRecord]) -> None:
-        contraction_update(self.state, records)
 
     def finalize(self, g: WeightedGraph) -> PseudoinverseState:
         return self._current(g)
@@ -320,10 +316,7 @@ class _SketchBackend:
             )
         return self.estimator.measure(g, eids)
 
-    def reweight(self, u: np.ndarray, v: np.ndarray, delta_w: np.ndarray) -> None:
-        self.estimator = None
-
-    def contract(self, records: list[ContractionRecord]) -> None:
+    def apply(self, u: np.ndarray, v: np.ndarray, delta_w: np.ndarray) -> None:
         self.estimator = None
 
     def finalize(self, g: WeightedGraph) -> PseudoinverseState:
@@ -335,35 +328,35 @@ def _apply(
     backend: _ExactBackend | _SketchBackend,
     cmap: ContractionMap,
     eids: list[int],
-    codes: np.ndarray,
     ratios: np.ndarray,
 ) -> tuple[int, int, int]:
     """Apply a round's drawn actions; returns (deleted, contracted, reweighted).
 
-    `codes` holds each edge's drawn action and `ratios` its reweight ratio; a
-    reweight by ratio 0 leaves the edge alone. Deletes and reweights go first
-    (all endpoints still present), then contractions. Matched edges are
-    disjoint, so ids stay valid and each of the two batches reaches the
-    backend in one call.
+    `ratios` holds each edge's drawn delta_w / w: -1 deletes, +inf contracts,
+    0 leaves the edge alone and any other value reweights. The graph deletes
+    and reweights first (all endpoints still present), then contracts.
+    Matched edges are disjoint, so ids stay valid, and the acting edges reach
+    the backend in one call, contractions last. An edge stores its smaller
+    endpoint first, which is the one a contraction keeps.
     """
     u, v, w = g.edge_columns(eids)
-    deleted = codes == _DELETE
-    reweighted = (codes == _REWEIGHT) & (ratios != 0.0)
+    deleted = ratios == -1.0
+    contracted = ratios == np.inf
+    reweighted = ~(deleted | contracted) & (ratios != 0.0)
     for i in np.flatnonzero(deleted):
         g.delete_edge(eids[i])
     new_weights = w * (1.0 + ratios)
     for i in np.flatnonzero(reweighted):
         g.set_edge_weight(eids[i], new_weights[i])
-    changed = deleted | reweighted
-    if changed.any():
-        delta_w = np.where(deleted, -w, w * ratios)
-        backend.reweight(u[changed], v[changed], delta_w[changed])
-    records = [g.contract_edge(eids[i]) for i in np.flatnonzero(codes == _CONTRACT)]
-    if records:
-        backend.contract(records)
-    for rec in records:
+    for i in np.flatnonzero(contracted):
+        rec = g.contract_edge(eids[i])
         cmap.merge(rec.survivor, rec.removed)
-    return int(deleted.sum()), len(records), int(reweighted.sum())
+    acting = np.concatenate(
+        [np.flatnonzero(deleted | reweighted), np.flatnonzero(contracted)]
+    )
+    if acting.size:
+        backend.apply(u[acting], v[acting], w[acting] * ratios[acting])
+    return int(deleted.sum()), int(contracted.sum()), int(reweighted.sum())
 
 
 def reduce_graph(
@@ -443,15 +436,21 @@ def reduce_graph(
         # Redraw the whole iteration's actions until deletions keep the graph
         # connected. Contractions and reweights never disconnect, and matched
         # edges share no endpoints, so checking the deletions alone suffices.
+        # Of those, only the triangle-free ones are checked: a deleted edge
+        # (u, v) with a common neighbour w keeps the path u-w-v, whose edges
+        # touch a matched edge and so are not deleted themselves. The graph
+        # without all deletions is connected iff it is without these.
         for attempt in range(MAX_REDRAWS):
             draws = rng.random(len(eids))
-            codes = np.where(
+            ratios = np.where(
                 draws < dist.p_delete,
-                _DELETE,
-                np.where(draws < dist.p_delete + dist.p_contract, _CONTRACT, _REWEIGHT),
+                -1.0,
+                np.where(
+                    draws < dist.p_delete + dist.p_contract, np.inf, dist.reweight_ratio
+                ),
             )
-            deletions = [eid for eid, code in zip(eids, codes) if code == _DELETE]
-            if not deletions or g.connected_without(deletions):
+            cut = np.flatnonzero((ratios == -1.0) & (eq.triangles == 0))
+            if not cut.size or g.connected_without([eids[i] for i in cut]):
                 break
         else:
             raise RedrawLimitError(
@@ -460,7 +459,7 @@ def reduce_graph(
             )
         redraws = attempt
 
-        n_del, n_con, n_rew = _apply(g, backend, cmap, eids, codes, dist.reweight_ratio)
+        n_del, n_con, n_rew = _apply(g, backend, cmap, eids, ratios)
         # Python's sum adds edge by edge in kept order; np.sum's pairwise
         # order would round the total differently.
         estimated_error += sum(expected_error(eq, dist).tolist())

@@ -12,6 +12,7 @@ from graphreduce.graph import (
     read_edgelist,
     write_edgelist,
 )
+from tests.conftest import random_connected_graph
 
 
 def path_graph(weights):
@@ -105,6 +106,21 @@ def test_connectivity():
     bridge = g.edge_between(2, 3)
     assert not g.connected_without([bridge])
     assert g.connected_without([])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000))
+def test_triangle_free_deletions_decide_connectivity(seed):
+    # reduce_graph checks only the triangle-free deletions of a matching: an
+    # edge with a common neighbour keeps a two-edge path around it, and those
+    # edges touch the matched edge, so the matching cannot delete them.
+    rng = np.random.default_rng(seed)
+    g = random_connected_graph(
+        rng, int(rng.integers(3, 16)), extra_edges=int(rng.integers(0, 20))
+    )
+    deleted = [eid for eid in g.independent_edge_set(rng) if rng.random() < 0.7]
+    free = [eid for eid in deleted if g.triangle_count(eid) == 0]
+    assert g.connected_without(free) == g.connected_without(deleted)
 
 
 def test_connectivity_trivial_cases():

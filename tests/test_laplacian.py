@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from graphreduce.graph import ContractionMap, WeightedGraph
@@ -308,6 +308,18 @@ def _matched_actions(rng, g):
     return changes, contract
 
 
+def _edit_graph(g, changes, contract):
+    # Apply the actions to the graph as the reducer does: deletions and
+    # reweights first, then contractions; returns the contraction records.
+    for eid, _, _, delta in changes:
+        w = g.edge_weight(eid)
+        if delta == -w:
+            g.delete_edge(eid)
+        else:
+            g.set_edge_weight(eid, w + delta)
+    return [g.contract_edge(eid) for eid in contract]
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10_000))
 def test_batched_updates_match_rank_one_steps_and_rebuild(seed):
@@ -316,14 +328,7 @@ def test_batched_updates_match_rank_one_steps_and_rebuild(seed):
     batched = build_pseudoinverse(g)
     stepped = build_pseudoinverse(g)
     changes, contract = _matched_actions(rng, g)
-
-    for eid, _, _, delta in changes:
-        w = g.edge_weight(eid)
-        if delta == -w:
-            g.delete_edge(eid)
-        else:
-            g.set_edge_weight(eid, w + delta)
-    records = [g.contract_edge(eid) for eid in contract]
+    records = _edit_graph(g, changes, contract)
 
     if changes:
         _, u, v, delta = (np.array(col) for col in zip(*changes))
@@ -344,21 +349,75 @@ def test_batched_updates_match_rank_one_steps_and_rebuild(seed):
     np.testing.assert_allclose(batched.pinv, fresh.pinv, rtol=0, atol=1e-10)
 
 
-def test_batch_with_bridge_deletion_raises_and_leaves_state_unchanged():
-    # Two triangles joined by the bridge (2, 3); the bridge is deleted in the
-    # middle of a matched batch.
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10_000))
+def test_mixed_batch_is_one_update(seed):
+    # Contraction is the delta_w = +inf limit of a reweight, so a round's
+    # reweights, deletions and contractions (last) are one call.
+    rng = np.random.default_rng(seed)
+    g = random_connected_graph(rng, int(rng.integers(6, 16)), extra_edges=12, weighted_nodes=True)
+    mixed = build_pseudoinverse(g)
+    two_batch = build_pseudoinverse(g)
+    changes, contract = _matched_actions(rng, g)
+    assume(changes and contract)
+    records = _edit_graph(g, changes, contract)
+
+    _, u, v, delta = (np.array(col) for col in zip(*changes))
+    woodbury_reweight(
+        mixed,
+        np.r_[u, [r.survivor for r in records]],
+        np.r_[v, [r.removed for r in records]],
+        np.r_[delta, np.full(len(records), np.inf)],
+    )
+    woodbury_reweight(two_batch, u, v, delta)
+    contraction_update(two_batch, records)
+
+    fresh = build_pseudoinverse(g)
+    assert mixed.nodes == two_batch.nodes == fresh.nodes
+    np.testing.assert_array_equal(mixed.weights, two_batch.weights)
+    np.testing.assert_array_equal(mixed.weights, fresh.weights)
+    assert mixed.updates == two_batch.updates == len(changes) + len(records)
+    np.testing.assert_allclose(mixed.pinv, two_batch.pinv, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(mixed.pinv, fresh.pinv, rtol=0, atol=1e-10)
+
+
+def _bridged_triangles() -> WeightedGraph:
+    # Two triangles joined by the bridge (2, 3), with unequal node weights.
     g = WeightedGraph.from_edges(
         [(0, 1, 1.0), (1, 2, 1.5), (0, 2, 1.0), (2, 3, 2.0),
          (3, 4, 1.0), (4, 5, 0.5), (3, 5, 1.0)]
     )
     for u in g.nodes():
         g.add_node(u, 1.0 + 0.25 * u)
-    state = build_pseudoinverse(g)
+    return g
+
+
+def test_batch_with_bridge_deletion_raises_and_leaves_state_unchanged():
+    # The bridge is deleted in the middle of a matched batch.
+    state = build_pseudoinverse(_bridged_triangles())
     state.updates = 7
     pinv, nodes, weights = state.pinv.copy(), state.nodes, state.weights.copy()
     with pytest.raises(SingularUpdateError, match=r"edge \(2, 3\)"):
         woodbury_reweight(state, [0, 2, 4], [1, 3, 5], [0.5, -2.0, -0.5])
     assert np.array_equal(state.pinv, pinv)
+    assert state.nodes == nodes
+    assert np.array_equal(state.weights, weights)
+    assert state.updates == 7
+
+
+@pytest.mark.parametrize(
+    "u, v, delta",
+    [([2, 4, 0], [3, 5, 1], [-2.0, -0.5, np.inf]),
+     ([0, 2, 4], [1, 3, 5], [np.inf, -2.0, -0.5])],
+    ids=["contraction-last", "contraction-first"],
+)
+def test_mixed_batch_with_bridge_deletion_raises_before_compaction(u, v, delta):
+    state = build_pseudoinverse(_bridged_triangles())
+    state.updates = 7
+    pinv, nodes, weights = state.pinv.copy(), state.nodes, state.weights.copy()
+    with pytest.raises(SingularUpdateError, match=r"edge \(2, 3\): update denominator"):
+        woodbury_reweight(state, u, v, delta)
+    assert state.pinv.shape == pinv.shape and np.array_equal(state.pinv, pinv)
     assert state.nodes == nodes
     assert np.array_equal(state.weights, weights)
     assert state.updates == 7

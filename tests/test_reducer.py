@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from graphreduce.action import EdgeQuantities, Priority, optimal_action
 from graphreduce.graph import WeightedGraph
-from graphreduce.generators import triangular_lattice
+from graphreduce.generators import cycle, torus, triangular_lattice
 from graphreduce.laplacian import (
     IDENTITY_TOL,
     REBUILD_INTERVAL,
@@ -20,12 +20,14 @@ from graphreduce.laplacian import (
 )
 import graphreduce.reducer as reducer
 from graphreduce.reducer import (
+    MAX_REDRAWS,
     BetaCap,
     EdgeBudget,
     ErrorCap,
     ExactMode,
     MaxIterations,
     NodeBudget,
+    RedrawLimitError,
     ReductionConfig,
     SketchMode,
     StallError,
@@ -344,6 +346,36 @@ def test_random_tree_never_disconnects():
     )
     assert result.trace.totals()["deleted"] == 0
     assert result.graph.n_nodes == 1
+
+
+def test_redraw_keeps_the_graph_connected():
+    # Deleting both matched edges of a 4-cycle would split it; seed 0 draws
+    # that once and redraws.
+    config = ReductionConfig(
+        keep_fraction=1, target_reduction=0.2, allow_contraction=False
+    )
+    result = reduce_graph(cycle(4), EdgeBudget(3), config, seed=0)
+    assert sum(r.redraws for r in result.trace.records) >= 1
+    assert result.graph.is_connected()
+
+
+def test_redraw_limit_names_the_iteration(monkeypatch):
+    # A torus has no triangles, so every drawn deletion is checked; a check
+    # that always fails uses up the redraws of the first round whose every
+    # draw deletes.
+    check = WeightedGraph.connected_without
+    monkeypatch.setattr(
+        WeightedGraph, "connected_without",
+        lambda self, excluded: not excluded and check(self, excluded),
+    )
+    config = ReductionConfig(
+        keep_fraction=1, target_reduction=0.2, allow_contraction=False
+    )
+    with pytest.raises(
+        RedrawLimitError,
+        match=rf"^iteration 11: {MAX_REDRAWS} action draws all disconnected the graph$",
+    ):
+        reduce_graph(torus(4, 4), EdgeBudget(3), config, seed=0)
 
 
 def test_no_contraction_mode_only_deletes_and_reweights():
