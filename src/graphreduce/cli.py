@@ -113,6 +113,22 @@ def _cmd_coarsen(args) -> int:
     return 0
 
 
+def _check_cmap(cmap: ContractionMap, original, reduced) -> None:
+    """Raise ValueError naming a node unless `cmap` maps the nodes of the
+    original graph onto all the nodes of the reduced graph."""
+    nodes, supernodes = set(original.nodes()), set(reduced.nodes())
+    if nodes != set(cmap.originals):
+        u = min(nodes ^ set(cmap.originals))
+        where = "missing from the contraction map" if u in nodes else "not in the graph"
+        raise ValueError(f"original node {u} is {where}")
+    for u, s in cmap.assignment.items():
+        if s not in supernodes:
+            raise ValueError(f"original node {u} maps to {s}, not in the reduced graph")
+    empty = supernodes - set(cmap.assignment.values())
+    if empty:
+        raise ValueError(f"reduced node {min(empty)} has no original node in the map")
+
+
 def _cmd_metrics(args) -> int:
     original = read_edgelist(args.original, args.node_weights)
     reduced = read_edgelist(args.reduced, args.reduced_node_weights)
@@ -120,14 +136,11 @@ def _cmd_metrics(args) -> int:
         cmap = read_contraction_map(args.cmap)
     else:
         cmap = ContractionMap.identity(original.nodes())
+    _check_cmap(cmap, original, reduced)
 
-    node_w = np.array([original.node_weight(u) for u in original.nodes()])
-    base = build_pseudoinverse(original).pinv
-    red_nodes = reduced.nodes()
-    red_w = np.array([reduced.node_weight(u) for u in red_nodes])
-    candidate = lift(
-        build_pseudoinverse(reduced).pinv, cmap, red_nodes, red_w, node_w
-    )
+    base, red = build_pseudoinverse(original), build_pseudoinverse(reduced)
+    node_w = base.weights
+    candidate = lift(red.pinv, cmap, red.nodes, red.weights, node_w)
 
     labels = [v for v in args.vectors.split(",") if v]
     vectors = probe_vectors(original, labels)
@@ -136,7 +149,7 @@ def _cmd_metrics(args) -> int:
         eig = eigen_relative_error(
             laplacian_spectrum(original), laplacian_spectrum(reduced), args.eigen_k
         )
-    report = compare_operators(base, candidate, vectors, node_w, eig)
+    report = compare_operators(base.pinv, candidate, vectors, node_w, eig)
     if args.out:
         report.write_csv(args.out)
     if args.json:
@@ -149,7 +162,7 @@ def _cmd_metrics(args) -> int:
     if args.sigma is not None:
         rng = np.random.default_rng(args.seed)
         probe = rng.standard_normal((original.n_nodes, args.sigma_vectors))
-        sig = check_sigma_approx(base, candidate, probe, args.sigma, node_w)
+        sig = check_sigma_approx(base.pinv, candidate, probe, args.sigma, node_w)
         status = "ok" if sig.ok else f"violated at {len(sig.violation_indices)}"
         print(
             f"sigma={args.sigma}: {status} "

@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -23,7 +23,9 @@ from .action import Priority
 from .baselines import matching_coarsen, samples_for_edge_target, ss_sparsify
 from .generators import generate
 from .graph import ContractionMap, WeightedGraph, read_edgelist
-from .laplacian import DisconnectedGraphError, build_pseudoinverse, lift
+from .laplacian import (
+    DisconnectedGraphError, build_pseudoinverse, lift, symmetrized_laplacian
+)
 from .metrics import (
     eigen_relative_error,
     hyperbolic_distance,
@@ -43,7 +45,7 @@ from .reducer import (
     StopCriterion,
     reduce_graph,
 )
-from .sketch import ConvergenceError, symmetrized_laplacian
+from .sketch import ConvergenceError
 
 # Runtime failures recorded per cell instead of aborting the sweep
 ALGORITHM_FAILURES = (
@@ -207,14 +209,7 @@ class ResultRow:
     std: float
 
     def to_dict(self) -> dict:
-        return {
-            "level": self.level,
-            "algorithm": self.algorithm,
-            "metric": self.metric,
-            "vector": self.vector,
-            "mean": self.mean,
-            "std": self.std,
-        }
+        return asdict(self)
 
 
 def load_graph(spec: ExperimentSpec) -> WeightedGraph:
@@ -268,8 +263,8 @@ def _aggregate(values: list[float]) -> tuple[float, float]:
 
 def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
     g = load_graph(spec)
-    node_w = np.array([g.node_weight(u) for u in g.nodes()])
     base = build_pseudoinverse(g)
+    node_w = base.weights
     vectors = probe_vectors(g, spec.vectors)
     base_spectrum = laplacian_spectrum(g) if spec.eigen_k else None
 
@@ -328,26 +323,17 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
 def write_rows_csv(rows: Sequence[ResultRow], path: str) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["level", "algorithm", "metric", "vector", "mean", "std"])
-        for row in rows:
-            writer.writerow(
-                [row.level, row.algorithm, row.metric, row.vector,
-                 repr(row.mean), repr(row.std)]
-            )
+        writer.writerow([f.name for f in fields(ResultRow)])
+        writer.writerows(astuple(row) for row in rows)
 
 
 def read_rows_csv(path: str) -> list[ResultRow]:
-    out = []
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for rec in reader:
-            out.append(
-                ResultRow(
-                    int(rec["level"]), rec["algorithm"], rec["metric"],
-                    rec["vector"], float(rec["mean"]), float(rec["std"]),
-                )
-            )
-    return out
+        return [
+            ResultRow(int(r["level"]), r["algorithm"], r["metric"], r["vector"],
+                      float(r["mean"]), float(r["std"]))
+            for r in csv.DictReader(fh)
+        ]
 
 
 def write_rows_json(rows: Sequence[ResultRow], path: str) -> None:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -355,20 +356,28 @@ def write_node_weights(g: WeightedGraph, path) -> None:
             fh.write(f"{u} {g.node_weight(u)!r}\n")
 
 
+def _read_records(path, usage: str, counts: tuple[int, ...], parse) -> None:
+    """Call `parse(*fields)` on each non-blank line of `path` (`#` starts a
+    comment). A field count not in `counts` or a ValueError from `parse` is
+    raised as `path:line: reason`."""
+    with open(path) as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            parts = raw.split("#", 1)[0].split()
+            if not parts:
+                continue
+            try:
+                if len(parts) not in counts:
+                    raise ValueError(f"expected '{usage}', got {raw!r}")
+                parse(*parts)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line_no}: {exc}") from None
+
+
 def read_edgelist(path, node_weight_path=None) -> WeightedGraph:
     """Read a graph from `u v w` lines; `#` starts a comment, w defaults to 1."""
     g = WeightedGraph()
-    with open(path) as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) not in (2, 3):
-                raise ValueError(f"{path}:{line_no}: expected 'u v [w]', got {raw!r}")
-            u, v = int(parts[0]), int(parts[1])
-            w = float(parts[2]) if len(parts) == 3 else 1.0
-            g.add_edge(u, v, w)
+    _read_records(path, "u v [w]", (2, 3),
+                  lambda u, v, w="1": g.add_edge(int(u), int(v), float(w)))
     if node_weight_path is not None:
         for u, w in read_node_weights(node_weight_path).items():
             g.add_node(u, w)
@@ -376,16 +385,14 @@ def read_edgelist(path, node_weight_path=None) -> WeightedGraph:
 
 
 def read_node_weights(path) -> dict[int, float]:
+    """Read positive finite node weights from `u w` lines."""
     out: dict[int, float] = {}
-    with open(path) as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{line_no}: expected 'u w', got {raw!r}")
-            out[int(parts[0])] = float(parts[1])
+
+    def record(u, w):
+        _check_weight("node", float(w))
+        out[int(u)] = float(w)
+
+    _read_records(path, "u w", (2,), record)
     return out
 
 
@@ -401,10 +408,18 @@ def write_contraction_map(cmap: ContractionMap, path) -> None:
 
 
 def read_contraction_map(path) -> ContractionMap:
+    """Read a map written by `write_contraction_map`.
+
+    Raises ValueError naming the first original node that is not listed
+    exactly once and assigned exactly once. Originals come back ascending.
+    """
     with open(path) as fh:
         payload = json.load(fh)
-    assignment = {int(u): int(s) for u, s in payload["assignment"]}
-    return ContractionMap(
-        originals=tuple(int(u) for u in payload["originals"]),
-        assignment=assignment,
-    )
+    pairs = [(int(u), int(s)) for u, s in payload["assignment"]]
+    listed = Counter(int(u) for u in payload["originals"])
+    assigned = Counter(u for u, _ in pairs)
+    for u in sorted(listed.keys() | assigned.keys()):
+        if listed[u] != 1 or assigned[u] != 1:
+            raise ValueError(f"{path}: original node {u} is listed {listed[u]} "
+                             f"and assigned {assigned[u]} times, not once each")
+    return ContractionMap(originals=tuple(sorted(listed)), assignment=dict(pairs))

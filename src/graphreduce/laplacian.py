@@ -1,8 +1,9 @@
 """Node-weighted Laplacians, their pseudoinverses, and rank-k maintenance.
 
 The operator of interest for a graph with edge-weight matrix W_e, node-weight
-matrix W_n and signed incidence B is W_n^{-1} B^T W_e B. Its pseudoinverse is
-obtained through the rank-one correction J = ones * w_n^T / sum(w_n):
+matrix W_n and signed incidence B is W_n^{-1} B^T W_e B. It is assembled only
+here, from one read of the graph into R = W_e^{1/2} B W_n^{-1/2} (see
+`weighted_incidence`). Its pseudoinverse comes from J = ones * w_n^T / sum(w_n):
 
     pinv = inv(L + J) - J,            L @ pinv = pinv @ L = I - J.
 
@@ -26,6 +27,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from .graph import ContractionMap, ContractionRecord, WeightedGraph
 
@@ -34,6 +36,8 @@ __all__ = [
     "SingularUpdateError",
     "PseudoinverseState",
     "REBUILD_INTERVAL",
+    "weighted_incidence",
+    "symmetrized_laplacian",
     "laplacian_matrix",
     "weighted_projector",
     "build_pseudoinverse",
@@ -95,19 +99,34 @@ class PseudoinverseState:
         return len(self.nodes)
 
 
+def weighted_incidence(g: WeightedGraph, nodes=None):
+    """Sparse R = W_e^{1/2} B W_n^{-1/2} and the node weight square roots.
+
+    Rows are edges in edge-id order, columns nodes in `nodes` order (default:
+    ascending ids). Lhat = R^T R, W_n^{-1} B^T W_e B = W_n^{-1/2} Lhat
+    W_n^{1/2} and the sketch's edge probe rows Q R all derive from it.
+    """
+    ends, w, wn = g.edge_arrays(nodes)
+    w_sqrt = np.sqrt(wn)
+    vals = np.sqrt(w)[:, None] / w_sqrt[ends] * [1.0, -1.0]
+    indptr = np.arange(0, 2 * len(w) + 1, 2)
+    R = sp.csr_matrix((vals.ravel(), ends.ravel(), indptr), shape=(len(w), len(wn)))
+    return R, w_sqrt
+
+
+def symmetrized_laplacian(g: WeightedGraph, nodes=None):
+    """Sparse Lhat = R^T R and the node weight square roots."""
+    R, w_sqrt = weighted_incidence(g, nodes)
+    return (R.T @ R).tocsr(), w_sqrt
+
+
 def laplacian_matrix(g: WeightedGraph, nodes=None) -> np.ndarray:
     """Dense W_n^{-1} B^T W_e B in the given (default: ascending) node order."""
-    ends, w, wn = g.edge_arrays(nodes)
-    n = len(wn)
-    S = np.zeros((n, n))
-    iu, iv = ends.T
-    S[iu, iv] = -w
-    S[iv, iu] = -w
-    # add.at sums each diagonal entry edge by edge in edge-id order, so the
-    # rounding is that of the seeded goldens.
-    flat = ends.ravel()
-    np.add.at(S, (flat, flat), np.repeat(w, 2))
-    return S / wn[:, None]
+    lhat, w_sqrt = symmetrized_laplacian(g, nodes)
+    L = lhat.toarray()
+    L /= w_sqrt[:, None]
+    L *= w_sqrt
+    return L
 
 
 def weighted_projector(weights: np.ndarray) -> np.ndarray:

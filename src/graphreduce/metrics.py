@@ -11,12 +11,12 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .graph import WeightedGraph
-from .sketch import symmetrized_laplacian
+from .laplacian import symmetrized_laplacian
 
 
 def kernel_project(
@@ -182,13 +182,7 @@ class ComparisonReport:
                 writer.writerow([metric, label, repr(value)])
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "sup_distance": self.sup_distance,
-                "distances": self.distances,
-                "eigen_error": self.eigen_error,
-            }
-        )
+        return json.dumps(asdict(self))
 
 
 def compare_operators(

@@ -5,7 +5,8 @@ and W the node weight diagonal, Lhat = W^{-1/2} S W^{-1/2} is symmetric PSD
 with kernel spanned by what = W^{1/2} 1 (normalized). Per-edge quantities are
 squared norms of Lhat^+ applied to fixed vectors, so a Johnson-Lindenstrauss
 projection followed by a handful of linear solves estimates all of them at
-once without ever forming a dense inverse.
+once without ever forming a dense inverse. A build reads the graph once, as
+the R of `laplacian.weighted_incidence`: Lhat = R^T R, edge probe rows Q R.
 
 With a budget of k vectors, leverages use k random edge probes. Update norms
 are dominated by the low-frequency end of the spectrum, so they split the
@@ -42,7 +43,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .graph import WeightedGraph
-from .laplacian import DisconnectedGraphError
+# symmetrized_laplacian is re-exported for callers that bind it here.
+from .laplacian import DisconnectedGraphError, symmetrized_laplacian, weighted_incidence
 
 # Relative residual every probe solve is run to.
 SOLVER_TOL = 1e-8
@@ -116,26 +118,6 @@ def pcg(
     raise ConvergenceError(
         f"conjugate gradient: no convergence to {rtol:g} in {max_iter} iterations"
     )
-
-
-def symmetrized_laplacian(
-    g: WeightedGraph, nodes: list[int] | None = None
-) -> tuple[sp.csr_matrix, np.ndarray]:
-    """Sparse Lhat = W^{-1/2} S W^{-1/2} and the node weight square roots."""
-    ends, w, wn = g.edge_arrays(nodes)
-    n = len(wn)
-    w_sqrt = np.sqrt(wn)
-    s = w / (w_sqrt[ends[:, 0]] * w_sqrt[ends[:, 1]])
-    flat = ends.ravel()
-    diag = np.zeros(n)
-    # float_power calls pow; array ** 2 multiplies instead, which differs in
-    # the last bit on some inputs and would change every seeded reduction.
-    np.add.at(diag, flat, np.repeat(w, 2) / np.float_power(w_sqrt[flat], 2))
-    rows = np.concatenate([flat, np.arange(n)])
-    cols = np.concatenate([ends[:, ::-1].ravel(), np.arange(n)])
-    vals = np.concatenate([np.repeat(-s, 2), diag])
-    lhat = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    return lhat, w_sqrt
 
 
 def build_projection(
@@ -271,20 +253,9 @@ def lowest_modes(
     return lam, vec
 
 
-def edge_projection_rows(
-    g: WeightedGraph, projection: np.ndarray
-) -> np.ndarray:
+def edge_projection_rows(g: WeightedGraph, projection: np.ndarray) -> np.ndarray:
     """Rows of projection @ W_e^{1/2} B W^{-1/2} for the current edge order."""
-    ends, w, wn = g.edge_arrays()
-    m = len(w)
-    w_sqrt = np.sqrt(wn)
-    root = np.sqrt(w)
-    vals = np.column_stack([root / w_sqrt[ends[:, 0]], -root / w_sqrt[ends[:, 1]]])
-    incidence = sp.coo_matrix(
-        (vals.ravel(), (np.repeat(np.arange(m), 2), ends.ravel())),
-        shape=(m, len(wn)),
-    ).tocsr()
-    return np.asarray(projection @ incidence)
+    return np.asarray(projection @ weighted_incidence(g)[0])
 
 
 @dataclass
@@ -325,7 +296,8 @@ class SketchEstimator:
         nodes = g.nodes()
         n = len(nodes)
         k = n_probes if n_probes > 0 else default_probe_count(n, epsilon)
-        lhat, w_sqrt = symmetrized_laplacian(g, nodes)
+        incidence, w_sqrt = weighted_incidence(g, nodes)
+        lhat = (incidence.T @ incidence).tocsr()
         what = w_sqrt / np.linalg.norm(w_sqrt)
 
         # Update norms: n_modes exact low modes, then k - n_modes probes of
@@ -337,7 +309,7 @@ class SketchEstimator:
         if n_modes < n - 1:
             q_norm = build_projection(k - n_modes, w_sqrt, rng)
         signs = rng.integers(0, 2, size=(k, g.n_edges)) * 2.0 - 1.0
-        edge_rows = edge_projection_rows(g, signs / math.sqrt(k))
+        edge_rows = np.asarray((signs / math.sqrt(k)) @ incidence)
 
         # The first edge probe picks the solver for everything else.
         solver, first = LaplacianSolver.choose(lhat, what, edge_rows[0])

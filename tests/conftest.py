@@ -31,12 +31,9 @@ def random_connected_graph(
     return g
 
 
-def pinv_by_eigen(g: WeightedGraph) -> np.ndarray:
-    """Independent pseudoinverse oracle via the symmetrized eigenproblem.
-
-    Diagonalizes W^{1/2} L W^{-1/2}, inverts the nonzero eigenvalues, and maps
-    back; shares no code path with the rank-one-correction construction.
-    """
+def edge_laplacian(g: WeightedGraph) -> np.ndarray:
+    """Dense edge-weighted Laplacian B^T W_e B in ascending node order,
+    summed edge by edge; shares no code with the library's assembly."""
     order = g.nodes()
     idx = {u: i for i, u in enumerate(order)}
     nn = len(order)
@@ -48,7 +45,17 @@ def pinv_by_eigen(g: WeightedGraph) -> np.ndarray:
         S[iv, iv] += w
         S[iu, iv] -= w
         S[iv, iu] -= w
-    wn = np.array([g.node_weight(u) for u in order])
+    return S
+
+
+def pinv_by_eigen(g: WeightedGraph) -> np.ndarray:
+    """Independent pseudoinverse oracle via the symmetrized eigenproblem.
+
+    Diagonalizes W^{1/2} L W^{-1/2}, inverts the nonzero eigenvalues, and maps
+    back; shares no code path with the rank-one-correction construction.
+    """
+    S = edge_laplacian(g)
+    wn = np.array([g.node_weight(u) for u in g.nodes()])
     d = np.sqrt(wn)
     sym = S / d[:, None] / d[None, :]
     vals, vecs = np.linalg.eigh(sym)

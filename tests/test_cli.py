@@ -207,6 +207,41 @@ class TestMetrics:
         )
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "originals, assignment, reduced_edges, message",
+        [
+            ([0, 1, 2, 3], [[0, 0], [1, 0], [2, 2]], "0 2\n",
+             "original node 3 is listed 1 and assigned 0 times"),
+            ([0, 1, 2, 3], [[0, 0], [1, 0], [1, 2], [2, 2], [3, 2]], "0 2\n",
+             "original node 1 is listed 1 and assigned 2 times"),
+            ([0, 1, 2], [[0, 0], [1, 0], [2, 2]], "0 2\n",
+             "original node 3 is missing from the contraction map"),
+            ([0, 1, 2, 3, 4], [[0, 0], [1, 0], [2, 2], [3, 2], [4, 2]], "0 2\n",
+             "original node 4 is not in the graph"),
+            ([0, 1, 2, 3], [[0, 0], [1, 0], [2, 2], [3, 5]], "0 2\n",
+             "original node 3 maps to 5, not in the reduced graph"),
+            (None, None, "0 2\n",
+             "original node 1 maps to 1, not in the reduced graph"),
+            ([0, 1, 2, 3], [[0, 0], [1, 0], [2, 2], [3, 2]], "0 2\n2 7\n",
+             "reduced node 7 has no original node in the map"),
+        ],
+        ids=["unassigned", "assigned-twice", "not-listed", "not-in-graph",
+             "missing-supernode", "identity-onto-smaller", "uncovered-supernode"],
+    )
+    def test_mismatched_cmap_names_the_node(
+        self, tmp_path, capsys, originals, assignment, reduced_edges, message
+    ):
+        (tmp_path / "g.edges").write_text("0 1\n1 2\n2 3\n")
+        (tmp_path / "r.edges").write_text(reduced_edges)
+        argv = ["metrics", "--original", str(tmp_path / "g.edges"),
+                "--reduced", str(tmp_path / "r.edges")]
+        if originals is not None:
+            cmap = tmp_path / "r.cmap.json"
+            cmap.write_text(json.dumps({"originals": originals, "assignment": assignment}))
+            argv += ["--cmap", str(cmap)]
+        assert run(*argv) == 1
+        assert message in capsys.readouterr().err
+
 
 class TestCompare:
     def spec_dict(self):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -310,3 +311,21 @@ def test_edgelist_malformed_line_raises(tmp_path):
     weights.write_text("0 inf\n")
     with pytest.raises(ValueError):
         read_edgelist(p, node_weight_path=weights)
+    for text, reason in [
+        ("# header\n1 2 abc\n", "bad.txt:2: could not convert string to float: 'abc'"),
+        ("1 2 -3\n", "bad.txt:1: edge weight must be positive and finite, got -3.0"),
+        ("0 1\nx 2\n", "bad.txt:2: invalid literal for int"),
+    ]:
+        p.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(reason)):
+            read_edgelist(p)
+    p.write_text("0 1\n")
+    for text, reason in [
+        ("0 2\n1 abc\n", "bad.nodes:2: could not convert string to float: 'abc'"),
+        ("0 -1\n", "bad.nodes:1: node weight must be positive and finite, got -1.0"),
+        ("0 inf\n", "bad.nodes:1: node weight must be positive and finite, got inf"),
+        ("0 1 2\n", "bad.nodes:1: expected 'u w'"),
+    ]:
+        weights.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(reason)):
+            read_edgelist(p, node_weight_path=weights)

@@ -11,6 +11,7 @@ from graphreduce.laplacian import (
     DisconnectedGraphError,
     build_pseudoinverse,
     edge_leverage,
+    laplacian_matrix,
     update_norm,
 )
 from graphreduce import sketch
@@ -27,7 +28,7 @@ from graphreduce.sketch import (
     pcg,
     symmetrized_laplacian,
 )
-from tests.conftest import random_connected_graph
+from tests.conftest import edge_laplacian, random_connected_graph
 
 
 def exact_quantities(g):
@@ -139,16 +140,22 @@ def test_pcg_rejects_nonpositive_diagonal():
 
 def test_symmetrized_laplacian_matches_dense():
     rng = np.random.default_rng(11)
-    g = random_connected_graph(rng, 12, extra_edges=10, weighted_nodes=True)
-    lhat, w_sqrt = symmetrized_laplacian(g)
-    from graphreduce.laplacian import laplacian_matrix
-
-    nodes = g.nodes()
-    ltil = laplacian_matrix(g, nodes)  # W^-1 S
-    dense = (w_sqrt[:, None] * ltil) / w_sqrt[None, :]
-    assert np.allclose(lhat.toarray(), dense, atol=1e-12)
-    assert np.allclose(lhat.toarray(), lhat.toarray().T, atol=1e-14)
-    assert np.allclose(lhat @ w_sqrt, 0.0, atol=1e-12)
+    weighted = random_connected_graph(rng, 12, extra_edges=10, weighted_nodes=True)
+    parallel = weighted.copy()
+    u, v, _ = parallel.edge(parallel.edge_ids()[3])
+    parallel.add_edge(v, u, 0.7)  # merges into the existing edge
+    contracted = weighted.copy()
+    contracted.contract_edge(contracted.edge_ids()[0])
+    contracted.contract_edge(contracted.edge_ids()[5])
+    for g in (weighted, parallel, contracted):
+        lhat, w_sqrt = symmetrized_laplacian(g)
+        S = edge_laplacian(g)  # summed edge by edge, independent of the library
+        wn = np.array([g.node_weight(u) for u in g.nodes()])
+        d = np.sqrt(wn)
+        assert np.allclose(lhat.toarray(), S / d[:, None] / d[None, :], atol=1e-12)
+        assert np.allclose(laplacian_matrix(g), S / wn[:, None], atol=1e-12)
+        assert np.allclose(lhat.toarray(), lhat.toarray().T, atol=1e-14)
+        assert np.allclose(lhat @ w_sqrt, 0.0, atol=1e-12)
 
 
 # -- projection ------------------------------------------------------------
@@ -271,6 +278,20 @@ def test_twin_builds_on_factor_path_are_identical(monkeypatch):
     assert len(calls) == 2
     assert np.array_equal(a.norm_columns, b.norm_columns)
     assert np.array_equal(a.leverage_columns, b.leverage_columns)
+
+
+def test_build_reads_the_graph_once(monkeypatch):
+    # Lhat and the edge probe rows both derive from one weighted incidence.
+    reads = []
+    edge_arrays = WeightedGraph.edge_arrays
+
+    def spy(self, *args):
+        reads.append(args)
+        return edge_arrays(self, *args)
+
+    monkeypatch.setattr(WeightedGraph, "edge_arrays", spy)
+    SketchEstimator.build(weighted_torus(8), n_probes=8, rng=np.random.default_rng(0))
+    assert len(reads) == 1
 
 
 def test_direct_solve_above_tolerance_raises():
