@@ -410,13 +410,35 @@ def write_contraction_map(cmap: ContractionMap, path) -> None:
 def read_contraction_map(path) -> ContractionMap:
     """Read a map written by `write_contraction_map`.
 
-    Raises ValueError naming the first original node that is not listed
-    exactly once and assigned exactly once. Originals come back ascending.
+    Raises ValueError naming `path` for a file that is not JSON, a payload
+    without "originals" and "assignment" lists, an assignment entry that is
+    not a pair, a node id that is not an integer, or an original node that
+    is not listed exactly once and assigned exactly once. Originals come
+    back ascending.
     """
     with open(path) as fh:
-        payload = json.load(fh)
-    pairs = [(int(u), int(s)) for u, s in payload["assignment"]]
-    listed = Counter(int(u) for u in payload["originals"])
+        try:
+            payload = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not JSON: {exc}") from None
+
+    def node(x) -> int:
+        if isinstance(x, bool) or not isinstance(x, int):
+            raise ValueError(f"{path}: node id {x!r} is not an integer")
+        return x
+
+    def pair(entry) -> tuple[int, int]:
+        if not isinstance(entry, list) or len(entry) != 2:
+            raise ValueError(f"{path}: assignment entry {entry!r} is not an "
+                             "[original, supernode] pair")
+        return node(entry[0]), node(entry[1])
+
+    if not (isinstance(payload, dict) and isinstance(payload.get("originals"), list)
+            and isinstance(payload.get("assignment"), list)):
+        raise ValueError(f'{path}: a contraction map needs "originals" and '
+                         '"assignment" lists')
+    pairs = [pair(entry) for entry in payload["assignment"]]
+    listed = Counter(node(u) for u in payload["originals"])
     assigned = Counter(u for u, _ in pairs)
     for u in sorted(listed.keys() | assigned.keys()):
         if listed[u] != 1 or assigned[u] != 1:

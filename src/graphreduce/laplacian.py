@@ -3,9 +3,12 @@
 The operator of interest for a graph with edge-weight matrix W_e, node-weight
 matrix W_n and signed incidence B is W_n^{-1} B^T W_e B. It is assembled only
 here, from one read of the graph into R = W_e^{1/2} B W_n^{-1/2} (see
-`weighted_incidence`). Its pseudoinverse comes from J = ones * w_n^T / sum(w_n):
-
-    pinv = inv(L + J) - J,            L @ pinv = pinv @ L = I - J.
+`weighted_incidence`). Its pseudoinverse, with J = ones * w_n^T / sum(w_n),
+satisfies L @ pinv = pinv @ L = I - J and equals inv(L + J) - J. It is built
+in the symmetrized basis: with Lhat = R^T R and the unit kernel vector
+what = w_n^{1/2} / sqrt(sum(w_n)), A = Lhat + what what^T is positive
+definite, a Cholesky factor gives inv(A) = pinv(Lhat) + what what^T in place,
+and pinv = W_n^{-1/2} inv(A) W_n^{1/2} - J.
 
 Changing the weights of k node-disjoint edges by D = diag(delta_w) is one
 rank-k Woodbury update, pinv -= Y (I + D Omega)^{-1} D Z with Y = pinv W_n^{-1}
@@ -13,11 +16,11 @@ B, Z = B^T pinv and the k x k capacitance built from Omega = B^T Y. Deletion
 is delta_w = -weight and contraction is delta_w = +inf: the pseudoinverse
 stays finite in that limit, where a contracted edge j's row of the system
 (I + D Omega) X = D Z, divided by its delta_w, tends to Omega_j X = Z_j. So
-one batch mixes all three, and one solve and one pass over pinv apply it;
-each contracted pair's rows and columns are then merged and one compaction
-drops the removed slots. The update is exact, so a long chain of them
-agrees with recomputation up to float drift; callers are expected to
-rebuild periodically (see `REBUILD_INTERVAL`).
+one batch mixes all three, and one solve and one in-place BLAS product
+accumulated into pinv apply it; each contracted pair's rows and columns are
+then merged and one gather drops the removed slots. The update is exact, so
+a long chain of them agrees with recomputation up to float drift; callers
+are expected to rebuild periodically (see `REBUILD_INTERVAL`).
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import blas, lapack
 
 from .graph import ContractionMap, ContractionRecord, WeightedGraph
 
@@ -68,7 +72,8 @@ class SingularUpdateError(ValueError):
     Deleting a bridge is the canonical way to get here: its leverage is 1, so
     the deletion denominator 1 - w * resistance vanishes. In a rank-k update
     the denominators are those of its k rank-one steps taken in order; the
-    message names the node pair of the first that fails.
+    message names the node pair of the first that fails. A dense build
+    raises it when rounding leaves L + J numerically indefinite.
     """
 
 
@@ -136,20 +141,51 @@ def weighted_projector(weights: np.ndarray) -> np.ndarray:
 
 
 def build_pseudoinverse(g: WeightedGraph) -> PseudoinverseState:
-    """Dense pseudoinverse of a connected graph's node-weighted Laplacian."""
+    """Dense pseudoinverse of a connected graph's node-weighted Laplacian.
+
+    Factors A = Lhat + what what^T by Cholesky and inverts it in place (see
+    the module docstring); raises SingularUpdateError if rounding leaves A
+    numerically indefinite, as extreme edge weight ratios can.
+    """
     if g.n_nodes == 0:
         raise ValueError("empty graph")
     if not g.is_connected():
         raise DisconnectedGraphError("pseudoinverse requires a connected graph")
     order = g.nodes()
     wn = np.array([g.node_weight(u) for u in order])
-    L = laplacian_matrix(g, order)
-    J = weighted_projector(wn)
-    try:
-        P = np.linalg.inv(L + J) - J
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - inv of L+J is
-        raise SingularUpdateError(f"L + J not invertible: {exc}") from exc
-    return PseudoinverseState(nodes=tuple(order), weights=wn, pinv=P)
+    lhat, w_sqrt = symmetrized_laplacian(g, order)
+    what = w_sqrt / np.sqrt(wn.sum())
+    A = np.outer(what, what)
+    lhat = lhat.tocoo()
+    A[lhat.row, lhat.col] += lhat.data
+    # A.T is A's F-ordered view, so LAPACK factors and inverts in place; the
+    # upper triangle it reads and writes is A's lower one.
+    c, info = lapack.dpotrf(A.T, lower=0, clean=0, overwrite_a=1)
+    if not info:
+        c, info = lapack.dpotri(c, lower=0, overwrite_c=1)
+    if info:
+        raise SingularUpdateError(f"L + J is not positive definite (LAPACK info {info})")
+    A = c.T
+    _lower_inverse_to_pinv(A, w_sqrt, wn / wn.sum())
+    return PseudoinverseState(nodes=tuple(order), weights=wn, pinv=A)
+
+
+def _lower_inverse_to_pinv(A: np.ndarray, d: np.ndarray, j_row: np.ndarray) -> None:
+    # From inv(A) in A's lower triangle, A := D^{-1} inv(A) D - J in place with
+    # D = diag(d) and every row of J equal to j_row. Row blocks are finished
+    # top down, each copying its upper part from the rows below it, which
+    # are still untouched; a block of 64 rows stays in a core's L2 cache
+    # while it is mirrored, scaled and shifted, for n up to a few thousand.
+    n, step = len(A), 64
+    for i0 in range(0, n, step):
+        i1 = min(i0 + step, n)
+        rows = A[i0:i1]
+        rows[:, i1:] = A[i1:, i0:i1].T
+        block = rows[:, i0:i1]
+        block[...] = np.tril(block) + np.tril(block, -1).T
+        rows *= d
+        rows /= d[i0:i1, None]
+        rows -= j_row
 
 
 def _positions(state: PseudoinverseState, u, v) -> tuple[np.ndarray, np.ndarray]:
@@ -254,10 +290,11 @@ def woodbury_reweight(
     contraction that merges `v` into `u`. An infinite row of the capacitance
     is divided by its delta_w, which leaves Omega's row and the right-hand
     side Z's row, so the batch takes one solve of diag(finite) + diag(scale)
-    Omega, with scale = delta_w on finite rows and 1 on infinite ones. The
-    contracted pairs are then merged: rows by node-weighted average (they
-    are equal in exact arithmetic at the limit), columns by sum; one gather
-    drops the removed slots.
+    Omega, with scale = delta_w on finite rows and 1 on infinite ones, and
+    one BLAS product accumulated into pinv in place. The contracted pairs
+    are then merged: rows by node-weighted average (they are equal in exact
+    arithmetic at the limit), columns by sum; one gather per axis drops the
+    removed slots.
 
     Mutates `state` in place (and returns it). The graph itself is updated by
     the caller. A bridge deletion makes a denominator vanish and raises
@@ -270,8 +307,12 @@ def woodbury_reweight(
     Y, Z = _gaps(state, iu, iv)
     capacitance = np.diag((~contract).astype(float)) + scale[:, None] * (Y[iu] - Y[iv])
     _check_pivots(state, iu, iv, capacitance, delta)
-    P = state.pinv
-    P -= Y @ np.linalg.solve(capacitance, scale[:, None] * Z)
+    X = np.linalg.solve(capacitance, scale[:, None] * Z)
+    # pinv^T -= X^T Y^T accumulated by dgemm into pinv's F-ordered view. f2py
+    # hands back a copy when that view is not F-ordered float64, so the
+    # result is always assigned back.
+    P = blas.dgemm(-1.0, X.T, Y.T, beta=1.0, c=state.pinv.T, overwrite_c=1).T
+    state.pinv = P
     state.updates += len(iu)
     if not contract.any():
         return state
@@ -280,16 +321,22 @@ def woodbury_reweight(
     wu, wv = state.weights[iu, None], state.weights[iv, None]
     P[iu, :] = (wu * P[iu, :] + wv * P[iv, :]) / (wu + wv)
     P[:, iu] += P[:, iv]
-    weights = state.weights.copy()
-    weights[iu] += weights[iv]
+    state.weights = state.weights.copy()
+    state.weights[iu] += state.weights[iv]
+    _drop_slots(state, iv)
+    return state
+
+
+def _drop_slots(state: PseudoinverseState, slots: np.ndarray) -> None:
+    # One gather per axis copies whole rows, then runs of each row; np.ix_
+    # would look up both indices of every entry.
     keep = np.ones(state.n, dtype=bool)
-    keep[iv] = False
+    keep[slots] = False
     kept = np.flatnonzero(keep)
-    state.pinv = P[np.ix_(kept, kept)]
-    state.weights = weights[kept]
+    state.pinv = state.pinv.take(kept, 0).take(kept, 1)
+    state.weights = state.weights[kept]
     state.nodes = tuple(state.nodes[i] for i in kept)
     state.index = {u: i for i, u in enumerate(state.nodes)}
-    return state
 
 
 def contraction_update(

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import pytest
 
@@ -241,6 +242,33 @@ class TestMetrics:
             argv += ["--cmap", str(cmap)]
         assert run(*argv) == 1
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"originals": [0, 1, 2, 3]}',
+             'a contraction map needs "originals" and "assignment" lists'),
+            ('{"originals": [0, 1, 2, 3], "assignment": [[0, 0], [1, 0, 2], [2, 2], [3, 2]]}',
+             "assignment entry [1, 0, 2] is not an [original, supernode] pair"),
+            ('{"originals": [0, 1, 2, 3], "assignment": [[0, 0], [1, 0], [2, "2"], [3, 2]]}',
+             "node id '2' is not an integer"),
+            ('{"originals": [0, 1, 2.5, 3], "assignment": [[0, 0], [1, 0], [2, 2], [3, 2]]}',
+             "node id 2.5 is not an integer"),
+            ('{"originals": [0, 1, 2, 3], "assignment": ',
+             "not JSON: Expecting value"),
+        ],
+        ids=["no-assignment", "three-element-pair", "string-id", "float-id", "not-json"],
+    )
+    def test_malformed_cmap_names_the_path(self, tmp_path, capsys, text, message):
+        (tmp_path / "g.edges").write_text("0 1\n1 2\n2 3\n")
+        (tmp_path / "r.edges").write_text("0 2\n")
+        cmap = tmp_path / "r.cmap.json"
+        cmap.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(f"{cmap}: {message}")):
+            read_contraction_map(cmap)
+        assert run("metrics", "--original", str(tmp_path / "g.edges"),
+                   "--reduced", str(tmp_path / "r.edges"), "--cmap", str(cmap)) == 1
+        assert f"error: {cmap}: {message}" in capsys.readouterr().err
 
 
 class TestCompare:

@@ -5,8 +5,10 @@ from hypothesis import strategies as st
 
 from graphreduce.graph import ContractionMap, WeightedGraph
 from graphreduce.laplacian import (
+    IDENTITY_TOL,
     DisconnectedGraphError,
     SingularUpdateError,
+    _drop_slots,
     build_pseudoinverse,
     contraction_update,
     edge_leverage,
@@ -20,7 +22,7 @@ from graphreduce.laplacian import (
     woodbury_reweight,
 )
 
-from conftest import pinv_by_eigen, random_connected_graph
+from conftest import edge_laplacian, pinv_by_eigen, random_connected_graph
 
 GOLDEN_TOL = 1e-10
 
@@ -87,6 +89,47 @@ def test_unit_triangle_pinv_is_laplacian_ninth():
 def test_disconnected_raises():
     g = WeightedGraph.from_edges([(0, 1), (2, 3)])
     with pytest.raises(DisconnectedGraphError):
+        build_pseudoinverse(g)
+
+
+def _inverse_minus_projector(g: WeightedGraph) -> np.ndarray:
+    # inv(L + J) - J with L = W_n^{-1} B^T W_e B summed edge by edge.
+    wn = np.array([g.node_weight(u) for u in g.nodes()])
+    J = np.outer(np.ones(len(wn)), wn) / wn.sum()
+    return np.linalg.inv(edge_laplacian(g) / wn[:, None] + J) - J
+
+
+def _build_case(kind: str) -> WeightedGraph:
+    # 150 nodes, so the build's row blocks include a short last one.
+    rng = np.random.default_rng(8)
+    g = random_connected_graph(rng, 150, extra_edges=150, weighted_nodes=kind != "weighted")
+    if kind == "parallel-edge":
+        u, v, _ = g.edge(g.edge_ids()[7])
+        g.add_edge(v, u, 0.7)  # merges into the existing edge
+    elif kind == "contracted":
+        for eid in g.edge_ids()[:40:4]:
+            if g.has_edge(*g.endpoints(eid)):
+                g.contract_edge(eid)
+    return g
+
+
+@pytest.mark.parametrize("kind", ["weighted", "node-weighted", "parallel-edge", "contracted"])
+def test_build_matches_inverse_of_l_plus_j(kind):
+    g = _build_case(kind)
+    state = build_pseudoinverse(g)
+    expected = _inverse_minus_projector(g)
+    assert np.abs(state.pinv - expected).max() <= 1e-12 * np.abs(expected).max()
+    assert identity_residual(state, g) <= IDENTITY_TOL
+    assert state.pinv.flags.c_contiguous
+    # The graph's node weights bit for bit, not the squares of their roots.
+    assert state.weights.tobytes() == np.array([g.node_weight(u) for u in g.nodes()]).tobytes()
+
+
+def test_build_raises_when_l_plus_j_is_numerically_indefinite():
+    # Weights 40 orders of magnitude apart: the second Cholesky pivot of
+    # Lhat + what what^T cancels to zero in floating point.
+    g = WeightedGraph.from_edges([(0, 1, 1e20), (1, 2, 1e-20), (2, 3, 1e20)])
+    with pytest.raises(SingularUpdateError, match="not positive definite"):
         build_pseudoinverse(g)
 
 
@@ -447,3 +490,88 @@ def test_array_reads_match_scalar_reads_and_definitions():
         z = bvec @ P
         assert res[i] == pytest.approx(bvec @ y, rel=1e-12)
         assert norms[i] == pytest.approx(we * (z @ y), rel=1e-12)
+
+
+def _path_with_chords(n: int) -> WeightedGraph:
+    # The path 0 - 1 - ... - n-1 plus chords, with unequal node weights.
+    rng = np.random.default_rng(6)
+    g = WeightedGraph.from_edges([(i, i + 1, float(rng.uniform(0.5, 2.0))) for i in range(n - 1)])
+    for i in range(0, n - 3, 3):
+        g.add_edge(i, i + 3, float(rng.uniform(0.5, 2.0)))
+    for u in g.nodes():
+        g.add_node(u, float(rng.uniform(0.5, 3.0)))
+    return g
+
+
+N_SLOTS = 70
+# (survivor, removed) pairs whose removed slots sit at 0, at n-1, next to
+# each other, and all of these at once.
+SLOT_CASES = {
+    "first": [(1, 0)],
+    "last": [(N_SLOTS - 2, N_SLOTS - 1)],
+    "adjacent": [(2, 3), (5, 4)],
+    "first-adjacent-last": [(1, 0), (2, 3), (5, 4), (N_SLOTS - 2, N_SLOTS - 1)],
+}
+
+
+@pytest.mark.parametrize("pairs", SLOT_CASES.values(), ids=SLOT_CASES.keys())
+def test_slot_compaction_is_the_ix_gather(pairs):
+    state = build_pseudoinverse(_path_with_chords(N_SLOTS))
+    pinv, weights, nodes = state.pinv.copy(), state.weights.copy(), state.nodes
+    removed = np.array([v for _, v in pairs])
+    _drop_slots(state, removed)
+    kept = np.setdiff1d(np.arange(N_SLOTS), removed)
+    assert np.array_equal(state.pinv, pinv[np.ix_(kept, kept)])
+    assert np.array_equal(state.weights, weights[kept])
+    assert state.nodes == tuple(nodes[i] for i in kept)
+    assert state.index == {u: i for i, u in enumerate(state.nodes)}
+
+
+@pytest.mark.parametrize("pairs", SLOT_CASES.values(), ids=SLOT_CASES.keys())
+def test_contraction_at_edge_slots_matches_rebuild(pairs):
+    # The graph keeps the smaller id of each pair, where the state keeps the
+    # survivor it is given; both put the merged node in the same slot.
+    g = _path_with_chords(N_SLOTS)
+    state = build_pseudoinverse(g)
+    survivors, removed = zip(*pairs)
+    woodbury_reweight(state, list(survivors), list(removed), np.inf)
+    for u, v in pairs:
+        g.contract_edge(g.edge_between(u, v))
+    fresh = build_pseudoinverse(g)
+    assert state.n == fresh.n == N_SLOTS - len(pairs)
+    np.testing.assert_array_equal(state.weights, fresh.weights)
+    np.testing.assert_allclose(state.pinv, fresh.pinv, rtol=0, atol=1e-10)
+
+
+def _fortran(pinv):
+    return np.asfortranarray(pinv)
+
+
+def _strided_view(pinv):
+    holder = np.zeros((2 * len(pinv), 2 * len(pinv)))
+    holder[::2, ::2] = pinv
+    return holder[::2, ::2]
+
+
+@pytest.mark.parametrize("layout", [_fortran, _strided_view], ids=["fortran", "strided-view"])
+@pytest.mark.parametrize("contract", [False, True], ids=["reweights", "with-contraction"])
+def test_update_of_any_pinv_layout_matches_c_order(layout, contract):
+    # BLAS works on a copy of a pinv that is not C-ordered; the update must
+    # still land in the state.
+    rng = np.random.default_rng(4)
+    g = random_connected_graph(rng, 40, extra_edges=40, weighted_nodes=True)
+    reference, other = build_pseudoinverse(g), build_pseudoinverse(g)
+    other.pinv = layout(other.pinv)
+    assert not other.pinv.flags.c_contiguous
+    u, v, w = g.edge_columns(g.independent_edge_set(rng))
+    delta = w * rng.uniform(-0.5, 1.0, size=len(w))
+    if contract:
+        delta[0] = np.inf
+    before = reference.pinv.copy()
+    woodbury_reweight(reference, u, v, delta)
+    woodbury_reweight(other, u, v, delta)
+    assert other.nodes == reference.nodes
+    scale = np.abs(reference.pinv).max()
+    np.testing.assert_allclose(other.pinv, reference.pinv, rtol=0, atol=1e-14 * scale)
+    if not contract:
+        assert np.abs(reference.pinv - before).max() > 1e-3 * scale
