@@ -30,7 +30,6 @@ from .metrics import (
     check_sigma_approx,
     compare_operators,
     hyperbolic_distance,
-    hyperbolic_distances,
 )
 from .reducer import (
     BetaCap,
@@ -72,7 +71,6 @@ __all__ = [
     "compare_operators",
     "edge_leverage",
     "hyperbolic_distance",
-    "hyperbolic_distances",
     "lift",
     "optimal_action",
     "read_edgelist",

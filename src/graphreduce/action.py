@@ -3,9 +3,9 @@
 An edge can be deleted, contracted, or reweighted. Each action changes the
 Laplacian pseudoinverse by `scalar * M_e`, where M_e is the edge's fixed
 rank-one update matrix (Frobenius norm `update_norm`) and the scalar depends
-only on the relative weight change and the edge leverage:
+only on the relative weight change ratio = delta_w / w and the edge leverage:
 
-    update_scalar(ratio, leverage) = -ratio / (1 + ratio * leverage)
+    scalar = -ratio / (1 + ratio * leverage)
 
 Deletion is ratio = -1, contraction the ratio -> infinity limit. A randomized
 action over {delete, contract, reweight} is unbiased when the probability-
@@ -21,16 +21,13 @@ with probability leverage.
 
 The closed form runs elementwise on a column: an `EdgeQuantities` whose fields
 are arrays, one entry per edge, such as a round's matched set. Fields that are
-numbers make a column of one edge; the same code then returns floats, a
-`Regime` and a branch string. `grid_search_action` minimizes the same
-objective numerically for one edge and exists to cross-check the closed form,
-not to be fast.
+numbers make a column of one edge; the same code then returns floats and a
+`Regime`.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,14 +38,11 @@ __all__ = [
     "EdgeQuantities",
     "Thresholds",
     "ActionDistribution",
-    "update_scalar",
     "regime_thresholds",
     "optimal_action",
     "activation_beta",
     "expected_reduction",
     "expected_error",
-    "action_cost",
-    "grid_search_action",
 ]
 
 # Leverage this close to 1 is treated as an exact bridge: the deletion scalar
@@ -150,9 +144,9 @@ class ActionDistribution:
     """Unbiased mixture over delete / contract / reweight, per edge of a column.
 
     reweight_ratio is the relative weight change delta_w / w applied when the
-    reweight branch is drawn (0.0 when the edge is left alone). branch names
-    the single action mixed in ("delete" or "contract") in that regime and is
-    None otherwise. For a column, regime and branch are object arrays.
+    reweight branch is drawn (0.0 when the edge is left alone). In the
+    single-action regime the action mixed in is whichever of p_delete and
+    p_contract is positive. For a column, regime is an object array.
     """
 
     p_delete: float | np.ndarray
@@ -160,31 +154,10 @@ class ActionDistribution:
     p_reweight: float | np.ndarray
     reweight_ratio: float | np.ndarray
     regime: Regime | np.ndarray
-    branch: str | None | np.ndarray = None
 
 
-# Indexed by regime code (the `Regime` value) and by branch code.
+# Indexed by regime code (the `Regime` value).
 _REGIMES = np.array([None, *Regime], dtype=object)
-_BRANCHES = np.array([None, "delete", "contract"], dtype=object)
-
-
-def update_scalar(ratio: float, leverage: float) -> float:
-    """Scalar multiplying the edge's update matrix for weight change ratio.
-
-    ratio = delta_w / w in [-1, inf]; -1 is deletion, inf is contraction.
-    """
-    if not 0.0 < leverage <= 1.0:
-        raise ValueError(f"leverage must be in (0, 1], got {leverage}")
-    if math.isinf(ratio):
-        if ratio < 0:
-            raise ValueError("ratio must be >= -1")
-        return -1.0 / leverage
-    if ratio < -1.0:
-        raise ValueError(f"ratio must be >= -1, got {ratio}")
-    if ratio == -1.0 and leverage == 1.0:
-        raise ValueError("deletion of a bridge diverges (leverage 1)")
-    denom = 1.0 + ratio * leverage
-    return -ratio / denom
 
 
 def regime_thresholds(eq: EdgeQuantities) -> Thresholds:
@@ -251,7 +224,6 @@ def optimal_action(
         np.where(corner, 0.0, np.where(single, 1.0 - p, 1.0))[()],
         np.where(single, ratio, 0.0)[()],
         _REGIMES[np.where(corner, 3, np.where(single, 2, 1))],
-        _BRANCHES[np.where(single, np.where(delete, 1, 2), 0)],
     )
 
 
@@ -310,98 +282,3 @@ def expected_error(eq: EdgeQuantities, dist: ActionDistribution) -> float | np.n
             )
         )
     return (m * m * total)[()]
-
-
-def action_cost(eq: EdgeQuantities, dist: ActionDistribution, beta: float) -> float:
-    """Objective value: expected error minus beta^2 * expected reduction."""
-    return expected_error(eq, dist) - beta**2 * expected_reduction(eq, dist)
-
-
-def grid_search_action(
-    eq: EdgeQuantities, beta: float, grid_n: int = 2000
-) -> tuple[ActionDistribution, float]:
-    """Brute-force minimization of the action objective on a probability grid.
-
-    Scans (p_delete, p_contract) on a grid_n x grid_n lattice over the
-    feasible rectangle [0, 1-leverage] x [0, leverage] intersected with the
-    simplex, with the reweight branch pinned by the unbiasedness constraint.
-    Exists as an independent oracle for `optimal_action`; costs O(grid_n^2).
-    """
-    if grid_n < 1000:
-        raise ValueError(f"grid_n must be >= 1000, got {grid_n}")
-    x, m = eq.leverage, eq.update_norm
-    rd, rc = eq.r_delete, eq.r_contract
-    f_c = -1.0 / x
-    if x >= 1.0:
-        pd = np.array([0.0])
-        f_d = 0.0  # never multiplied by a nonzero p_delete
-    else:
-        pd = np.linspace(0.0, 1.0 - x, grid_n)
-        f_d = 1.0 / (1.0 - x)
-    pc = np.linspace(0.0, x, grid_n)
-
-    # Scan in row chunks so the temporaries stay cache resident; a single
-    # grid_n x grid_n pass is memory bound and an order of magnitude slower.
-    m2 = m * m
-    b2 = beta * beta
-    col_term = pd * (m2 * f_d**2 - b2 * rd)
-    row_term = pc * (m2 * f_c**2 - b2 * rc)
-    pc_fc = pc * f_c
-    pr_base = 1.0 - pc
-    best_val = np.inf
-    best_i = best_j = 0
-    chunk = 64
-    for lo in range(0, len(pd), chunk):
-        pdc = pd[lo : lo + chunk, None]
-        G = pdc * f_d + pc_fc
-        PR = pr_base - pdc
-        with np.errstate(divide="ignore", invalid="ignore"):
-            penalty = G * G / PR
-        # Boundary p_reweight = 0 is feasible only where the constraint
-        # already holds with no reweight mass; numerically G = 0 there.
-        # Points past the simplex stay infeasible no matter what G is.
-        boundary = PR <= 1e-12
-        if boundary.any():
-            penalty[boundary] = np.inf
-            penalty[boundary & (PR >= -1e-12) & (np.abs(G) < 1e-9)] = 0.0
-        cost = m2 * penalty
-        cost += col_term[lo : lo + chunk, None]
-        cost += row_term
-        flat = int(np.argmin(cost))
-        val = float(cost.flat[flat])
-        if val < best_val:
-            best_val = val
-            best_i, best_j = lo + flat // cost.shape[1], flat % cost.shape[1]
-    i, j = best_i, best_j
-    best_pd, best_pc = float(pd[i]), float(pc[j])
-    best_pr = max(1.0 - best_pd - best_pc, 0.0)
-    # When deletion has zero reduction payoff the optimum is degenerate:
-    # reweight mass whose compensating scalar equals the deletion scalar is a
-    # deletion in disguise (ratio -1 removes the edge). Fold it back so the
-    # classification below sees the canonical corner. The 2% window cannot
-    # catch a genuine single-action point unless beta sits within ~5% of
-    # saturation, which callers comparing against the closed form avoid.
-    if best_pr > 1e-12 and x < 1.0:
-        f_r = -(best_pd * f_d + best_pc * f_c) / best_pr
-        if abs(f_r - f_d) <= 0.02 * abs(f_d):
-            best_pd += best_pr
-            best_pr = 0.0
-    step = max((pd[1] - pd[0]) if len(pd) > 1 else 0.0, pc[1] - pc[0])
-    tol = 1.5 * step
-    if best_pd + best_pc <= tol:
-        regime = Regime.NO_ACTION
-    elif best_pr <= tol:
-        regime = Regime.DELETE_OR_CONTRACT
-    else:
-        regime = Regime.SINGLE_ACTION
-    ratio = 0.0
-    if best_pr > 1e-12:
-        g = best_pd * f_d + best_pc * f_c
-        f_r = -g / best_pr
-        if abs(1.0 + f_r * x) > 1e-15:
-            ratio = -f_r / (1.0 + f_r * x)
-    branch = None
-    if regime is Regime.SINGLE_ACTION:
-        branch = "delete" if best_pd >= best_pc else "contract"
-    dist = ActionDistribution(best_pd, best_pc, best_pr, ratio, regime, branch)
-    return dist, best_val

@@ -43,6 +43,7 @@ from .reducer import (
     SketchMode,
     StallError,
     StopCriterion,
+    _check_count,
     reduce_graph,
 )
 from .sketch import ConvergenceError
@@ -141,6 +142,8 @@ class LevelSchedule:
             raise ValueError(f"level target must be edges or nodes, got {self.target!r}")
         if not self.sizes:
             raise ValueError("need at least one level")
+        for size in self.sizes:
+            _check_count("level size", size)
         if any(s < 1 for s in self.sizes):
             raise ValueError(f"level sizes must be positive, got {self.sizes}")
         if any(b >= a for a, b in zip(self.sizes, self.sizes[1:])):

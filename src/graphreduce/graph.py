@@ -135,15 +135,16 @@ class WeightedGraph:
         """Edge ids in ascending (insertion) order."""
         return sorted(self._edges)
 
-    def edge_arrays(self, nodes=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Array view of the graph for assembling matrices.
 
         Returns (ends, edge_weights, node_weights): an m x 2 array holding
-        each edge's endpoints as positions in `nodes` (default: ascending
-        ids), with rows and `edge_weights` in edge-id order, and the node
-        weights in `nodes` order.
+        each edge's endpoints as positions in the ascending node ids, with
+        rows and `edge_weights` in edge-id order, and the node weights in
+        ascending id order. Every matrix the library assembles takes its
+        node order from here.
         """
-        order = self.nodes() if nodes is None else list(nodes)
+        order = self.nodes()
         pos = {u: i for i, u in enumerate(order)}
         edges = [self._edges[eid] for eid in self.edge_ids()]
         ends = np.column_stack([
@@ -181,14 +182,8 @@ class WeightedGraph:
     def edge(self, eid: int) -> tuple[int, int, float]:
         return self._edges[eid]
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self._adj.get(u, ())
-
     def edge_between(self, u: int, v: int) -> int | None:
         return self._adj.get(u, {}).get(v)
-
-    def degree(self, u: int) -> int:
-        return len(self._adj[u])
 
     def triangle_count(self, eid: int) -> int:
         """Number of triangles through an edge (common-neighbor count)."""
@@ -314,9 +309,6 @@ class ContractionMap:
             self.assignment[orig] = survivor
         self._members.setdefault(survivor, []).extend(moved)
 
-    def supernode(self, original: int) -> int:
-        return self.assignment[original]
-
     def groups(self) -> dict[int, list[int]]:
         """Supernode id -> sorted list of its original nodes."""
         out: dict[int, list[int]] = {}
@@ -325,17 +317,6 @@ class ContractionMap:
         for members in out.values():
             members.sort()
         return out
-
-    def matrix(self, reduced_nodes) -> np.ndarray:
-        """0/1 membership matrix C, one row per reduced node, one column per
-        original node (in `originals` order): C[i, j] = 1 iff original j
-        belongs to reduced node i."""
-        reduced = list(reduced_nodes)
-        row = {u: i for i, u in enumerate(reduced)}
-        C = np.zeros((len(reduced), len(self.originals)))
-        for j, orig in enumerate(self.originals):
-            C[row[self.assignment[orig]], j] = 1.0
-        return C
 
 
 # -- text formats ----------------------------------------------------------

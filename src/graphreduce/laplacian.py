@@ -45,7 +45,6 @@ __all__ = [
     "laplacian_matrix",
     "weighted_projector",
     "build_pseudoinverse",
-    "effective_resistance",
     "edge_leverage",
     "update_norm",
     "woodbury_reweight",
@@ -81,11 +80,12 @@ class SingularUpdateError(ValueError):
 class PseudoinverseState:
     """Dense pseudoinverse of a graph's node-weighted Laplacian.
 
-    `nodes` fixes the row/column ordering of `pinv`; `weights` holds the node
-    weights in that order. `estimated_error` accumulates the expected squared
-    Frobenius error of the probabilistic updates applied so far (maintained by
-    the reducer, not by this module). `updates` counts the rank applied since
-    the last dense build: a batch of k reweights or contractions adds k.
+    `nodes` holds the graph's node ids in ascending order, the row/column
+    order of `pinv`; `weights` holds the node weights in that order.
+    `estimated_error` accumulates the expected squared Frobenius error of the
+    probabilistic updates applied so far (maintained by the reducer, not by
+    this module). `updates` counts the rank applied since the last dense
+    build: a batch of k reweights or contractions adds k.
     """
 
     nodes: tuple[int, ...]
@@ -104,14 +104,15 @@ class PseudoinverseState:
         return len(self.nodes)
 
 
-def weighted_incidence(g: WeightedGraph, nodes=None):
+def weighted_incidence(g: WeightedGraph):
     """Sparse R = W_e^{1/2} B W_n^{-1/2} and the node weight square roots.
 
-    Rows are edges in edge-id order, columns nodes in `nodes` order (default:
-    ascending ids). Lhat = R^T R, W_n^{-1} B^T W_e B = W_n^{-1/2} Lhat
-    W_n^{1/2} and the sketch's edge probe rows Q R all derive from it.
+    Rows are edges in edge-id order, columns nodes in ascending id order, as
+    `WeightedGraph.edge_arrays` lays them out. Lhat = R^T R,
+    W_n^{-1} B^T W_e B = W_n^{-1/2} Lhat W_n^{1/2} and the sketch's edge
+    probe rows Q R all derive from it.
     """
-    ends, w, wn = g.edge_arrays(nodes)
+    ends, w, wn = g.edge_arrays()
     w_sqrt = np.sqrt(wn)
     vals = np.sqrt(w)[:, None] / w_sqrt[ends] * [1.0, -1.0]
     indptr = np.arange(0, 2 * len(w) + 1, 2)
@@ -119,15 +120,15 @@ def weighted_incidence(g: WeightedGraph, nodes=None):
     return R, w_sqrt
 
 
-def symmetrized_laplacian(g: WeightedGraph, nodes=None):
+def symmetrized_laplacian(g: WeightedGraph):
     """Sparse Lhat = R^T R and the node weight square roots."""
-    R, w_sqrt = weighted_incidence(g, nodes)
+    R, w_sqrt = weighted_incidence(g)
     return (R.T @ R).tocsr(), w_sqrt
 
 
-def laplacian_matrix(g: WeightedGraph, nodes=None) -> np.ndarray:
-    """Dense W_n^{-1} B^T W_e B in the given (default: ascending) node order."""
-    lhat, w_sqrt = symmetrized_laplacian(g, nodes)
+def laplacian_matrix(g: WeightedGraph) -> np.ndarray:
+    """Dense W_n^{-1} B^T W_e B in ascending node order."""
+    lhat, w_sqrt = symmetrized_laplacian(g)
     L = lhat.toarray()
     L /= w_sqrt[:, None]
     L *= w_sqrt
@@ -153,7 +154,7 @@ def build_pseudoinverse(g: WeightedGraph) -> PseudoinverseState:
         raise DisconnectedGraphError("pseudoinverse requires a connected graph")
     order = g.nodes()
     wn = np.array([g.node_weight(u) for u in order])
-    lhat, w_sqrt = symmetrized_laplacian(g, order)
+    lhat, w_sqrt = symmetrized_laplacian(g)
     what = w_sqrt / np.sqrt(wn.sum())
     A = np.outer(what, what)
     lhat = lhat.tocoo()
@@ -242,19 +243,13 @@ def _check_pivots(
         A[j + 1 :, j + 1 :] -= np.outer(A[j + 1 :, j], A[j, j + 1 :] / pivot)
 
 
-def effective_resistance(state: PseudoinverseState, u, v):
-    """Node-weighted effective resistance b^T pinv W_n^{-1} b of node pairs.
-
-    `u` and `v` are node ids or equal-length arrays of them; a float comes
-    back for scalars, an array for arrays.
-    """
-    return _like(u, _resistances(state, *_positions(state, u, v)))
-
-
 def edge_leverage(state: PseudoinverseState, u, v, weight):
-    """weight * resistance; lies in (0, 1] for graph edges, 1 iff bridge.
+    """weight * b^T pinv W_n^{-1} b, the node-weighted effective resistance
+    of the pair scaled by `weight`; lies in (0, 1] for graph edges, 1 iff
+    bridge. A weight of 1 gives the resistance itself.
 
-    Takes scalars or equal-length arrays, as `effective_resistance` does.
+    `u`, `v` and `weight` are scalars or equal-length arrays; a float comes
+    back for scalar endpoints, an array for arrays.
     """
     iu, iv = _positions(state, u, v)
     return _like(u, np.asarray(weight, dtype=float) * _resistances(state, iu, iv))
@@ -266,7 +261,7 @@ def update_norm(state: PseudoinverseState, u, v, weight):
     Equals weight * b^T pinv pinv W_n^{-1} b; multiplied by the update scalar
     it gives the Frobenius norm of the pseudoinverse change of any single
     action on the edge (measured in the lifted/original index space). Takes
-    scalars or equal-length arrays, as `effective_resistance` does.
+    scalars or equal-length arrays, as `edge_leverage` does.
 
     pinv W_n^{-1} is symmetric, so pinv W_n^{-1} b = W_n^{-1} (b^T pinv)^T and
     the norm needs only the rows z = b^T pinv: weight * sum(z**2 / w_n).
@@ -381,8 +376,15 @@ def lift(
 
 
 def identity_residual(state: PseudoinverseState, g: WeightedGraph) -> float:
-    """Max-entry residual of pinv @ L = I - J; small for a healthy state."""
-    L = laplacian_matrix(g, state.nodes)
+    """Max-entry residual of pinv @ L = I - J; small for a healthy state.
+
+    Raises ValueError when `state` is not over `g`'s nodes in ascending order.
+    """
+    if state.nodes != tuple(g.nodes()):
+        raise ValueError(
+            f"state over {state.n} nodes does not match the graph's {g.n_nodes} nodes"
+        )
+    L = laplacian_matrix(g)
     J = weighted_projector(state.weights)
     eye = np.eye(state.n)
     return float(np.abs(state.pinv @ L - (eye - J)).max())

@@ -54,13 +54,14 @@ def _distances(a, b, xs):
     return np.arccosh(1.0 + np.maximum(diff2 * x2 / (2.0 * qa * qb), 0.0)), qa, qb
 
 
-def hyperbolic_distances(
+def hyperbolic_distance(
     a: np.ndarray,
     b: np.ndarray,
-    vectors: np.ndarray,
+    vector: np.ndarray,
     node_weights: np.ndarray | None = None,
-) -> np.ndarray:
-    """Per-column distances between PSD operators `a` and `b`.
+) -> float | np.ndarray:
+    """Distance between PSD operators `a` and `b` along `vector`, or per
+    column when `vector` is 2-D (one distance per column, as an array).
 
     When `node_weights` is given, columns are first projected off the
     weighted constant direction (the pseudoinverse kernel); a column with no
@@ -69,7 +70,7 @@ def hyperbolic_distances(
     symmetric, zero iff ax = bx, and obeys the triangle inequality in the
     operator argument for each fixed x.
     """
-    xs = np.asarray(vectors, dtype=float)
+    xs = np.asarray(vector, dtype=float)
     squeeze = xs.ndim == 1
     if squeeze:
         xs = xs[:, None]
@@ -77,15 +78,6 @@ def hyperbolic_distances(
         xs = kernel_project(xs, node_weights)
     out, _, _ = _distances(a, b, xs)
     return float(out[0]) if squeeze else out
-
-
-def hyperbolic_distance(
-    a: np.ndarray,
-    b: np.ndarray,
-    vector: np.ndarray,
-    node_weights: np.ndarray | None = None,
-) -> float:
-    return hyperbolic_distances(a, b, vector, node_weights)
 
 
 @dataclass(frozen=True)

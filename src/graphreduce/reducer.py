@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -50,6 +51,13 @@ from .laplacian import (
 from .sketch import SketchEstimator
 
 MAX_REDRAWS = 32
+
+
+def _check_count(name: str, value) -> None:
+    # Counts enter as Python or numpy integers; a float or a bool is refused
+    # here rather than truncated or failing deep inside a build.
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 class RedrawLimitError(RuntimeError):
@@ -84,6 +92,7 @@ class SketchMode:
     epsilon: float = 0.25
 
     def __post_init__(self):
+        _check_count("n_probes", self.n_probes)
         if not self.n_probes >= 0:
             raise ValueError(f"n_probes must be >= 0, got {self.n_probes}")
         if not self.epsilon > 0:
@@ -97,6 +106,7 @@ class EdgeBudget:
     edges: int
 
     def __post_init__(self):
+        _check_count("edge budget", self.edges)
         if not self.edges >= 0:
             raise ValueError(f"edge budget must be >= 0, got {self.edges}")
 
@@ -111,6 +121,7 @@ class NodeBudget:
     nodes: int
 
     def __post_init__(self):
+        _check_count("node budget", self.nodes)
         if not self.nodes >= 1:
             raise ValueError(f"node budget must be >= 1, got {self.nodes}")
 
@@ -157,6 +168,7 @@ class MaxIterations:
     iterations: int
 
     def __post_init__(self):
+        _check_count("iterations", self.iterations)
         if not self.iterations >= 0:
             raise ValueError(f"iterations must be >= 0, got {self.iterations}")
 

@@ -296,7 +296,7 @@ class SketchEstimator:
         nodes = g.nodes()
         n = len(nodes)
         k = n_probes if n_probes > 0 else default_probe_count(n, epsilon)
-        incidence, w_sqrt = weighted_incidence(g, nodes)
+        incidence, w_sqrt = weighted_incidence(g)
         lhat = (incidence.T @ incidence).tocsr()
         what = w_sqrt / np.linalg.norm(w_sqrt)
 

@@ -21,7 +21,7 @@ def random_connected_graph(
     while added < extra_edges and attempts < 50 * (extra_edges + 1):
         attempts += 1
         u, v = rng.integers(n, size=2)
-        if u == v or g.has_edge(int(u), int(v)):
+        if u == v or g.edge_between(int(u), int(v)) is not None:
             continue
         g.add_edge(int(u), int(v), float(rng.uniform(lo, hi)))
         added += 1

@@ -17,8 +17,6 @@ import numpy as np
 from graphreduce.action import (
     EdgeQuantities,
     Priority,
-    action_cost,
-    grid_search_action,
     optimal_action,
     regime_thresholds,
 )
@@ -43,6 +41,7 @@ from graphreduce.reducer import (
 )
 from graphreduce.sketch import SketchEstimator
 from tests.conftest import random_connected_graph
+from tests.oracle import action_cost, grid_search_action
 
 GOLDEN_TOL = 1e-10
 

@@ -12,15 +12,13 @@ from graphreduce.action import (
     EdgeQuantities,
     Priority,
     Regime,
-    action_cost,
     activation_beta,
     expected_error,
     expected_reduction,
-    grid_search_action,
     optimal_action,
     regime_thresholds,
-    update_scalar,
 )
+from tests.oracle import Grid, action_cost, grid_search_action, update_scalar
 
 # Unit triangle edge under EDGES priority (one triangle through the edge).
 TRIANGLE_EQ = EdgeQuantities(
@@ -125,7 +123,7 @@ def test_worked_example_deletion_branch():
     # otherwise scale the weight up by 4/5.
     eq = EdgeQuantities(0.25, 1.0, 0, Priority.EDGES)
     dist = optimal_action(eq, 2.0)
-    assert dist.regime is Regime.SINGLE_ACTION and dist.branch == "delete"
+    assert dist.regime is Regime.SINGLE_ACTION and dist.p_contract == 0.0
     assert dist.p_delete == pytest.approx(1 / 3)
     assert dist.p_reweight == pytest.approx(2 / 3)
     assert dist.reweight_ratio == pytest.approx(0.8)
@@ -196,7 +194,7 @@ def test_bridge_never_deleted():
         dist = optimal_action(eq, beta)
         assert dist.p_delete == 0.0
         if dist.regime is Regime.SINGLE_ACTION:
-            assert dist.branch == "contract"
+            assert dist.p_contract > 0.0
 
 
 @settings(max_examples=200, deadline=None)
@@ -418,6 +416,17 @@ def test_grid_search_bridge():
     assert grid_dist.regime is dist.regime is Regime.SINGLE_ACTION
     analytic = action_cost(eq, dist, 2.0)
     assert abs(grid_cost - analytic) <= 1e-3 * abs(analytic)
+
+
+def test_grid_bisection_matches_full_scan():
+    # The oracle's row bisection finds the full scan's first argmin, with the
+    # cost bit for bit.
+    rng = np.random.default_rng(20240817)
+    cases = [draw_margin_tuple(rng) for _ in range(40)]
+    cases.append((EdgeQuantities(1.0, 0.5, 0, Priority.EDGES), 2.0))
+    for eq, beta in cases:
+        grid = Grid(eq, beta, 1000)
+        assert grid.argmin() == grid.full_argmin(), (eq, beta)
 
 
 def test_grid_search_rejects_coarse_grid():

@@ -103,6 +103,8 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             LevelSchedule("edges", (4, 0))
         with pytest.raises(ValueError):
+            LevelSchedule("edges", (40.5, 20))
+        with pytest.raises(ValueError):
             LevelSchedule("volume", (4,))
 
     def test_algorithm_kind_checked(self):

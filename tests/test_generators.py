@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,6 +14,11 @@ from graphreduce.generators import (
     torus,
     triangular_lattice,
 )
+
+
+def degrees(g):
+    """Node id -> number of edge endpoints at it, counted over the edge list."""
+    return Counter(u for eid in g.edge_ids() for u in g.endpoints(eid))
 
 
 def edge_set(g):
@@ -36,7 +42,7 @@ def test_path_validation():
 def test_cycle():
     g = cycle(3)
     assert g.n_nodes == 3 and g.n_edges == 3
-    assert all(g.degree(u) == 2 for u in g.nodes())
+    assert all(degrees(g)[u] == 2 for u in g.nodes())
     with pytest.raises(ValueError):
         cycle(2)
 
@@ -45,7 +51,7 @@ def test_torus_shape():
     g = torus(4, 5)
     assert g.n_nodes == 20
     assert g.n_edges == 40
-    assert all(g.degree(u) == 4 for u in g.nodes())
+    assert all(degrees(g)[u] == 4 for u in g.nodes())
     assert g.is_connected()
 
 

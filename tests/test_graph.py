@@ -228,7 +228,7 @@ def test_contraction_conserves_node_weight_and_merges_group_weights(data):
             original.edge_weight(original.edge_between(u, v))
             for u in groups[a]
             for v in groups[b]
-            if original.has_edge(u, v)
+            if original.edge_between(u, v) is not None
         )
         assert w == pytest.approx(expected)
 
@@ -236,19 +236,14 @@ def test_contraction_conserves_node_weight_and_merges_group_weights(data):
 def test_contraction_map_matrix():
     cmap = ContractionMap.identity([0, 1, 2, 3])
     cmap.merge(1, 2)
-    C = cmap.matrix([0, 1, 3])
-    assert C.tolist() == [
-        [1.0, 0.0, 0.0, 0.0],
-        [0.0, 1.0, 1.0, 0.0],
-        [0.0, 0.0, 0.0, 1.0],
-    ]
+    assert cmap.groups() == {0: [0], 1: [1, 2], 3: [3]}
 
 
 def test_contraction_map_transitive_merge():
     cmap = ContractionMap.identity([0, 1, 2])
     cmap.merge(1, 2)
     cmap.merge(0, 1)
-    assert cmap.supernode(2) == 0
+    assert cmap.assignment[2] == 0
     assert cmap.groups() == {0: [0, 1, 2]}
 
 
@@ -274,7 +269,7 @@ def test_contraction_map_merge_matches_full_scan(data):
         s: sorted(o for o in range(n) if reference[o] == s) for s in alive
     }
     scanned = ContractionMap(cmap.originals, reference)
-    assert np.array_equal(cmap.matrix(alive), scanned.matrix(alive))
+    assert cmap.groups() == scanned.groups()
 
 
 def test_edgelist_roundtrip(tmp_path):

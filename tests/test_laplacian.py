@@ -12,7 +12,6 @@ from graphreduce.laplacian import (
     build_pseudoinverse,
     contraction_update,
     edge_leverage,
-    effective_resistance,
     identity_residual,
     laplacian_matrix,
     lift,
@@ -108,7 +107,7 @@ def _build_case(kind: str) -> WeightedGraph:
         g.add_edge(v, u, 0.7)  # merges into the existing edge
     elif kind == "contracted":
         for eid in g.edge_ids()[:40:4]:
-            if g.has_edge(*g.endpoints(eid)):
+            if g.edge_between(*g.endpoints(eid)) is not None:
                 g.contract_edge(eid)
     return g
 
@@ -179,8 +178,20 @@ def test_leverage_sum_is_nodes_minus_one(seed, n, weighted):
 def test_effective_resistance_series_on_path():
     state = build_pseudoinverse(weighted_path4())
     # Unit node weights: plain series resistance between the path ends.
-    assert effective_resistance(state, 0, 3) == pytest.approx(1 + 0.5 + 1)
-    assert effective_resistance(state, 1, 2) == pytest.approx(0.5)
+    assert edge_leverage(state, 0, 3, 1.0) == pytest.approx(1 + 0.5 + 1)
+    assert edge_leverage(state, 1, 2, 1.0) == pytest.approx(0.5)
+
+
+def test_identity_residual_rejects_a_state_for_another_graph():
+    g = weighted_path4()
+    state = build_pseudoinverse(g)
+    contracted = g.copy()
+    contracted.contract_edge(contracted.edge_between(1, 2))
+    with pytest.raises(ValueError, match="4 nodes .* 3 nodes"):
+        identity_residual(state, contracted)
+    shifted = WeightedGraph.from_edges([(1, 2, 1.0), (2, 3, 2.0), (3, 4, 1.0)])
+    with pytest.raises(ValueError, match="4 nodes .* 4 nodes"):
+        identity_residual(state, shifted)
 
 
 def test_tree_edges_have_leverage_one():
@@ -475,14 +486,14 @@ def test_array_reads_match_scalar_reads_and_definitions():
     u, v, w = g.edge_columns(eids)
     lev = edge_leverage(state, u, v, w)
     norms = update_norm(state, u, v, w)
-    res = effective_resistance(state, u, v)
+    res = edge_leverage(state, u, v, 1.0)
     assert lev.shape == norms.shape == res.shape == (len(eids),)
     for i, eid in enumerate(eids):
         a, b, we = g.edge(eid)
         assert lev[i] == edge_leverage(state, a, b, we)
         # The norm's row sums may round differently in a batch.
         assert norms[i] == pytest.approx(update_norm(state, a, b, we), rel=1e-14)
-        assert res[i] == effective_resistance(state, a, b)
+        assert res[i] == edge_leverage(state, a, b, 1.0)
         # The definitions: y = pinv W_n^{-1} b, z = b^T pinv.
         bvec = np.zeros(state.n)
         bvec[state.index[a]], bvec[state.index[b]] = 1.0, -1.0

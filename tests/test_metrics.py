@@ -14,7 +14,6 @@ from graphreduce.metrics import (
     compare_operators,
     eigen_relative_error,
     hyperbolic_distance,
-    hyperbolic_distances,
     kernel_project,
     laplacian_spectrum,
 )
@@ -83,7 +82,7 @@ def test_vectorized_matches_scalar():
     rng = np.random.default_rng(4)
     a, b = random_psd(rng, 6), random_psd(rng, 6)
     xs = rng.normal(size=(6, 40))
-    batch = hyperbolic_distances(a, b, xs)
+    batch = hyperbolic_distance(a, b, xs)
     for t in range(40):
         assert batch[t] == pytest.approx(hyperbolic_distance(a, b, xs[:, t]))
 

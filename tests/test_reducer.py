@@ -148,6 +148,13 @@ def test_validation_errors():
         lambda: ErrorCap(math.nan),
         lambda: BetaCap(math.nan),
         lambda: MaxIterations(math.nan),
+        # Counts must be integers: a float is not truncated, a bool is no count.
+        lambda: EdgeBudget(20.5),
+        lambda: NodeBudget(3.0),
+        lambda: MaxIterations(1.5),
+        lambda: MaxIterations(True),
+        lambda: SketchMode(n_probes=2.5),
+        lambda: SketchMode(n_probes=True),
         lambda: ReductionConfig(target_reduction=math.nan),
         lambda: ReductionConfig(target_reduction=math.inf),
     ):
