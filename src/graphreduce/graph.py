@@ -236,24 +236,51 @@ class WeightedGraph:
 
     def is_connected(self) -> bool:
         """True when every node is reachable from every other (empty: True)."""
-        return self.connected_without(())
-
-    def connected_without(self, excluded_edges) -> bool:
-        """Connectivity as if the given edge ids had been deleted."""
         if self.n_nodes <= 1:
             return True
-        excluded = set(excluded_edges)
         start = next(iter(self._node_weight))
         seen = {start}
         stack = [start]
         while stack:
-            u = stack.pop()
-            for v, eid in self._adj[u].items():
-                if eid in excluded or v in seen:
-                    continue
-                seen.add(v)
-                stack.append(v)
+            for v in self._adj[stack.pop()]:
+                if v not in seen:
+                    seen.add(v)
+                    stack.append(v)
         return len(seen) == self.n_nodes
+
+    def connected_without(self, excluded_edges) -> bool:
+        """Whether deleting the edge ids `excluded_edges` keeps `self` connected.
+
+        Precondition: `self` is connected. Then G - D is connected iff the
+        endpoints of every edge in D stay joined in G - D, so each excluded
+        edge gets one search in G - D from both of its endpoints at once. The
+        side that has reached fewer nodes grows by a level; the search stops
+        when the sides meet (joined) or one side runs out (cut), so a cut is
+        found after each side reaches about as many nodes as the smaller part
+        holds. An edge in a triangle is joined within two levels.
+        """
+        excluded = set(excluded_edges)
+        return all(self._joined_without(eid, excluded) for eid in excluded)
+
+    def _joined_without(self, eid: int, excluded: set[int]) -> bool:
+        # Two-sided breadth-first search between the endpoints of `eid`.
+        u, v, _ = self._edges[eid]
+        near, far = {u}, {v}
+        near_level, far_level = [u], [v]
+        while near_level and far_level:
+            if len(near) > len(far):
+                near, far, near_level, far_level = far, near, far_level, near_level
+            grown = []
+            for x in near_level:
+                for y, e in self._adj[x].items():
+                    if y in near or e in excluded:
+                        continue
+                    if y in far:
+                        return True
+                    near.add(y)
+                    grown.append(y)
+            near_level = grown
+        return False
 
     # -- matchings ---------------------------------------------------------
 
@@ -264,16 +291,22 @@ class WeightedGraph:
         result is maximal, so it has at least half the edges of a maximum
         matching.
         """
-        return self.greedy_matching(rng.permutation(self.edge_ids()).tolist())
+        # Shuffle draws depend only on the length, so permuting positions
+        # into the sorted ids equals rng.permutation(self.edge_ids()), down
+        # to the generator's state afterwards.
+        ids = np.fromiter(self._edges, dtype=np.intp, count=len(self._edges))
+        ids.sort()
+        return self.greedy_matching(ids[rng.permutation(len(ids))].tolist())
 
     def greedy_matching(self, order) -> list[int]:
         """Edge ids of `order` kept greedily: each edge whose endpoints are
         both still unmatched joins the matching. Maximal when `order` holds
         every edge."""
+        edges = self._edges
         used: set[int] = set()
         matched = []
         for eid in order:
-            u, v, _ = self._edges[eid]
+            u, v, _ = edges[eid]
             if u in used or v in used:
                 continue
             used.add(u)

@@ -18,9 +18,10 @@ stays finite in that limit, where a contracted edge j's row of the system
 (I + D Omega) X = D Z, divided by its delta_w, tends to Omega_j X = Z_j. So
 one batch mixes all three, and one solve and one in-place BLAS product
 accumulated into pinv apply it; each contracted pair's rows and columns are
-then merged and one gather drops the removed slots. The update is exact, so
-a long chain of them agrees with recomputation up to float drift; callers
-are expected to rebuild periodically (see `REBUILD_INTERVAL`).
+then merged and one pass of block copies drops the removed slots. The
+update is exact, so a long chain of them agrees with recomputation up to
+float drift; callers are expected to rebuild periodically (see
+`REBUILD_INTERVAL`).
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from typing import Sequence
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import blas, lapack
+from scipy.sparse import csgraph
 
 from .graph import ContractionMap, ContractionRecord, WeightedGraph
 
@@ -145,16 +147,17 @@ def build_pseudoinverse(g: WeightedGraph) -> PseudoinverseState:
     """Dense pseudoinverse of a connected graph's node-weighted Laplacian.
 
     Factors A = Lhat + what what^T by Cholesky and inverts it in place (see
-    the module docstring); raises SingularUpdateError if rounding leaves A
-    numerically indefinite, as extreme edge weight ratios can.
+    the module docstring); raises DisconnectedGraphError when Lhat's sparsity
+    pattern has more than one component, and SingularUpdateError if rounding
+    leaves A numerically indefinite, as extreme edge weight ratios can.
     """
     if g.n_nodes == 0:
         raise ValueError("empty graph")
-    if not g.is_connected():
+    lhat, w_sqrt = symmetrized_laplacian(g)
+    if csgraph.connected_components(lhat, directed=False)[0] > 1:
         raise DisconnectedGraphError("pseudoinverse requires a connected graph")
     order = g.nodes()
     wn = np.array([g.node_weight(u) for u in order])
-    lhat, w_sqrt = symmetrized_laplacian(g)
     what = w_sqrt / np.sqrt(wn.sum())
     A = np.outer(what, what)
     lhat = lhat.tocoo()
@@ -288,8 +291,8 @@ def woodbury_reweight(
     Omega, with scale = delta_w on finite rows and 1 on infinite ones, and
     one BLAS product accumulated into pinv in place. The contracted pairs
     are then merged: rows by node-weighted average (they are equal in exact
-    arithmetic at the limit), columns by sum; one gather per axis drops the
-    removed slots.
+    arithmetic at the limit), columns by sum; one pass of block copies
+    between the removed slots drops them.
 
     Mutates `state` in place (and returns it). The graph itself is updated by
     the caller. A bridge deletion makes a denominator vanish and raises
@@ -323,12 +326,27 @@ def woodbury_reweight(
 
 
 def _drop_slots(state: PseudoinverseState, slots: np.ndarray) -> None:
-    # One gather per axis copies whole rows, then runs of each row; np.ix_
-    # would look up both indices of every entry.
+    # The kept slots form at most s + 1 runs for s dropped ones, so the kept
+    # submatrix is (s + 1)^2 blocks, each copied by basic slicing straight
+    # into the result: no intermediate, and no per-entry index lookups as
+    # np.ix_ or take would make.
     keep = np.ones(state.n, dtype=bool)
     keep[slots] = False
     kept = np.flatnonzero(keep)
-    state.pinv = state.pinv.take(kept, 0).take(kept, 1)
+    # Runs of kept slots start and stop where `keep` flips; each run lands
+    # at its first slot's position among the kept ones.
+    flips = np.flatnonzero(np.diff(keep, prepend=False, append=False))
+    starts, stops = flips[::2], flips[1::2]
+    runs = [
+        (slice(a, b), slice(o, o + b - a))
+        for a, b, o in zip(starts.tolist(), stops.tolist(), kept.searchsorted(starts).tolist())
+    ]
+    P = state.pinv
+    out = np.empty((len(kept), len(kept)))
+    for rows, out_rows in runs:
+        for cols, out_cols in runs:
+            out[out_rows, out_cols] = P[rows, cols]
+    state.pinv = out
     state.weights = state.weights[kept]
     state.nodes = tuple(state.nodes[i] for i in kept)
     state.index = {u: i for i, u in enumerate(state.nodes)}

@@ -6,7 +6,10 @@ reduction reaches the per-edge target, keeps the cheapest fraction, and
 applies an unbiased delete / contract / reweight draw to each kept edge. The
 accumulated expected error is tracked against the budget. A round's edges
 travel as one column: they are scored, selected, solved, drawn and applied as
-arrays; only the greedy matching and the triangle counts loop over edges. The
+arrays. Python loops remain in three places: the greedy matching, over every
+edge; the triangle counts, over the matched edges and only where a score
+reads them (EDGES priority with contraction); and the connectivity check, a
+search from each drawn deletion that stops where its endpoints meet. The
 draw is one weight change ratio delta_w / w per edge: -1 deletes, +inf
 contracts, and the two actions are the limits of one reweight. One generator
 made from the seed feeds, in loop order, every round's matching, any sketch
@@ -428,7 +431,12 @@ def reduce_graph(
 
         matched = g.independent_edge_set(rng)
         leverages, norms = backend.measure(g, matched)
-        triangles = np.array([g.triangle_count(eid) for eid in matched])
+        # Only r_contract under EDGES reads triangle counts; a score that
+        # never contracts, or counts nodes, is the same for any counts.
+        if config.priority is Priority.EDGES and config.allow_contraction:
+            triangles = np.array([g.triangle_count(eid) for eid in matched])
+        else:
+            triangles = np.zeros(len(matched), dtype=np.int64)
         eq = EdgeQuantities.from_measurements(
             leverages, norms, triangles, config.priority
         )
@@ -446,12 +454,9 @@ def reduce_graph(
         eids = [matched[i] for i in kept]
 
         # Redraw the whole iteration's actions until deletions keep the graph
-        # connected. Contractions and reweights never disconnect, and matched
-        # edges share no endpoints, so checking the deletions alone suffices.
-        # Of those, only the triangle-free ones are checked: a deleted edge
-        # (u, v) with a common neighbour w keeps the path u-w-v, whose edges
-        # touch a matched edge and so are not deleted themselves. The graph
-        # without all deletions is connected iff it is without these.
+        # connected. Contractions and reweights never disconnect, so checking
+        # the deletions alone suffices; each is a local search in the graph
+        # without them (`connected_without`).
         for attempt in range(MAX_REDRAWS):
             draws = rng.random(len(eids))
             ratios = np.where(
@@ -461,7 +466,7 @@ def reduce_graph(
                     draws < dist.p_delete + dist.p_contract, np.inf, dist.reweight_ratio
                 ),
             )
-            cut = np.flatnonzero((ratios == -1.0) & (eq.triangles == 0))
+            cut = np.flatnonzero(ratios == -1.0)
             if not cut.size or g.connected_without([eids[i] for i in cut]):
                 break
         else:

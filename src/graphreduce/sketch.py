@@ -41,6 +41,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse import csgraph
 
 from .graph import WeightedGraph
 # symmetrized_laplacian is re-exported for callers that bind it here.
@@ -270,9 +271,10 @@ class SketchEstimator:
     is 0 and this is the plain sign sketch. Leverages use k edge probes.
     One `LaplacianSolver` per build takes every solve and the eigensolve.
 
-    `measure` reads both quantities for a list of edges. Estimates go stale
-    as soon as the graph changes; callers rebuild after every modifying
-    round.
+    `build` raises DisconnectedGraphError when the Lhat it assembles has more
+    than one component. `measure` reads both quantities for a list of edges.
+    Estimates go stale as soon as the graph changes; callers rebuild after
+    every modifying round.
     """
 
     nodes: np.ndarray  # ascending node ids; column i belongs to nodes[i]
@@ -289,15 +291,15 @@ class SketchEstimator:
         n_probes: int = 0,
         epsilon: float = 0.25,
     ) -> "SketchEstimator":
-        if not g.is_connected():
+        incidence, w_sqrt = weighted_incidence(g)
+        lhat = (incidence.T @ incidence).tocsr()
+        if csgraph.connected_components(lhat, directed=False)[0] > 1:
             raise DisconnectedGraphError(
                 "sketch estimates require a connected graph"
             )
         nodes = g.nodes()
         n = len(nodes)
         k = n_probes if n_probes > 0 else default_probe_count(n, epsilon)
-        incidence, w_sqrt = weighted_incidence(g)
-        lhat = (incidence.T @ incidence).tocsr()
         what = w_sqrt / np.linalg.norm(w_sqrt)
 
         # Update norms: n_modes exact low modes, then k - n_modes probes of

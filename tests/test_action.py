@@ -368,6 +368,35 @@ def test_column_equals_one_edge_calls(edges, priority, allow_contraction, d, bet
             assert errors[i] == expected_error(eq, one)
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    column_strategy(),
+    st.data(),
+    st.sampled_from(
+        [(Priority.NODES, True), (Priority.NODES, False), (Priority.EDGES, False)]
+    ),
+    st.floats(0.01, 3.0),
+    st.floats(0.0, 100.0),
+)
+def test_triangles_matter_only_to_contraction_under_edge_priority(
+    edges, data, scoring, d, beta
+):
+    # The reducer passes zero counts wherever no score reads them.
+    priority, allow_contraction = scoring
+    other = data.draw(st.lists(st.integers(0, 5), min_size=len(edges), max_size=len(edges)))
+    lev, norm, tri = (np.array(c) for c in zip(*edges))
+    column = EdgeQuantities(lev, norm, tri, priority)
+    recounted = EdgeQuantities(lev, norm, np.array(other), priority)
+    scores = activation_beta(column, d, allow_contraction)
+    assert np.array_equal(scores, activation_beta(recounted, d, allow_contraction))
+    for b in [beta, *scores[np.isfinite(scores)]]:
+        dist = optimal_action(column, b, allow_contraction)
+        again = optimal_action(recounted, b, allow_contraction)
+        for f in fields(ActionDistribution):
+            assert np.array_equal(getattr(dist, f.name), getattr(again, f.name)), f.name
+        assert np.array_equal(expected_error(column, dist), expected_error(recounted, again))
+
+
 # -- grid oracle -----------------------------------------------------------
 
 

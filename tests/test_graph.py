@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphreduce.baselines import _heavy_edge_matching
+from graphreduce.generators import path, torus
 from graphreduce.graph import (
     ContractionMap,
     WeightedGraph,
@@ -112,8 +113,8 @@ def test_connectivity():
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10_000))
 def test_triangle_free_deletions_decide_connectivity(seed):
-    # reduce_graph checks only the triangle-free deletions of a matching: an
-    # edge with a common neighbour keeps a two-edge path around it, and those
+    # Among deletions from a matching, the triangle-free ones decide: an edge
+    # with a common neighbour keeps a two-edge path around it, and those
     # edges touch the matched edge, so the matching cannot delete them.
     rng = np.random.default_rng(seed)
     g = random_connected_graph(
@@ -122,6 +123,85 @@ def test_triangle_free_deletions_decide_connectivity(seed):
     deleted = [eid for eid in g.independent_edge_set(rng) if rng.random() < 0.7]
     free = [eid for eid in deleted if g.triangle_count(eid) == 0]
     assert g.connected_without(free) == g.connected_without(deleted)
+
+
+def _connected_after_deleting(g, excluded):
+    # Whole-graph reference: delete on a copy, then walk every node.
+    h = g.copy()
+    for eid in set(excluded):
+        h.delete_edge(eid)
+    return h.is_connected()
+
+
+def _ball_edges(g, rng, size):
+    # Edges leaving a breadth-first ball of `size` nodes around a random node.
+    nbrs = {u: [] for u in g.nodes()}
+    for eid in g.edge_ids():
+        a, b = g.endpoints(eid)
+        nbrs[a].append(b)
+        nbrs[b].append(a)
+    order = [g.nodes()[int(rng.integers(g.n_nodes))]]
+    for u in order:  # appended to while iterating, so breadth-first
+        if len(order) >= size:
+            break
+        order += [v for v in nbrs[u] if v not in order]
+    ball = set(order[:size])
+    return [
+        eid for eid in g.edge_ids()
+        if (g.endpoints(eid)[0] in ball) != (g.endpoints(eid)[1] in ball)
+    ]
+
+
+CONNECTED_FAMILIES = {
+    "random": lambda rng: random_connected_graph(
+        rng, int(rng.integers(2, 30)), extra_edges=int(rng.integers(0, 40))
+    ),
+    "torus": lambda rng: torus(int(rng.integers(3, 7)), int(rng.integers(3, 7))),
+    "path": lambda rng: path(int(rng.integers(2, 20))),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 10_000),
+    st.sampled_from(sorted(CONNECTED_FAMILIES)),
+    st.sampled_from(["random", "bridge", "one-node", "large-part"]),
+)
+def test_connected_without_matches_a_whole_graph_walk(seed, family, kind):
+    rng = np.random.default_rng(seed)
+    g = CONNECTED_FAMILIES[family](rng)
+    eids = g.edge_ids()
+    excluded = [eid for eid in eids if rng.random() < rng.uniform(0, 0.3)]
+    if kind == "bridge":
+        bridges = [eid for eid in eids if not _connected_after_deleting(g, [eid])]
+        if bridges:
+            excluded.append(bridges[int(rng.integers(len(bridges)))])
+    elif kind == "one-node":
+        excluded += _ball_edges(g, rng, 1)
+    elif kind == "large-part":
+        excluded += _ball_edges(g, rng, max(1, g.n_nodes // 2))
+    rng.shuffle(excluded)
+    assert g.connected_without(excluded) == _connected_after_deleting(g, excluded)
+    assert g.connected_without(excluded[:1]) == _connected_after_deleting(g, excluded[:1])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_independent_edge_set_is_greedy_over_a_permutation_of_the_ids(seed):
+    rng = np.random.default_rng(seed)
+    g = random_connected_graph(
+        rng, int(rng.integers(8, 30)), extra_edges=int(rng.integers(0, 40))
+    )
+    # Leave gaps in the ids: delete every fifth edge, then contract a few.
+    for eid in g.edge_ids()[::5]:
+        g.delete_edge(eid)
+    for eid in g.independent_edge_set(rng)[:3]:
+        g.contract_edge(eid)
+    assert g.edge_ids() != list(range(g.n_edges))
+    a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+    matched = g.independent_edge_set(a)
+    assert matched == g.greedy_matching(b.permutation(g.edge_ids()).tolist())
+    assert np.array_equal(a.random(4), b.random(4))
 
 
 def test_connectivity_trivial_cases():

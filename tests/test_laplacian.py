@@ -20,6 +20,7 @@ from graphreduce.laplacian import (
     weighted_projector,
     woodbury_reweight,
 )
+from graphreduce.sketch import SketchEstimator
 
 from conftest import edge_laplacian, pinv_by_eigen, random_connected_graph
 
@@ -89,6 +90,26 @@ def test_disconnected_raises():
     g = WeightedGraph.from_edges([(0, 1), (2, 3)])
     with pytest.raises(DisconnectedGraphError):
         build_pseudoinverse(g)
+
+
+def test_builds_check_connectivity_on_their_matrix(monkeypatch):
+    # Both builds decide connectivity from the Laplacian they assemble, not
+    # from a walk of the graph.
+    def walk(*args):
+        raise AssertionError("graph walk")
+
+    monkeypatch.setattr(WeightedGraph, "is_connected", walk)
+    monkeypatch.setattr(WeightedGraph, "connected_without", walk)
+    connected = random_connected_graph(np.random.default_rng(4), 12, extra_edges=6)
+    assert build_pseudoinverse(connected).n == 12
+    SketchEstimator.build(connected, n_probes=4, rng=np.random.default_rng(0))
+    isolated = WeightedGraph.from_edges([(0, 1), (1, 2)])
+    isolated.add_node(5)
+    for g in (WeightedGraph.from_edges([(0, 1), (2, 3)]), isolated):
+        with pytest.raises(DisconnectedGraphError, match="^pseudoinverse requires a"):
+            build_pseudoinverse(g)
+        with pytest.raises(DisconnectedGraphError, match="^sketch estimates require a"):
+            SketchEstimator.build(g, n_probes=4, rng=np.random.default_rng(0))
 
 
 def _inverse_minus_projector(g: WeightedGraph) -> np.ndarray:
@@ -516,12 +537,15 @@ def _path_with_chords(n: int) -> WeightedGraph:
 
 N_SLOTS = 70
 # (survivor, removed) pairs whose removed slots sit at 0, at n-1, next to
-# each other, and all of these at once.
+# each other, all of these at once, three in a row in the middle (36 is
+# joined to 33 by a chord), and every other slot of the middle third.
 SLOT_CASES = {
     "first": [(1, 0)],
     "last": [(N_SLOTS - 2, N_SLOTS - 1)],
     "adjacent": [(2, 3), (5, 4)],
     "first-adjacent-last": [(1, 0), (2, 3), (5, 4), (N_SLOTS - 2, N_SLOTS - 1)],
+    "middle-run": [(34, 35), (33, 36), (38, 37)],
+    "alternating": [(r - 1, r) for r in range(N_SLOTS // 3 + 1, 2 * N_SLOTS // 3, 2)],
 }
 
 

@@ -399,6 +399,26 @@ def test_no_contraction_mode_only_deletes_and_reweights():
     assert result.graph.is_connected()
 
 
+@pytest.mark.parametrize(
+    "config, stop",
+    [
+        (ReductionConfig(priority=Priority.NODES, keep_fraction=0.5), NodeBudget(14)),
+        (ReductionConfig(allow_contraction=False, keep_fraction=0.5), EdgeBudget(40)),
+    ],
+    ids=["nodes", "no-contraction"],
+)
+def test_unscored_triangles_are_never_counted(monkeypatch, config, stop):
+    # Only contraction under EDGES priority reads triangle counts.
+    def count(self, eid):
+        raise AssertionError("triangle count read")
+
+    monkeypatch.setattr(WeightedGraph, "triangle_count", count)
+    g = random_connected_graph(np.random.default_rng(8), 28, extra_edges=40)
+    result = reduce_graph(g, stop, config, seed=3)
+    assert result.trace.stopped_by == type(stop).__name__
+    assert result.graph.is_connected()
+
+
 def test_stall_guard_raises():
     # A single bridge under no-contraction mode can never act.
     g = WeightedGraph.from_edges([(0, 1, 1.0)])
