@@ -326,21 +326,17 @@ def woodbury_reweight(
 
 
 def _drop_slots(state: PseudoinverseState, slots: np.ndarray) -> None:
-    # The kept slots form at most s + 1 runs for s dropped ones, so the kept
-    # submatrix is (s + 1)^2 blocks, each copied by basic slicing straight
-    # into the result: no intermediate, and no per-entry index lookups as
-    # np.ix_ or take would make.
+    # The kept slots form at most s + 1 runs for s dropped ones, starting and
+    # stopping where `keep` flips. The (s + 1)^2 blocks between them are
+    # copied by basic slicing straight into the result: no intermediate, and
+    # none of the per-entry index lookups of np.ix_ or take.
     keep = np.ones(state.n, dtype=bool)
     keep[slots] = False
     kept = np.flatnonzero(keep)
-    # Runs of kept slots start and stop where `keep` flips; each run lands
-    # at its first slot's position among the kept ones.
     flips = np.flatnonzero(np.diff(keep, prepend=False, append=False))
-    starts, stops = flips[::2], flips[1::2]
-    runs = [
-        (slice(a, b), slice(o, o + b - a))
-        for a, b, o in zip(starts.tolist(), stops.tolist(), kept.searchsorted(starts).tolist())
-    ]
+    starts, stops = flips[::2].tolist(), flips[1::2].tolist()
+    at = kept.searchsorted(flips[::2]).tolist()  # where each run lands
+    runs = [(slice(a, b), slice(o, o + b - a)) for a, b, o in zip(starts, stops, at)]
     P = state.pinv
     out = np.empty((len(kept), len(kept)))
     for rows, out_rows in runs:
