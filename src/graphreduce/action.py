@@ -61,12 +61,6 @@ class Priority(enum.Enum):
     EDGES = "edges"
     NODES = "nodes"
 
-    def reduction_counts(self, triangles: int) -> tuple[float, float]:
-        """(count removed by deletion, count removed by contraction)."""
-        if self is Priority.EDGES:
-            return 1.0, 1.0 + triangles
-        return 0.0, 1.0
-
 
 class Regime(enum.Enum):
     NO_ACTION = 1
@@ -113,12 +107,12 @@ class EdgeQuantities:
         return cls(lev, np.maximum(update_norm, 1e-300), triangles, priority)
 
     @property
-    def r_delete(self) -> float | np.ndarray:
-        return self.priority.reduction_counts(self.triangles)[0]
+    def r_delete(self) -> float:
+        return 1.0 if self.priority is Priority.EDGES else 0.0
 
     @property
     def r_contract(self) -> float | np.ndarray:
-        return self.priority.reduction_counts(self.triangles)[1]
+        return 1.0 + self.triangles if self.priority is Priority.EDGES else 1.0
 
 
 @dataclass(frozen=True)

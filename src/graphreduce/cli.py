@@ -224,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stop", action="append", required=True,
                    help="edges=N|nodes=N|error=X|beta=X|iters=N (repeatable)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mode", default="exact", help="exact|sketch:k,eps")
+    p.add_argument("--mode", default="exact", help="exact|sketch:K")
     p.add_argument("--no-contraction", action="store_true",
                    help="restrict to deletion/reweight (sparsify-only mode)")
     p.add_argument("--out", required=True, help="output path prefix")

@@ -82,18 +82,13 @@ def parse_stop(spec: str | dict) -> list[StopCriterion]:
 
 
 def parse_mode(spec: str) -> ExactMode | SketchMode:
-    """Quantity mode from "exact" or "sketch:probes,epsilon"."""
+    """Quantity mode from "exact" or "sketch:K", K the sketch's probe count."""
     if spec == "exact":
         return ExactMode()
-    name, _, args = spec.partition(":")
-    if name != "sketch":
-        raise ValueError(f"unknown mode {spec!r}")
-    if not args:
-        return SketchMode()
-    parts = args.split(",")
-    probes = int(parts[0]) if parts[0] else 0
-    eps = float(parts[1]) if len(parts) > 1 else 0.25
-    return SketchMode(n_probes=probes, epsilon=eps)
+    name, _, probes = spec.partition(":")
+    if name != "sketch" or not probes.isdecimal():
+        raise ValueError(f"mode must be 'exact' or 'sketch:K', got {spec!r}")
+    return SketchMode(n_probes=int(probes))
 
 
 def parse_config(options: dict, default_priority: str = "edges") -> ReductionConfig:
@@ -174,13 +169,25 @@ class ExperimentSpec:
     json_path: str | None = None
 
     def __post_init__(self):
+        _check_count("runs", self.runs)
+        _check_count("seed", self.seed)
         if self.runs < 1:
             raise ValueError(f"need at least one run, got {self.runs}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.eigen_k is not None:
+            _check_count("eigen_k", self.eigen_k)
+            if self.eigen_k < 1:
+                raise ValueError(f"eigen_k must be >= 1, got {self.eigen_k}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentSpec":
         levels = d["levels"]
         outputs = d.get("outputs", {})
+        # A bare string would split into one-letter vector names.
+        vectors = d.get("vectors", ["fiedler"])
+        if not isinstance(vectors, list) or not all(isinstance(v, str) for v in vectors):
+            raise ValueError(f"vectors must be a list of names, got {vectors!r}")
         return cls(
             graph=d["graph"],
             levels=LevelSchedule(levels["target"], tuple(levels["sizes"])),
@@ -188,9 +195,9 @@ class ExperimentSpec:
                 AlgorithmSpec(a["name"], a["kind"], a.get("options", {}))
                 for a in d.get("algorithms", [])
             ),
-            runs=int(d.get("runs", 8)),
-            seed=int(d.get("seed", 0)),
-            vectors=tuple(d.get("vectors", ["fiedler"])),
+            runs=d.get("runs", 8),
+            seed=d.get("seed", 0),
+            vectors=tuple(vectors),
             eigen_k=d.get("eigen_k"),
             csv_path=outputs.get("csv"),
             json_path=outputs.get("json"),
@@ -210,9 +217,6 @@ class ResultRow:
     vector: str
     mean: float
     std: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def load_graph(spec: ExperimentSpec) -> WeightedGraph:
@@ -341,7 +345,7 @@ def read_rows_csv(path: str) -> list[ResultRow]:
 
 def write_rows_json(rows: Sequence[ResultRow], path: str) -> None:
     with open(path, "w") as fh:
-        json.dump({"rows": [row.to_dict() for row in rows]}, fh, indent=1)
+        json.dump({"rows": [asdict(row) for row in rows]}, fh, indent=1)
         fh.write("\n")
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -35,6 +36,15 @@ def _check_weight(kind: str, weight: float) -> None:
         raise ValueError(f"{kind} weight must be positive and finite, got {weight}")
 
 
+def _check_node(u) -> None:
+    # A bool would alias node 0 or 1, so ids are Python or numpy integers only;
+    # the exact-type test keeps the common case to one comparison.
+    if not (
+        type(u) is int or isinstance(u, numbers.Integral) and not isinstance(u, bool)
+    ) or u < 0:
+        raise ValueError(f"node id must be a non-negative integer, got {u!r}")
+
+
 @dataclass(frozen=True)
 class ContractionRecord:
     """The node a single edge contraction kept and the node it merged away."""
@@ -46,9 +56,10 @@ class ContractionRecord:
 class WeightedGraph:
     """Undirected graph with weighted nodes and edges.
 
-    Node ids are arbitrary non-negative integers. Edge ids are assigned from a
-    monotone counter at insertion and never reused; they survive reweighting
-    and endpoint re-attachment during contraction.
+    Node ids are arbitrary non-negative integers (Python or numpy, never
+    bool); `add_node` and `add_edge` refuse anything else. Edge ids are
+    assigned from a monotone counter at insertion and never reused; they
+    survive reweighting and endpoint re-attachment during contraction.
     """
 
     def __init__(self) -> None:
@@ -80,6 +91,7 @@ class WeightedGraph:
         return g
 
     def add_node(self, u: int, weight: float = 1.0) -> None:
+        _check_node(u)
         _check_weight("node", weight)
         self._node_weight[u] = float(weight)
         self._adj.setdefault(u, {})
@@ -92,6 +104,7 @@ class WeightedGraph:
         """
         _check_weight("edge", weight)
         for n in (u, v):
+            _check_node(n)  # an existing node equal to a bool skips add_node
             if n not in self._node_weight:
                 self.add_node(n)
         if u == v:
@@ -403,6 +416,7 @@ def read_node_weights(path) -> dict[int, float]:
     out: dict[int, float] = {}
 
     def record(u, w):
+        _check_node(int(u))
         _check_weight("node", float(w))
         out[int(u)] = float(w)
 

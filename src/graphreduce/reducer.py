@@ -80,26 +80,22 @@ class ExactMode:
 class SketchMode:
     """Estimate per-edge quantities with random projections and linear solves.
 
-    The dense pseudoinverse is only built once at the end. `n_probes` of 0
-    picks the default rank, `default_probe_count(n, epsilon)`; that is
-    `epsilon`'s only use. Of the k = `n_probes` vectors, update norms spend
-    k // 4 on exact lowest eigenmodes and the rest on unbiased sign probes;
-    leverages use k edge probes. Each build solves with Jacobi-PCG while its
-    first probe converges within sqrt(n) matvecs (expanders), with memory
-    linear in the edges; otherwise (grids, tori, lattices) with one sparse
-    factor of the grounded Laplacian, holding fill x nnz entries, that also
-    serves the eigensolve.
+    The dense pseudoinverse is only built once at the end. `n_probes` = k,
+    an integer >= 1, is the sketch's one setting and has no default. Of the
+    k vectors, update norms spend k // 4 on exact lowest eigenmodes and the
+    rest on unbiased sign probes; leverages use k edge probes. Each build
+    solves with Jacobi-PCG while its first probe converges within sqrt(n)
+    matvecs (expanders), with memory linear in the edges; otherwise (grids,
+    tori, lattices) with one sparse factor of the grounded Laplacian, holding
+    fill x nnz entries, that also serves the eigensolve.
     """
 
-    n_probes: int = 0
-    epsilon: float = 0.25
+    n_probes: int
 
     def __post_init__(self):
         _check_count("n_probes", self.n_probes)
-        if not self.n_probes >= 0:
-            raise ValueError(f"n_probes must be >= 0, got {self.n_probes}")
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        if self.n_probes < 1:
+            raise ValueError(f"n_probes must be >= 1, got {self.n_probes}")
 
 
 @dataclass(frozen=True)
@@ -240,9 +236,6 @@ class ReductionTrace:
     records: list[IterationRecord] = field(default_factory=list)
     stopped_by: str = ""
 
-    def append(self, rec: IterationRecord) -> None:
-        self.records.append(rec)
-
     def write_jsonl(self, path: str) -> None:
         with open(path, "w") as fh:
             for rec in self.records:
@@ -323,12 +316,7 @@ class _SketchBackend:
 
     def measure(self, g: WeightedGraph, eids: list[int]):
         if self.estimator is None:
-            self.estimator = SketchEstimator.build(
-                g,
-                n_probes=self.mode.n_probes,
-                epsilon=self.mode.epsilon,
-                rng=self.rng,
-            )
+            self.estimator = SketchEstimator.build(g, self.rng, self.mode.n_probes)
         return self.estimator.measure(g, eids)
 
     def apply(self, u: np.ndarray, v: np.ndarray, delta_w: np.ndarray) -> None:
@@ -489,7 +477,7 @@ def reduce_graph(
                     f"iteration {iteration}: all {g.n_edges} edges matched "
                     "since the last action and none acted"
                 )
-        trace.append(
+        trace.records.append(
             IterationRecord(
                 iteration, len(matched), len(kept), beta, n_del, n_con, n_rew,
                 redraws, g.n_nodes, g.n_edges, estimated_error,

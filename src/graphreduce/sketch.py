@@ -55,13 +55,6 @@ class ConvergenceError(RuntimeError):
     """An iterative routine failed to reach its tolerance."""
 
 
-def default_probe_count(n_nodes: int, epsilon: float) -> int:
-    """Projection rank giving ~epsilon-accurate norms with high probability."""
-    if n_nodes < 2:
-        return 1
-    return max(1, math.ceil(4.0 * math.log(n_nodes) / epsilon**2))
-
-
 def pcg(
     matrix: sp.spmatrix,
     rhs: np.ndarray,
@@ -263,10 +256,11 @@ def edge_projection_rows(g: WeightedGraph, projection: np.ndarray) -> np.ndarray
 class SketchEstimator:
     """Per-edge quantity estimates frozen at build time.
 
-    `n_probes` = k is the budget per quantity. Update norms read k rows: the
-    r = min(k // 4, n - 1) exact rows Lambda_r^{-1} V_r^T W^{-1/2} of the
-    lowest modes, then k - r sign probes projected off the kernel and V_r
-    and solved. When r reaches n - 1 the modes span the whole kernel
+    `n_probes` = k, which the caller always gives, is the budget per
+    quantity; the build derives no count of its own. Update norms read k
+    rows: the r = min(k // 4, n - 1) exact rows Lambda_r^{-1} V_r^T W^{-1/2}
+    of the lowest modes, then k - r sign probes projected off the kernel and
+    V_r and solved. When r reaches n - 1 the modes span the whole kernel
     complement, the norms are exact and no probes are drawn; below k = 4, r
     is 0 and this is the plain sign sketch. Leverages use k edge probes.
     One `LaplacianSolver` per build takes every solve and the eigensolve.
@@ -288,8 +282,7 @@ class SketchEstimator:
         cls,
         g: WeightedGraph,
         rng: np.random.Generator,
-        n_probes: int = 0,
-        epsilon: float = 0.25,
+        n_probes: int,
     ) -> "SketchEstimator":
         incidence, w_sqrt = weighted_incidence(g)
         lhat = (incidence.T @ incidence).tocsr()
@@ -299,7 +292,7 @@ class SketchEstimator:
             )
         nodes = g.nodes()
         n = len(nodes)
-        k = n_probes if n_probes > 0 else default_probe_count(n, epsilon)
+        k = n_probes
         what = w_sqrt / np.linalg.norm(w_sqrt)
 
         # Update norms: n_modes exact low modes, then k - n_modes probes of

@@ -87,16 +87,23 @@ class TestReduce:
                 tmp_path / ("two" + suffix)
             ).read_bytes()
 
-    def test_sketch_mode_and_flags(self, tmp_path, er_graph):
+    def test_sketch_mode_and_flags(self, tmp_path, er_graph, capsys):
         code = run(
             "reduce", "--input", str(er_graph), "--stop", "nodes=20",
             "--priority", "nodes", "--q", "0.2", "--d", "0.2",
-            "--mode", "sketch:25,0.5", "--seed", "3",
+            "--mode", "sketch:25", "--seed", "3",
             "--out", str(tmp_path / "sk"),
         )
         assert code == 0
         reduced = read_edgelist(str(tmp_path / "sk.edges"))
         assert reduced.n_nodes <= 20
+        # The probe count is required.
+        code = run(
+            "reduce", "--input", str(er_graph), "--stop", "nodes=20",
+            "--mode", "sketch", "--out", str(tmp_path / "bare"),
+        )
+        assert code == 1
+        assert "sketch:K" in capsys.readouterr().err
 
     def test_no_contraction_keeps_nodes(self, tmp_path, er_graph):
         code = run(

@@ -71,10 +71,10 @@ class TestParsing:
         assert parse_mode("exact") == ExactMode()
 
     def test_mode_sketch_variants(self):
-        assert parse_mode("sketch") == SketchMode()
         assert parse_mode("sketch:33") == SketchMode(n_probes=33)
-        assert parse_mode("sketch:33,0.5") == SketchMode(n_probes=33, epsilon=0.5)
-        assert parse_mode("sketch:,0.5") == SketchMode(epsilon=0.5)
+        for bad in ("sketch", "sketch:", "sketch:33,0.5", "sketch:,0.5", "sketch:0"):
+            with pytest.raises(ValueError):
+                parse_mode(bad)
 
     def test_mode_rejects_unknown(self):
         with pytest.raises(ValueError):
@@ -114,6 +114,21 @@ class TestSpecValidation:
     def test_runs_positive(self):
         with pytest.raises(ValueError):
             edge_spec([10], [], runs=0)
+        # Counts are checked as given, never truncated; vectors is a list.
+        base = {
+            "graph": {"kind": "er", "params": {"n": 24, "p": 0.25}},
+            "levels": {"target": "edges", "sizes": [40]},
+        }
+        for bad in (
+            {"runs": 2.5}, {"runs": True}, {"runs": 0},
+            {"seed": 1.7}, {"seed": -1}, {"seed": False},
+            {"eigen_k": 2.5}, {"eigen_k": True}, {"eigen_k": 0},
+            {"vectors": "fiedler"}, {"vectors": ["fiedler", 1]},
+        ):
+            with pytest.raises(ValueError):
+                ExperimentSpec.from_dict({**base, **bad})
+        spec = ExperimentSpec.from_dict({**base, "runs": 2, "seed": 0})
+        assert (spec.runs, spec.seed, spec.eigen_k) == (2, 0, None)
 
     def test_from_dict_roundtrip(self):
         d = {

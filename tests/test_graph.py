@@ -61,6 +61,16 @@ def test_nonpositive_weights_rejected():
             g.set_edge_weight(0, bad)
         with pytest.raises(ValueError):
             WeightedGraph.from_edges([(0, 1, bad), (1, 2, 1.0)])
+    # Node ids are non-negative integers; a bool would alias node 0 or 1.
+    for bad in (-3, 2.5, True, False, "1", None, np.int64(-1)):
+        with pytest.raises(ValueError, match="node id"):
+            g.add_edge(1, bad)
+        with pytest.raises(ValueError, match="node id"):
+            g.add_edge(bad, 1)
+        with pytest.raises(ValueError, match="node id"):
+            g.add_node(bad)
+        with pytest.raises(ValueError, match="node id"):
+            WeightedGraph.from_edges([(0, 1), (1, bad)])
     # Rejected before anything changed.
     assert g.nodes() == [0, 1]
     assert g.edge(0) == (0, 1, 1.0)
@@ -390,6 +400,7 @@ def test_edgelist_malformed_line_raises(tmp_path):
         ("# header\n1 2 abc\n", "bad.txt:2: could not convert string to float: 'abc'"),
         ("1 2 -3\n", "bad.txt:1: edge weight must be positive and finite, got -3.0"),
         ("0 1\nx 2\n", "bad.txt:2: invalid literal for int"),
+        ("0 1\n1 -2\n", "bad.txt:2: node id must be a non-negative integer, got -2"),
     ]:
         p.write_text(text)
         with pytest.raises(ValueError, match=re.escape(reason)):
@@ -400,6 +411,7 @@ def test_edgelist_malformed_line_raises(tmp_path):
         ("0 -1\n", "bad.nodes:1: node weight must be positive and finite, got -1.0"),
         ("0 inf\n", "bad.nodes:1: node weight must be positive and finite, got inf"),
         ("0 1 2\n", "bad.nodes:1: expected 'u w'"),
+        ("-1 2\n", "bad.nodes:1: node id must be a non-negative integer, got -1"),
     ]:
         weights.write_text(text)
         with pytest.raises(ValueError, match=re.escape(reason)):

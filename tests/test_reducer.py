@@ -167,9 +167,12 @@ def test_validation_errors():
     for mode in ("sketch", None, SketchMode):
         with pytest.raises(ValueError):
             ReductionConfig(mode=mode)
-    for bad in ({"n_probes": -5}, {"epsilon": 0.0}, {"epsilon": math.nan}):
+    for bad in ({"n_probes": -5}, {"n_probes": 0}):
         with pytest.raises(ValueError):
             SketchMode(**bad)
+    # The probe count is the sketch's one setting, and it has no default.
+    with pytest.raises(TypeError):
+        SketchMode()
     # NODES priority credits contractions only, so without them nothing scores.
     with pytest.raises(ValueError):
         ReductionConfig(priority=Priority.NODES, allow_contraction=False)

@@ -21,7 +21,6 @@ from graphreduce.sketch import (
     LaplacianSolver,
     SketchEstimator,
     build_projection,
-    default_probe_count,
     edge_projection_rows,
     grounded_factor,
     lowest_modes,
@@ -189,12 +188,6 @@ def test_projection_is_signs_projected_once():
         signs /= math.sqrt(6)
         assert np.array_equal(q, signs - np.outer(signs @ what, what))
         assert np.max(np.abs(q @ what)) <= 1e-12
-
-
-def test_default_probe_count():
-    assert default_probe_count(1, 0.25) == 1
-    expected = math.ceil(4 * math.log(256) / 0.25**2)
-    assert default_probe_count(256, 0.25) == expected
 
 
 def orthonormal_complement_basis(w_sqrt: np.ndarray) -> np.ndarray:
