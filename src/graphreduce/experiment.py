@@ -22,7 +22,7 @@ import numpy as np
 from .action import Priority
 from .baselines import matching_coarsen, samples_for_edge_target, ss_sparsify
 from .generators import generate
-from .graph import ContractionMap, WeightedGraph, read_edgelist
+from .graph import ContractionMap, WeightedGraph, _check_count, read_edgelist
 from .laplacian import (
     DisconnectedGraphError, build_pseudoinverse, lift, symmetrized_laplacian
 )
@@ -43,7 +43,6 @@ from .reducer import (
     SketchMode,
     StallError,
     StopCriterion,
-    _check_count,
     reduce_graph,
 )
 from .sketch import ConvergenceError
@@ -57,25 +56,27 @@ ALGORITHM_FAILURES = (
 )
 
 
+_COUNT_STOPS = {"edges": EdgeBudget, "nodes": NodeBudget, "iters": MaxIterations}
+_CAP_STOPS = {"error": ErrorCap, "beta": BetaCap}
+
+
 def parse_stop(spec: str | dict) -> list[StopCriterion]:
-    """Stop criteria from "edges=40" style strings or {"edges": 40} dicts."""
-    if isinstance(spec, str):
+    """Stop criteria from "edges=40" style strings or {"edges": 40} dicts.
+
+    Only string values go through int(); a dict's counts are checked as given.
+    """
+    text = isinstance(spec, str)
+    if text:
         key, _, value = spec.partition("=")
         if not value:
             raise ValueError(f"stop wants key=value, got {spec!r}")
         spec = {key: value}
     out: list[StopCriterion] = []
     for key, value in spec.items():
-        if key == "edges":
-            out.append(EdgeBudget(int(value)))
-        elif key == "nodes":
-            out.append(NodeBudget(int(value)))
-        elif key == "error":
-            out.append(ErrorCap(float(value)))
-        elif key == "beta":
-            out.append(BetaCap(float(value)))
-        elif key == "iters":
-            out.append(MaxIterations(int(value)))
+        if key in _COUNT_STOPS:
+            out.append(_COUNT_STOPS[key](int(value) if text else value))
+        elif key in _CAP_STOPS:
+            out.append(_CAP_STOPS[key](float(value)))
         else:
             raise ValueError(f"unknown stop criterion {key!r}")
     return out
@@ -138,9 +139,7 @@ class LevelSchedule:
         if not self.sizes:
             raise ValueError("need at least one level")
         for size in self.sizes:
-            _check_count("level size", size)
-        if any(s < 1 for s in self.sizes):
-            raise ValueError(f"level sizes must be positive, got {self.sizes}")
+            _check_count("level size", size, 1)
         if any(b >= a for a, b in zip(self.sizes, self.sizes[1:])):
             raise ValueError(f"level sizes must strictly decrease, got {self.sizes}")
 
@@ -169,16 +168,10 @@ class ExperimentSpec:
     json_path: str | None = None
 
     def __post_init__(self):
-        _check_count("runs", self.runs)
-        _check_count("seed", self.seed)
-        if self.runs < 1:
-            raise ValueError(f"need at least one run, got {self.runs}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        _check_count("runs", self.runs, 1)
+        _check_count("seed", self.seed, 0)
         if self.eigen_k is not None:
-            _check_count("eigen_k", self.eigen_k)
-            if self.eigen_k < 1:
-                raise ValueError(f"eigen_k must be >= 1, got {self.eigen_k}")
+            _check_count("eigen_k", self.eigen_k, 1)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentSpec":

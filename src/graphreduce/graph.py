@@ -45,6 +45,13 @@ def _check_node(u) -> None:
         raise ValueError(f"node id must be a non-negative integer, got {u!r}")
 
 
+def _check_count(name: str, value, least: int) -> None:
+    # Counts and seeds are Python or numpy integers; a float or a bool is
+    # refused where it enters, not truncated or failing deep inside a build.
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ContractionRecord:
     """The node a single edge contraction kept and the node it merged away."""

@@ -20,8 +20,7 @@ one batch mixes all three, and one solve and one in-place BLAS product
 accumulated into pinv apply it; each contracted pair's rows and columns are
 then merged and one pass of block copies drops the removed slots. The
 update is exact, so a long chain of them agrees with recomputation up to
-float drift; callers are expected to rebuild periodically (see
-`REBUILD_INTERVAL`).
+float drift, which `probe_residual` measures in one n^2 product.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ __all__ = [
     "DisconnectedGraphError",
     "SingularUpdateError",
     "PseudoinverseState",
-    "REBUILD_INTERVAL",
     "weighted_incidence",
     "symmetrized_laplacian",
     "laplacian_matrix",
@@ -53,12 +51,9 @@ __all__ = [
     "contraction_update",
     "lift",
     "identity_residual",
+    "probe_residual",
     "save_matrix_csv",
 ]
-
-# Dense rebuild cadence used by incremental consumers to bound float drift,
-# in rank applied since the last build (`PseudoinverseState.updates`).
-REBUILD_INTERVAL = 512
 
 IDENTITY_TOL = 1e-8
 
@@ -86,15 +81,13 @@ class PseudoinverseState:
     order of `pinv`; `weights` holds the node weights in that order.
     `estimated_error` accumulates the expected squared Frobenius error of the
     probabilistic updates applied so far (maintained by the reducer, not by
-    this module). `updates` counts the rank applied since the last dense
-    build: a batch of k reweights or contractions adds k.
+    this module).
     """
 
     nodes: tuple[int, ...]
     weights: np.ndarray
     pinv: np.ndarray
     estimated_error: float = 0.0
-    updates: int = 0
     index: dict[int, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -311,7 +304,6 @@ def woodbury_reweight(
     # result is always assigned back.
     P = blas.dgemm(-1.0, X.T, Y.T, beta=1.0, c=state.pinv.T, overwrite_c=1).T
     state.pinv = P
-    state.updates += len(iu)
     if not contract.any():
         return state
 
@@ -389,19 +381,39 @@ def lift(
     return lifted
 
 
+def _check_nodes(state: PseudoinverseState, g: WeightedGraph) -> None:
+    if state.nodes != tuple(g.nodes()):
+        raise ValueError(
+            f"state over {state.n} nodes does not match the graph's {g.n_nodes} nodes"
+        )
+
+
 def identity_residual(state: PseudoinverseState, g: WeightedGraph) -> float:
     """Max-entry residual of pinv @ L = I - J; small for a healthy state.
 
     Raises ValueError when `state` is not over `g`'s nodes in ascending order.
     """
-    if state.nodes != tuple(g.nodes()):
-        raise ValueError(
-            f"state over {state.n} nodes does not match the graph's {g.n_nodes} nodes"
-        )
+    _check_nodes(state, g)
     L = laplacian_matrix(g)
     J = weighted_projector(state.weights)
     eye = np.eye(state.n)
     return float(np.abs(state.pinv @ L - (eye - J)).max())
+
+
+def probe_residual(state: PseudoinverseState, g: WeightedGraph) -> float:
+    """Max-entry residual of pinv @ L @ x = x - J @ x for one fixed x.
+
+    `identity_residual` on a single non-constant vector, x = linspace(-1, 1),
+    which draws nothing from any generator: L is applied through the sparse
+    Lhat, so the cost is one sparse product and one n^2 matvec with O(n)
+    extra memory. Raises ValueError as `identity_residual` does.
+    """
+    _check_nodes(state, g)
+    lhat, w_sqrt = symmetrized_laplacian(g)
+    x = np.linspace(-1.0, 1.0, state.n)
+    lx = (lhat @ (w_sqrt * x)) / w_sqrt  # L = W_n^{-1/2} Lhat W_n^{1/2}
+    w = state.weights
+    return float(np.abs(state.pinv @ lx - (x - w @ x / w.sum())).max())
 
 
 def save_matrix_csv(path, matrix: np.ndarray) -> None:

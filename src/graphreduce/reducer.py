@@ -20,15 +20,15 @@ the edges and follows the graph. Matched edges share no endpoints, so a
 round's weight changes, contractions last as delta_w = +inf, reach the
 backend as one batch. The exact backend applies it to the dense
 pseudoinverse as one rank-k update; the sketch backend estimates from a
-`SketchEstimator` it rebuilds after every round that acted, and forms the
-dense pseudoinverse only at the end.
+`SketchEstimator` it rebuilds after every round that acted. The backend only
+drives the draws: both modes end with one dense build from the reduced graph,
+and exact mode first records how far its incremental state drifted.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -41,26 +41,19 @@ from .action import (
     expected_error,
     optimal_action,
 )
-from .graph import ContractionMap, WeightedGraph
+from .graph import ContractionMap, WeightedGraph, _check_count
 from .laplacian import (
-    REBUILD_INTERVAL,
     PseudoinverseState,
     build_pseudoinverse,
     contraction_update,  # unused here; perfbench/tracer.py patches it by this name
     edge_leverage,
+    probe_residual,
     update_norm,
     woodbury_reweight,
 )
 from .sketch import SketchEstimator
 
 MAX_REDRAWS = 32
-
-
-def _check_count(name: str, value) -> None:
-    # Counts enter as Python or numpy integers; a float or a bool is refused
-    # here rather than truncated or failing deep inside a build.
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 class RedrawLimitError(RuntimeError):
@@ -93,9 +86,7 @@ class SketchMode:
     n_probes: int
 
     def __post_init__(self):
-        _check_count("n_probes", self.n_probes)
-        if self.n_probes < 1:
-            raise ValueError(f"n_probes must be >= 1, got {self.n_probes}")
+        _check_count("n_probes", self.n_probes, 1)
 
 
 @dataclass(frozen=True)
@@ -105,9 +96,7 @@ class EdgeBudget:
     edges: int
 
     def __post_init__(self):
-        _check_count("edge budget", self.edges)
-        if not self.edges >= 0:
-            raise ValueError(f"edge budget must be >= 0, got {self.edges}")
+        _check_count("edge budget", self.edges, 0)
 
     def done(self, graph: WeightedGraph, error: float) -> bool:
         return graph.n_edges <= self.edges
@@ -120,9 +109,7 @@ class NodeBudget:
     nodes: int
 
     def __post_init__(self):
-        _check_count("node budget", self.nodes)
-        if not self.nodes >= 1:
-            raise ValueError(f"node budget must be >= 1, got {self.nodes}")
+        _check_count("node budget", self.nodes, 1)
 
     def done(self, graph: WeightedGraph, error: float) -> bool:
         return graph.n_nodes <= self.nodes
@@ -167,9 +154,7 @@ class MaxIterations:
     iterations: int
 
     def __post_init__(self):
-        _check_count("iterations", self.iterations)
-        if not self.iterations >= 0:
-            raise ValueError(f"iterations must be >= 0, got {self.iterations}")
+        _check_count("iterations", self.iterations, 0)
 
     def done(self, graph: WeightedGraph, error: float) -> bool:
         return False
@@ -233,14 +218,23 @@ class IterationRecord:
 
 @dataclass
 class ReductionTrace:
+    """Per-round records, why the loop stopped, and the exact state's drift.
+
+    `drift` is `probe_residual` of the incrementally updated pseudoinverse
+    against the reduced graph, taken once before the final dense build; it
+    is None in sketch mode, which keeps no dense state.
+    """
+
     records: list[IterationRecord] = field(default_factory=list)
     stopped_by: str = ""
+    drift: float | None = None
 
     def write_jsonl(self, path: str) -> None:
         with open(path, "w") as fh:
             for rec in self.records:
                 fh.write(rec.to_json() + "\n")
-            fh.write(json.dumps({"stopped_by": self.stopped_by}) + "\n")
+            end = {"stopped_by": self.stopped_by, "drift": self.drift}
+            fh.write(json.dumps(end) + "\n")
 
     def totals(self) -> dict[str, int]:
         return {
@@ -279,31 +273,21 @@ def select_beta(
 class _ExactBackend:
     """Dense pseudoinverse kept current by one rank-k update per round.
 
-    A round's reweights, deletions and contractions are one Woodbury update,
-    the contractions as its infinite-weight rows, then one compaction. The
-    state is rebuilt at the first `measure` or `finalize` after the rank
-    applied since the last build reaches `REBUILD_INTERVAL`.
+    Built once from the input graph and never rebuilt: a round's reweights,
+    deletions and contractions are one exact Woodbury update, the
+    contractions as its infinite-weight rows, then one compaction. Rounding
+    is the only drift, and `reduce_graph` records it at the end.
     """
 
     def __init__(self, g: WeightedGraph):
         self.state = build_pseudoinverse(g)
 
-    def _current(self, g: WeightedGraph) -> PseudoinverseState:
-        # Rebuilt between rounds, once the updates may have drifted.
-        if self.state.updates >= REBUILD_INTERVAL:
-            self.state = build_pseudoinverse(g)
-        return self.state
-
     def measure(self, g: WeightedGraph, eids: list[int]):
-        state = self._current(g)
         u, v, w = g.edge_columns(eids)
-        return edge_leverage(state, u, v, w), update_norm(state, u, v, w)
+        return edge_leverage(self.state, u, v, w), update_norm(self.state, u, v, w)
 
     def apply(self, u: np.ndarray, v: np.ndarray, delta_w: np.ndarray) -> None:
         woodbury_reweight(self.state, u, v, delta_w)
-
-    def finalize(self, g: WeightedGraph) -> PseudoinverseState:
-        return self._current(g)
 
 
 class _SketchBackend:
@@ -321,9 +305,6 @@ class _SketchBackend:
 
     def apply(self, u: np.ndarray, v: np.ndarray, delta_w: np.ndarray) -> None:
         self.estimator = None
-
-    def finalize(self, g: WeightedGraph) -> PseudoinverseState:
-        return build_pseudoinverse(g)
 
 
 def _apply(
@@ -377,8 +358,7 @@ def reduce_graph(
     leaves the graph and the backend as they were, so none ever will.
     """
     config = config or ReductionConfig()
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    _check_count("seed", seed, 0)
     stops = list(stop) if isinstance(stop, (list, tuple)) else [stop]
     if not stops:
         raise ValueError("at least one stop criterion is required")
@@ -485,6 +465,9 @@ def reduce_graph(
         )
         iteration += 1
 
-    state = backend.finalize(g)
+    if isinstance(backend, _ExactBackend):
+        trace.drift = probe_residual(backend.state, g)
+    del backend  # frees the incremental pinv before the build allocates its own
+    state = build_pseudoinverse(g)
     state.estimated_error = estimated_error
     return ReductionResult(g, cmap, state, trace)

@@ -43,7 +43,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse import csgraph
 
-from .graph import WeightedGraph
+from .graph import WeightedGraph, _check_count
 # symmetrized_laplacian is re-exported for callers that bind it here.
 from .laplacian import DisconnectedGraphError, symmetrized_laplacian, weighted_incidence
 
@@ -265,8 +265,9 @@ class SketchEstimator:
     is 0 and this is the plain sign sketch. Leverages use k edge probes.
     One `LaplacianSolver` per build takes every solve and the eigensolve.
 
-    `build` raises DisconnectedGraphError when the Lhat it assembles has more
-    than one component. `measure` reads both quantities for a list of edges.
+    `build` raises ValueError unless `n_probes` is an integer >= 1, and
+    DisconnectedGraphError when the Lhat it assembles has more than one
+    component. `measure` reads both quantities for a list of edges.
     Estimates go stale as soon as the graph changes; callers rebuild after
     every modifying round.
     """
@@ -284,6 +285,7 @@ class SketchEstimator:
         rng: np.random.Generator,
         n_probes: int,
     ) -> "SketchEstimator":
+        _check_count("n_probes", n_probes, 1)
         incidence, w_sqrt = weighted_incidence(g)
         lhat = (incidence.T @ incidence).tocsr()
         if csgraph.connected_components(lhat, directed=False)[0] > 1:

@@ -72,7 +72,9 @@ class TestReduce:
         assert set(cmap.assignment.values()) == set(reduced.nodes())
         lines = (tmp_path / "red.trace.jsonl").read_text().splitlines()
         records = [json.loads(line) for line in lines]
-        assert records[-1] == {"stopped_by": "EdgeBudget"}
+        assert records[-1].keys() == {"stopped_by", "drift"}
+        assert records[-1]["stopped_by"] == "EdgeBudget"
+        assert 0 <= records[-1]["drift"] < 1e-10
         assert records[0]["iteration"] == 0
 
     def test_byte_identical_determinism(self, tmp_path, er_graph):

@@ -1,7 +1,7 @@
 """The quick demos run to completion against the current library.
 
-`coarsen_lattice.py` and `reduce_sbm.py` take tens of seconds each and are
-left out.
+`reduce_sbm.py`, about 10 s on a 2-core machine, runs as its own CI step
+instead.
 """
 
 import os
@@ -15,7 +15,13 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize(
-    "demo", ["action_regimes.py", "contraction_and_lifting.py", "sketch_accuracy.py"]
+    "demo",
+    [
+        "action_regimes.py",
+        "coarsen_lattice.py",
+        "contraction_and_lifting.py",
+        "sketch_accuracy.py",
+    ],
 )
 def test_demo_runs(demo):
     env = dict(os.environ)

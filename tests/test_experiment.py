@@ -61,6 +61,13 @@ class TestParsing:
         stops = parse_stop({"edges": 40, "iters": 3})
         assert EdgeBudget(40) in stops and MaxIterations(3) in stops
 
+    def test_stop_dict_counts_are_not_truncated(self):
+        for bad in ({"edges": 40.7}, {"nodes": 3.0}, {"iters": True}):
+            with pytest.raises(ValueError):
+                parse_stop(bad)
+        with pytest.raises(ValueError):
+            parse_stop("edges=40.7")
+
     def test_stop_rejects_unknown_and_bare(self):
         with pytest.raises(ValueError):
             parse_stop("volume=3")

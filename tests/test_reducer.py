@@ -12,7 +12,6 @@ from graphreduce.graph import WeightedGraph
 from graphreduce.generators import cycle, torus, triangular_lattice
 from graphreduce.laplacian import (
     IDENTITY_TOL,
-    REBUILD_INTERVAL,
     DisconnectedGraphError,
     build_pseudoinverse,
     identity_residual,
@@ -162,8 +161,11 @@ def test_validation_errors():
             bad()
     with pytest.raises(ValueError):
         reduce_graph(unit_triangle(), [])
-    with pytest.raises(ValueError):
-        reduce_graph(unit_triangle(), MaxIterations(1), seed=-1)
+    # The seed is a count too: a bool is no seed, and nothing is truncated.
+    for seed in (-1, True, 2.5, "3"):
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            reduce_graph(unit_triangle(), MaxIterations(1), seed=seed)
+    assert reduce_graph(unit_triangle(), MaxIterations(1), seed=np.int64(3)).trace.records
     for mode in ("sketch", None, SketchMode):
         with pytest.raises(ValueError):
             ReductionConfig(mode=mode)
@@ -283,17 +285,24 @@ def test_input_graph_untouched():
 
 
 def test_maintained_state_matches_rebuild():
+    # The incremental state's drift from the reduced graph is recorded before
+    # the final build replaces it.
     rng = np.random.default_rng(9)
     g = random_connected_graph(rng, 20, extra_edges=30, weighted_nodes=True)
     result = reduce_graph(g, EdgeBudget(g.n_edges - 12), seed=11)
+    assert result.trace.drift < 1e-10
     fresh = build_pseudoinverse(result.graph)
     assert np.allclose(result.state.pinv, fresh.pinv, atol=1e-8)
     assert identity_residual(result.state, result.graph) < 1e-7
 
 
-def test_rebuild_follows_the_rank_applied_since_the_last_build(monkeypatch):
-    # Each round's batches add their rank to `updates`; the backend rebuilds
-    # at the first measure (or the end) after the sum reaches the interval.
+@pytest.mark.parametrize(
+    "mode, builds", [(ExactMode(), 2), (SketchMode(8), 1)], ids=["exact", "sketch"]
+)
+def test_one_dense_build_at_each_end(monkeypatch, mode, builds):
+    # Exact mode builds for the input graph and, never in between, for the
+    # output graph; sketch mode only for the output graph. The returned state
+    # is that last build, bit for bit.
     g = triangular_lattice(16, 16)
     built = []
 
@@ -302,18 +311,36 @@ def test_rebuild_follows_the_rank_applied_since_the_last_build(monkeypatch):
         return build_pseudoinverse(graph)
 
     monkeypatch.setattr(reducer, "build_pseudoinverse", counting_build)
-    config = ReductionConfig(keep_fraction=0.25, priority=Priority.NODES)
+    config = ReductionConfig(keep_fraction=0.25, priority=Priority.NODES, mode=mode)
     result = reduce_graph(g, NodeBudget(40), config, seed=3)
+    out = (result.graph.n_nodes, result.graph.n_edges)
+    assert built == [(g.n_nodes, g.n_edges), out][-builds:]
+    assert len(result.trace.records) > 10
+    assert np.array_equal(result.state.pinv, build_pseudoinverse(result.graph).pinv)
+    assert identity_residual(result.state, result.graph) <= IDENTITY_TOL
+    assert (result.trace.drift is None) == isinstance(mode, SketchMode)
 
-    expected, rank = [(g.n_nodes, g.n_edges)], 0
-    for rec in result.trace.records:
-        rank += rec.deleted + rec.contracted + rec.reweighted
-        if rank >= REBUILD_INTERVAL:
-            expected.append((rec.nodes_after, rec.edges_after))
-            rank = 0
-    assert len(expected) >= 2
-    assert built == expected
-    assert result.state.updates == rank
+
+def test_drift_stays_at_rounding_level_on_a_wide_weight_torus():
+    g = torus(24, 24, weight_law="exp-uniform:-3,3", rng=np.random.default_rng(2))
+    result = reduce_graph(g, EdgeBudget(g.n_edges // 4), seed=5)
+    assert 0 <= result.trace.drift < 1e-10
+
+
+def test_a_perturbed_update_shows_as_drift_not_in_the_output(monkeypatch):
+    # Every update leaves 1e-6 on each entry of pinv; the drift reads it, and
+    # the returned state, built from the reduced graph, does not carry it.
+    update = reducer.woodbury_reweight
+
+    def perturbed(state, *args):
+        update(state, *args)
+        state.pinv += 1e-6
+        return state
+
+    monkeypatch.setattr(reducer, "woodbury_reweight", perturbed)
+    g = triangular_lattice(10, 10)
+    result = reduce_graph(g, NodeBudget(40), ReductionConfig(priority=Priority.NODES), seed=3)
+    assert result.trace.drift >= 1e-7
     assert identity_residual(result.state, result.graph) <= IDENTITY_TOL
 
 
@@ -331,7 +358,7 @@ def test_trace_monotonicity_and_roundtrip(tmp_path):
     path = tmp_path / "trace.jsonl"
     result.trace.write_jsonl(str(path))
     lines = [json.loads(line) for line in path.read_text().splitlines()]
-    assert lines[-1] == {"stopped_by": "EdgeBudget"}
+    assert lines[-1] == {"stopped_by": "EdgeBudget", "drift": result.trace.drift}
     assert len(lines) == len(recs) + 1
     assert lines[0]["iteration"] == 0
 

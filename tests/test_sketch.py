@@ -455,6 +455,14 @@ def test_estimator_measure_returns_valid_quantities():
     assert np.array_equal(sub_norms, norms[::-3])
 
 
+def test_estimator_rejects_a_bad_probe_count():
+    # Checked where it enters, before the build draws or solves anything.
+    g = random_connected_graph(np.random.default_rng(5), 10, extra_edges=6)
+    for bad in (0, -1, 2.5, True):
+        with pytest.raises(ValueError, match="n_probes must be an integer >= 1"):
+            SketchEstimator.build(g, np.random.default_rng(0), bad)
+
+
 def test_estimator_rejects_disconnected_graph():
     g = WeightedGraph.from_edges([(0, 1, 1.0), (2, 3, 1.0)])
     with pytest.raises(DisconnectedGraphError):
