@@ -6,11 +6,9 @@ coarsening, the two standard points of reference for the unified reducer.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .graph import ContractionMap, WeightedGraph
+from .graph import ContractionMap, WeightedGraph, _check_count
 from .laplacian import build_pseudoinverse, edge_leverage
 
 
@@ -32,8 +30,7 @@ def ss_sparsify(
     expected Laplacian is the original one. All nodes are kept; the result
     may be disconnected, which callers can observe via is_connected().
     """
-    if n_samples < 1:
-        raise ValueError(f"need at least one sample, got {n_samples}")
+    _check_count("n_samples", n_samples, 1)
     eids, probs = leverage_probabilities(g)
     counts = rng.multinomial(n_samples, probs)
     out = WeightedGraph()
@@ -58,9 +55,9 @@ def expected_distinct_edges(g: WeightedGraph, n_samples: int) -> float:
 
 def samples_for_edge_target(g: WeightedGraph, target_edges: int) -> int:
     """Smallest sample count whose expected distinct-edge yield hits target."""
-    m = g.n_edges
-    if not 1 <= target_edges <= m:
-        raise ValueError(f"target must be in [1, {m}], got {target_edges}")
+    _check_count("target_edges", target_edges, 1)
+    if target_edges > g.n_edges:
+        raise ValueError(f"target must be in [1, {g.n_edges}], got {target_edges}")
     _, probs = leverage_probabilities(g)
     hi = 1
     while _expected_distinct(probs, hi) < target_edges:
@@ -103,10 +100,9 @@ def matching_coarsen(
     """
     if strategy not in ("random", "heavy-edge"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    if levels < 0:
-        raise ValueError(f"levels must be >= 0, got {levels}")
-    if target_nodes is not None and target_nodes < 1:
-        raise ValueError(f"target_nodes must be >= 1, got {target_nodes}")
+    _check_count("levels", levels, 0)
+    if target_nodes is not None:
+        _check_count("target_nodes", target_nodes, 1)
     if rng is None:
         rng = np.random.default_rng()
     out = g.copy()

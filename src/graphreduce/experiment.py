@@ -144,6 +144,11 @@ class LevelSchedule:
             raise ValueError(f"level sizes must strictly decrease, got {self.sizes}")
 
 
+# The options each algorithm kind reads; AlgorithmSpec refuses any other.
+_OPTIONS = {"reduce": {"q", "d", "priority", "no_contraction", "mode", "stop"},
+            "sparsify": set(), "coarsen": {"strategy"}}
+
+
 @dataclass(frozen=True)
 class AlgorithmSpec:
     name: str
@@ -151,8 +156,11 @@ class AlgorithmSpec:
     options: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in ("reduce", "sparsify", "coarsen"):
+        if self.kind not in _OPTIONS:
             raise ValueError(f"unknown algorithm kind {self.kind!r}")
+        unknown = sorted(set(self.options) - _OPTIONS[self.kind])
+        if unknown:
+            raise ValueError(f"{self.kind} {self.name!r} reads no options {unknown}")
 
 
 @dataclass(frozen=True)

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import inspect
 import math
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .graph import WeightedGraph
+from .graph import WeightedGraph, _check_count
 
 WeightLaw = Callable[[np.random.Generator], float]
 
@@ -149,26 +150,25 @@ def sbm(
     return _sample_until_connected(build, rng)
 
 
+_FAMILIES = {"path": path, "cycle": cycle, "torus": torus, "er": er, "sbm": sbm,
+             "triangular-lattice": triangular_lattice}
+
+
 def generate(kind: str, params: dict, seed: int | None = None) -> WeightedGraph:
-    """Build a named family from keyword parameters (CLI / experiment entry)."""
-    rng = np.random.default_rng(seed)
-    if kind == "path":
-        return path(int(params["n"]), params.get("weights"))
-    if kind == "cycle":
-        return cycle(int(params["n"]), float(params.get("weight", 1.0)))
-    if kind == "torus":
-        return torus(
-            int(params["rows"]), int(params["cols"]),
-            params.get("weight_law"), rng,
-        )
-    if kind == "triangular-lattice":
-        return triangular_lattice(int(params["rows"]), int(params["cols"]))
-    if kind == "er":
-        return er(int(params["n"]), float(params["p"]), rng, params.get("weight_law"))
-    if kind == "sbm":
-        return sbm(
-            int(params["n"]), int(params["k"]),
-            float(params["p_in"]), float(params["p_out"]),
-            rng, params.get("weight_law"),
-        )
-    raise ValueError(f"unknown graph kind {kind!r}")
+    """Build a named family from its arguments by name, `rng` made from `seed`.
+
+    The CLI and experiment entry: an unknown key or a count (n, rows, cols,
+    k) that is not an integer >= 1 raises ValueError.
+    """
+    if kind not in _FAMILIES:
+        raise ValueError(f"unknown graph kind {kind!r}")
+    family = _FAMILIES[kind]
+    takes = inspect.signature(family).parameters
+    unknown = sorted(set(params) - (set(takes) - {"rng"}))
+    if unknown:
+        raise ValueError(f"{kind} takes no params {unknown}")
+    for name in sorted({"n", "rows", "cols", "k"} & set(params)):
+        _check_count(name, params[name], 1)
+    if "rng" in takes:
+        params = {**params, "rng": np.random.default_rng(seed)}
+    return family(**params)

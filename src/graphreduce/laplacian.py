@@ -11,22 +11,21 @@ definite, a Cholesky factor gives inv(A) = pinv(Lhat) + what what^T in place,
 and pinv = W_n^{-1/2} inv(A) W_n^{1/2} - J.
 
 Changing the weights of k node-disjoint edges by D = diag(delta_w) is one
-rank-k Woodbury update, pinv -= Y (I + D Omega)^{-1} D Z with Y = pinv W_n^{-1}
-B, Z = B^T pinv and the k x k capacitance built from Omega = B^T Y. Deletion
-is delta_w = -weight and contraction is delta_w = +inf: the pseudoinverse
-stays finite in that limit, where a contracted edge j's row of the system
-(I + D Omega) X = D Z, divided by its delta_w, tends to Omega_j X = Z_j. So
-one batch mixes all three, and one solve and one in-place BLAS product
+rank-k Woodbury update, pinv -= Y (D^{-1} + Omega)^{-1} Z, read from the k
+rows Z = B^T pinv alone: pinv W_n^{-1} is symmetric, so Y = pinv W_n^{-1} B =
+(Z W_n^{-1})^T, and Omega = B^T Y. Deletion is delta_w = -weight; contraction
+is delta_w = +inf, where pinv stays finite and D^{-1} reads 1/inf = 0. So one
+batch mixes all three, and one k x k solve and one in-place BLAS product
 accumulated into pinv apply it; each contracted pair's rows and columns are
-then merged and one pass of block copies drops the removed slots. The
-update is exact, so a long chain of them agrees with recomputation up to
-float drift, which `probe_residual` measures in one n^2 product.
+then merged and one pass of block copies drops the removed slots. The update
+is exact, so a long chain of them agrees with recomputation up to float drift,
+which `probe_residual` measures in one n^2 product.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -77,8 +76,8 @@ class SingularUpdateError(ValueError):
 class PseudoinverseState:
     """Dense pseudoinverse of a graph's node-weighted Laplacian.
 
-    `nodes` holds the graph's node ids in ascending order, the row/column
-    order of `pinv`; `weights` holds the node weights in that order.
+    `nodes` holds the graph's node ids in ascending order, searched for an
+    id's row/column of `pinv`; `weights` holds the node weights in that order.
     `estimated_error` accumulates the expected squared Frobenius error of the
     probabilistic updates applied so far (maintained by the reducer, not by
     this module).
@@ -88,11 +87,6 @@ class PseudoinverseState:
     weights: np.ndarray
     pinv: np.ndarray
     estimated_error: float = 0.0
-    index: dict[int, int] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if not self.index:
-            self.index = {u: i for i, u in enumerate(self.nodes)}
 
     @property
     def n(self) -> int:
@@ -185,12 +179,19 @@ def _lower_inverse_to_pinv(A: np.ndarray, d: np.ndarray, j_row: np.ndarray) -> N
         rows -= j_row
 
 
+def _node_slots(nodes: np.ndarray, ids) -> np.ndarray:
+    # Positions of node ids, a scalar or an array, in the ascending `nodes`.
+    ids = np.atleast_1d(ids)
+    at = np.searchsorted(nodes, ids)
+    missing = nodes.take(at, mode="clip") != ids
+    if missing.any():
+        raise KeyError(f"node ids {ids[missing].tolist()} are not in the state")
+    return at
+
+
 def _positions(state: PseudoinverseState, u, v) -> tuple[np.ndarray, np.ndarray]:
-    # Row positions of the endpoint ids, which may be scalars or arrays.
-    index = state.index
-    iu = np.array([index[a] for a in np.atleast_1d(u).tolist()], dtype=np.intp)
-    iv = np.array([index[b] for b in np.atleast_1d(v).tolist()], dtype=np.intp)
-    return iu, iv
+    nodes = np.fromiter(state.nodes, np.intp, state.n)
+    return _node_slots(nodes, u), _node_slots(nodes, v)
 
 
 def _like(u, values: np.ndarray):
@@ -206,28 +207,22 @@ def _resistances(state: PseudoinverseState, iu: np.ndarray, iv: np.ndarray) -> n
     )
 
 
-def _gaps(state: PseudoinverseState, iu: np.ndarray, iv: np.ndarray):
-    # Y = pinv W_n^{-1} B (n x k) and Z = B^T pinv (k x n) for the incidence
-    # columns B of the pairs; Omega = B^T Y is then Y[iu] - Y[iv].
-    P, w = state.pinv, state.weights
-    return P[:, iu] / w[iu] - P[:, iv] / w[iv], P[iu, :] - P[iv, :]
-
-
 def _check_pivots(
     state: PseudoinverseState, iu: np.ndarray, iv: np.ndarray, A: np.ndarray,
     delta: np.ndarray,
 ) -> None:
     """Raise SingularUpdateError unless every pivot of A clears its row's floor.
 
-    The pivots of unpivoted elimination on the capacitance matrix A are the
-    denominators the rank-one steps would meet, applied one after another in
-    row order: 1 + delta_w * resistance on a reweight row, which must exceed
-    1e-12, and the resistance itself on a contraction row, which must exceed
-    0. The first that fails is named by its node pair.
+    A is the capacitance D^{-1} + Omega. Its pivots in unpivoted elimination,
+    times delta_w on a finite row, are the denominators the rank-one steps
+    meet in row order: 1 + delta_w * resistance on a reweight row, which must
+    exceed 1e-12, and on a contraction row (1/delta_w = 0) the resistance,
+    which must exceed 0. The first that fails is named by its node pair.
     """
     A = np.array(A, dtype=float)
     for j in range(len(A)):
-        pivot, contract = A[j, j], delta[j] == np.inf
+        contract = delta[j] == np.inf
+        pivot = A[j, j] if contract else delta[j] * A[j, j]
         if not pivot > (0.0 if contract else 1e-12):
             pair = (state.nodes[iu[j]], state.nodes[iv[j]])
             problem = (
@@ -236,7 +231,7 @@ def _check_pivots(
                 "deleting a bridge or overshooting a high-leverage edge"
             )
             raise SingularUpdateError(f"edge {pair}: {problem}")
-        A[j + 1 :, j + 1 :] -= np.outer(A[j + 1 :, j], A[j, j + 1 :] / pivot)
+        A[j + 1 :, j + 1 :] -= np.outer(A[j + 1 :, j], A[j, j + 1 :] / A[j, j])
 
 
 def edge_leverage(state: PseudoinverseState, u, v, weight):
@@ -273,37 +268,39 @@ def woodbury_reweight(
     """Apply the pseudoinverse update for edge weight changes delta_w.
 
     `u`, `v` and `delta_w` are scalars or equal-length arrays of node-disjoint
-    pairs; k pairs are one rank-k Woodbury update
+    pairs; k pairs are one rank-k Woodbury update, read from their rows
+    Z = B^T pinv alone:
 
-        pinv -= Y (I + D Omega)^{-1} D Z,    D = diag(delta_w).
+        pinv -= Y (D^{-1} + Omega)^{-1} Z,    D = diag(delta_w).
 
     `delta_w = -weight` realizes a deletion and `delta_w = +inf` a
-    contraction that merges `v` into `u`. An infinite row of the capacitance
-    is divided by its delta_w, which leaves Omega's row and the right-hand
-    side Z's row, so the batch takes one solve of diag(finite) + diag(scale)
-    Omega, with scale = delta_w on finite rows and 1 on infinite ones, and
-    one BLAS product accumulated into pinv in place. The contracted pairs
-    are then merged: rows by node-weighted average (they are equal in exact
-    arithmetic at the limit), columns by sum; one pass of block copies
+    contraction that merges `v` into `u`, whose entry of D^{-1} is 0; a row
+    with delta_w = 0 changes nothing and is dropped. One solve and one BLAS
+    product accumulated into pinv in place apply the batch. The contracted
+    pairs are then merged: rows by node-weighted average (they are equal in
+    exact arithmetic at the limit), columns by sum; one pass of block copies
     between the removed slots drops them.
 
     Mutates `state` in place (and returns it). The graph itself is updated by
     the caller. A bridge deletion makes a denominator vanish and raises
-    SingularUpdateError before `state` is touched.
+    SingularUpdateError, and an unknown node id KeyError, before `state` is
+    touched.
     """
     iu, iv = _positions(state, u, v)
     delta = np.broadcast_to(np.asarray(delta_w, dtype=float), iu.shape)
-    contract = delta == np.inf
-    scale = np.where(contract, 1.0, delta)
-    Y, Z = _gaps(state, iu, iv)
-    capacitance = np.diag((~contract).astype(float)) + scale[:, None] * (Y[iu] - Y[iv])
+    acts = delta != 0.0
+    iu, iv, delta = iu[acts], iv[acts], delta[acts]
+    Z = state.pinv[iu] - state.pinv[iv]
+    Y = (Z / state.weights).T
+    capacitance = np.diag(1.0 / delta) + (Y[iu] - Y[iv])
     _check_pivots(state, iu, iv, capacitance, delta)
-    X = np.linalg.solve(capacitance, scale[:, None] * Z)
+    X = np.linalg.solve(capacitance, Z)
     # pinv^T -= X^T Y^T accumulated by dgemm into pinv's F-ordered view. f2py
     # hands back a copy when that view is not F-ordered float64, so the
     # result is always assigned back.
     P = blas.dgemm(-1.0, X.T, Y.T, beta=1.0, c=state.pinv.T, overwrite_c=1).T
     state.pinv = P
+    contract = delta == np.inf
     if not contract.any():
         return state
 
@@ -337,7 +334,6 @@ def _drop_slots(state: PseudoinverseState, slots: np.ndarray) -> None:
     state.pinv = out
     state.weights = state.weights[kept]
     state.nodes = tuple(state.nodes[i] for i in kept)
-    state.index = {u: i for i, u in enumerate(state.nodes)}
 
 
 def contraction_update(

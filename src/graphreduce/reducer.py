@@ -415,10 +415,13 @@ def reduce_graph(
             trace.stopped_by = "BetaCap"
             break
 
-        eq = EdgeQuantities(
-            eq.leverage[kept], eq.update_norm[kept], eq.triangles[kept], eq.priority
-        )
+        # The closed form is elementwise: solve the column, read the kept rows.
         dist = optimal_action(eq, beta, config.allow_contraction)
+        kept_error = expected_error(eq, dist)[kept]
+        p_delete, p_contract, reweight = (
+            col[kept] for col in (dist.p_delete, dist.p_contract, dist.reweight_ratio)
+        )
+        del eq, dist  # column-sized: not held through the next build
         eids = [matched[i] for i in kept]
 
         # Redraw the whole iteration's actions until deletions keep the graph
@@ -428,11 +431,8 @@ def reduce_graph(
         for attempt in range(MAX_REDRAWS):
             draws = rng.random(len(eids))
             ratios = np.where(
-                draws < dist.p_delete,
-                -1.0,
-                np.where(
-                    draws < dist.p_delete + dist.p_contract, np.inf, dist.reweight_ratio
-                ),
+                draws < p_delete, -1.0,
+                np.where(draws < p_delete + p_contract, np.inf, reweight),
             )
             cut = np.flatnonzero(ratios == -1.0)
             if not cut.size or g.connected_without([eids[i] for i in cut]):
@@ -447,7 +447,7 @@ def reduce_graph(
         n_del, n_con, n_rew = _apply(g, backend, cmap, eids, ratios)
         # Python's sum adds edge by edge in kept order; np.sum's pairwise
         # order would round the total differently.
-        estimated_error += sum(expected_error(eq, dist).tolist())
+        estimated_error += sum(kept_error.tolist())
         if n_del + n_con + n_rew:
             idle.clear()
         else:

@@ -44,8 +44,8 @@ import scipy.sparse.linalg as spla
 from scipy.sparse import csgraph
 
 from .graph import WeightedGraph, _check_count
-# symmetrized_laplacian is re-exported for callers that bind it here.
-from .laplacian import DisconnectedGraphError, symmetrized_laplacian, weighted_incidence
+from .laplacian import DisconnectedGraphError, _node_slots, weighted_incidence
+from .laplacian import symmetrized_laplacian  # re-exported: callers bind it here
 
 # Relative residual every probe solve is run to.
 SOLVER_TOL = 1e-8
@@ -330,8 +330,7 @@ class SketchEstimator:
         the same whatever else is measured with it.
         """
         u, v, w = g.edge_columns(eids)
-        iu = np.searchsorted(self.nodes, u)
-        iv = np.searchsorted(self.nodes, v)
+        iu, iv = _node_slots(self.nodes, u), _node_slots(self.nodes, v)
         # One edge per row, so every sum runs over a contiguous row.
         lgap = self.leverage_columns.T[iu] - self.leverage_columns.T[iv]
         ngap = self.norm_columns.T[iu] - self.norm_columns.T[iv]

@@ -60,6 +60,20 @@ def test_sparsifier_validation():
         ss_sparsify(unit_triangle(), 0, np.random.default_rng(0))
 
 
+def test_counts_are_integers():
+    # Checked as given, never truncated: 2.5 samples or 1.5 levels is an error.
+    g, rng = cycle(8), np.random.default_rng(0)
+    for bad in (2.5, True):
+        with pytest.raises(ValueError, match="n_samples must be an integer >= 1"):
+            ss_sparsify(g, bad, rng)
+    for bad in (1.5, True):
+        with pytest.raises(ValueError, match="levels must be an integer >= 0"):
+            matching_coarsen(g, levels=bad)
+    with pytest.raises(ValueError, match="target_nodes must be an integer >= 1"):
+        matching_coarsen(g, target_nodes=5.5)
+    with pytest.raises(ValueError, match="target_edges must be an integer >= 1"):
+        samples_for_edge_target(g, 5.5)
+
 def test_expected_distinct_edges_triangle():
     tri = unit_triangle()
     # 3 * (1 - (2/3)^n) for uniform probabilities 1/3.

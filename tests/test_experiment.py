@@ -118,6 +118,20 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             AlgorithmSpec("x", "prune")
 
+    def test_algorithm_options_are_keys_its_runner_reads(self):
+        # A misspelt option would otherwise run silently at its default.
+        for kind, options, unknown in [
+            ("reduce", {"q": 0.5, "keep_fraction": 0.1}, "keep_fraction"),
+            ("sparsify", {"q": 0.2}, "q"),
+            ("coarsen", {"strategy": "random", "levels": 2}, "levels"),
+        ]:
+            with pytest.raises(ValueError, match=rf"{kind} 'x' reads no options \['{unknown}'\]"):
+                AlgorithmSpec("x", kind, options)
+        reduce_keys = {"q": 0.5, "d": 0.5, "priority": "nodes", "no_contraction": False,
+                       "mode": "exact", "stop": ["iters=1"]}
+        AlgorithmSpec("x", "reduce", reduce_keys)
+        AlgorithmSpec("x", "coarsen", {"strategy": "heavy-edge"})
+
     def test_runs_positive(self):
         with pytest.raises(ValueError):
             edge_spec([10], [], runs=0)

@@ -146,3 +146,25 @@ def test_generate_dispatcher():
     assert g.is_connected()
     with pytest.raises(ValueError):
         generate("hypercube", {})
+
+
+def test_generate_refuses_inexact_counts_and_unknown_keys():
+    sbm_probs = {"p_in": 0.5, "p_out": 0.1}
+    for kind, params, name in [
+        ("path", {"n": 2.5}, "n"),
+        ("path", {"n": True}, "n"),
+        ("cycle", {"n": 6.0}, "n"),
+        ("torus", {"rows": 4, "cols": 4.5}, "cols"),
+        ("triangular-lattice", {"rows": False, "cols": 3}, "rows"),
+        ("sbm", {"n": 20.9, "k": 2, **sbm_probs}, "n"),
+        ("sbm", {"n": 20, "k": 2.7, **sbm_probs}, "k"),
+    ]:
+        with pytest.raises(ValueError, match=f"{name} must be an integer >= 1"):
+            generate(kind, params)
+    with pytest.raises(ValueError, match=r"torus takes no params \['weightlaw'\]"):
+        generate("torus", {"rows": 4, "cols": 4, "weightlaw": "exp-uniform:-1,1"})
+    with pytest.raises(ValueError, match=r"er takes no params \['rng'\]"):
+        generate("er", {"n": 8, "p": 0.5, "rng": 0})
+    # numpy integers are counts too; the seed still makes the weights.
+    a = generate("torus", {"rows": np.int64(3), "cols": 4, "weight_law": "uniform:1,2"}, seed=5)
+    assert edge_set(a) == edge_set(torus(3, 4, "uniform:1,2", np.random.default_rng(5)))

@@ -518,7 +518,7 @@ def test_array_reads_match_scalar_reads_and_definitions():
         assert res[i] == edge_leverage(state, a, b, 1.0)
         # The definitions: y = pinv W_n^{-1} b, z = b^T pinv.
         bvec = np.zeros(state.n)
-        bvec[state.index[a]], bvec[state.index[b]] = 1.0, -1.0
+        bvec[state.nodes.index(a)], bvec[state.nodes.index(b)] = 1.0, -1.0
         y = P @ (bvec / wn)
         z = bvec @ P
         assert res[i] == pytest.approx(bvec @ y, rel=1e-12)
@@ -560,7 +560,8 @@ def test_slot_compaction_is_the_ix_gather(pairs):
     assert np.array_equal(state.pinv, pinv[np.ix_(kept, kept)])
     assert np.array_equal(state.weights, weights[kept])
     assert state.nodes == tuple(nodes[i] for i in kept)
-    assert state.index == {u: i for i, u in enumerate(state.nodes)}
+    # Rows are found by binary search, which needs strictly ascending ids.
+    assert all(a < b for a, b in zip(state.nodes, state.nodes[1:]))
 
 
 @pytest.mark.parametrize("pairs", SLOT_CASES.values(), ids=SLOT_CASES.keys())
@@ -611,3 +612,67 @@ def test_update_of_any_pinv_layout_matches_c_order(layout, contract):
     np.testing.assert_allclose(other.pinv, reference.pinv, rtol=0, atol=1e-14 * scale)
     if not contract:
         assert np.abs(reference.pinv - before).max() > 1e-3 * scale
+
+
+def _even_ids_cycle() -> WeightedGraph:
+    # A cycle over the even ids 0, 2, ..., 10; no odd id is a node.
+    return WeightedGraph.from_edges([(i, (i + 2) % 12, 1.0) for i in range(0, 12, 2)])
+
+
+@pytest.mark.parametrize("u, v, missing", [(4, 7, 7), (-1, 0, -1), (10, 11, 11)])
+@pytest.mark.parametrize("read", [edge_leverage, update_norm, woodbury_reweight])
+def test_unknown_node_id_raises_and_leaves_state_unchanged(read, u, v, missing):
+    # 7 sits between two ids, -1 before the first and 11 past the last; none
+    # may be read as a neighbouring row.
+    state = build_pseudoinverse(_even_ids_cycle())
+    pinv, nodes, weights = state.pinv.copy(), state.nodes, state.weights.copy()
+    for ends in [(u, v), ([0, u], [2, v])]:
+        with pytest.raises(KeyError, match=rf"\[{missing}\]"):
+            read(state, *ends, 0.5)
+    assert np.array_equal(state.pinv, pinv)
+    assert state.nodes == nodes
+    assert np.array_equal(state.weights, weights)
+
+
+def test_zero_delta_rows_change_nothing():
+    rng = np.random.default_rng(8)
+    g = random_connected_graph(rng, 16, extra_edges=14, weighted_nodes=True)
+    u, v, w = g.edge_columns(g.independent_edge_set(rng)[:4])
+    delta = np.array([0.5, 0.0, np.inf, 0.0]) * w
+    with_zeros, without = build_pseudoinverse(g), build_pseudoinverse(g)
+    woodbury_reweight(with_zeros, u, v, delta)
+    acts = delta != 0.0
+    woodbury_reweight(without, u[acts], v[acts], delta[acts])
+    assert with_zeros.nodes == without.nodes
+    assert np.array_equal(with_zeros.weights, without.weights)
+    assert np.array_equal(with_zeros.pinv, without.pinv)
+    # A batch of zero rows only is a no-op.
+    pinv = without.pinv.copy()
+    woodbury_reweight(without, u[:2], v[:2], 0.0)
+    assert np.array_equal(without.pinv, pinv)
+
+
+def test_long_mixed_chain_stays_symmetric_and_matches_rebuild():
+    # Rounds of reweights, deletions and contractions as one batch each; the
+    # update reads rows only, so it leans on pinv W_n^{-1} staying symmetric.
+    rng = np.random.default_rng(21)
+    g = random_connected_graph(rng, 80, extra_edges=160, weighted_nodes=True)
+    state = build_pseudoinverse(g)
+    rounds = 0
+    while g.n_nodes > 12:
+        changes, contract = _matched_actions(rng, g)
+        records = _edit_graph(g, changes, contract)
+        woodbury_reweight(
+            state,
+            [c[1] for c in changes] + [r.survivor for r in records],
+            [c[2] for c in changes] + [r.removed for r in records],
+            [c[3] for c in changes] + [np.inf] * len(records),
+        )
+        rounds += 1
+    assert rounds >= 12
+    sym = state.pinv / state.weights
+    assert np.abs(sym - sym.T).max() <= 1e-13 * np.abs(sym).max()
+    fresh = build_pseudoinverse(g)
+    assert state.nodes == fresh.nodes
+    np.testing.assert_allclose(state.weights, fresh.weights, rtol=1e-14)
+    np.testing.assert_allclose(state.pinv, fresh.pinv, rtol=0, atol=1e-12)

@@ -455,6 +455,16 @@ def test_estimator_measure_returns_valid_quantities():
     assert np.array_equal(sub_norms, norms[::-3])
 
 
+
+def test_estimator_measure_raises_on_an_unknown_node_id():
+    # Built over the even ids 0, 2, ..., 10: the absent node 7 must not read
+    # the column of node 8, its neighbour in the sorted ids.
+    g = WeightedGraph.from_edges([(i, (i + 2) % 12, 1.0) for i in range(0, 12, 2)])
+    est = SketchEstimator.build(g, np.random.default_rng(1), 4)
+    other = WeightedGraph.from_edges([(4, 7, 1.0)])
+    with pytest.raises(KeyError, match=r"\[7\]"):
+        est.measure(other, other.edge_ids())
+
 def test_estimator_rejects_a_bad_probe_count():
     # Checked where it enters, before the build draws or solves anything.
     g = random_connected_graph(np.random.default_rng(5), 10, extra_edges=6)
