@@ -31,10 +31,8 @@ target_pinv = build_pseudoinverse(g).pinv
 target_spectrum = laplacian_spectrum(g)
 vectors = probe_vectors(g, ("fiedler", "median"))
 
-def lifted_pinv(h, cmap):
-    nodes = h.nodes()
-    weights = np.array([h.node_weight(u) for u in nodes])
-    return lift(build_pseudoinverse(h).pinv, cmap, nodes, weights)
+def lifted_pinv(state, cmap):
+    return lift(state.pinv, cmap, state.nodes, state.weights)
 
 config = ReductionConfig(
     keep_fraction=1 / 16, target_reduction=0.25, priority=Priority.NODES
@@ -42,14 +40,11 @@ config = ReductionConfig(
 rows = []
 for seed in range(4):
     result = reduce_graph(g, NodeBudget(450), config, seed=seed)
-    nodes = result.graph.nodes()
-    weights = np.array([result.graph.node_weight(u) for u in nodes])
-    lifted = lift(result.state.pinv, result.cmap, nodes, weights)
-    rows.append(("ours", lifted, result.graph))
+    rows.append(("ours", lifted_pinv(result.state, result.cmap), result.graph))
     h, cmap = matching_coarsen(
         g, "random", rng=np.random.default_rng(seed), target_nodes=450
     )
-    rows.append(("random matching", lifted_pinv(h, cmap), h))
+    rows.append(("random matching", lifted_pinv(build_pseudoinverse(h), cmap), h))
 
 print(f"\n{'method':>16} {'fiedler d_x':>12} {'median d_x':>11} "
       f"{'low-eig rel err':>16}")

@@ -37,9 +37,8 @@ config = ReductionConfig(keep_fraction=1 / 16, target_reduction=0.25)
 trues, estimates = [], []
 for seed in range(8):
     result = reduce_graph(g, budget, config, seed=seed)
-    nodes = result.graph.nodes()
-    weights = np.array([result.graph.node_weight(u) for u in nodes])
-    lifted = lift(result.state.pinv, result.cmap, nodes, weights)
+    state = result.state
+    lifted = lift(state.pinv, result.cmap, state.nodes, state.weights)
     trues.append(float(np.sum((lifted - target_pinv) ** 2)))
     estimates.append(result.state.estimated_error)
     if seed == 0:

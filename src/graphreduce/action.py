@@ -85,6 +85,8 @@ class EdgeQuantities:
     priority: Priority = Priority.EDGES
 
     def __post_init__(self) -> None:
+        if not isinstance(self.priority, Priority):
+            raise ValueError(f"priority must be a Priority, got {self.priority!r}")
         lev = np.asarray(self.leverage)
         if not np.all((lev > 0.0) & (lev <= 1.0)):
             raise ValueError(f"leverage must be in (0, 1], got {self.leverage}")

@@ -96,13 +96,16 @@ def parse_config(options: dict, default_priority: str = "edges") -> ReductionCon
     """Reduction config from the keys q, d, priority, no_contraction and mode.
 
     The `reduce` command's flags and an experiment's reduce options share these
-    names; each missing key takes its default.
+    names; each missing key takes its default, and no value is converted.
     """
+    no_contraction = options.get("no_contraction", False)
+    if not isinstance(no_contraction, bool):
+        raise ValueError(f"no_contraction must be true or false, got {no_contraction!r}")
     return ReductionConfig(
-        keep_fraction=float(options.get("q", 0.25)),
-        target_reduction=float(options.get("d", 0.25)),
+        keep_fraction=options.get("q", 0.25),
+        target_reduction=options.get("d", 0.25),
         priority=Priority(options.get("priority", default_priority)),
-        allow_contraction=not options.get("no_contraction", False),
+        allow_contraction=not no_contraction,
         mode=parse_mode(options.get("mode", "exact")),
     )
 

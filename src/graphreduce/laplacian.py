@@ -16,10 +16,11 @@ rows Z = B^T pinv alone: pinv W_n^{-1} is symmetric, so Y = pinv W_n^{-1} B =
 (Z W_n^{-1})^T, and Omega = B^T Y. Deletion is delta_w = -weight; contraction
 is delta_w = +inf, where pinv stays finite and D^{-1} reads 1/inf = 0. So one
 batch mixes all three, and one k x k solve and one in-place BLAS product
-accumulated into pinv apply it; each contracted pair's rows and columns are
-then merged and one pass of block copies drops the removed slots. The update
-is exact, so a long chain of them agrees with recomputation up to float drift,
-which `probe_residual` measures in one n^2 product.
+accumulated into pinv apply it. A contraction only binds: the state keeps its
+nodes, pinv becomes the contracted graph's lifted pseudoinverse (see `lift`),
+whose reads are the contracted graph's, and `restrict` merges once, at the
+end. The update is exact, so a long chain of them agrees with recomputation up
+to float drift, which `probe_residual` measures in one n^2 product.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ __all__ = [
     "update_norm",
     "woodbury_reweight",
     "contraction_update",
+    "restrict",
     "lift",
     "identity_residual",
     "probe_residual",
@@ -76,11 +78,12 @@ class SingularUpdateError(ValueError):
 class PseudoinverseState:
     """Dense pseudoinverse of a graph's node-weighted Laplacian.
 
-    `nodes` holds the graph's node ids in ascending order, searched for an
-    id's row/column of `pinv`; `weights` holds the node weights in that order.
+    `nodes` holds the node ids in ascending order, searched for an id's
+    row/column of `pinv`; `weights` holds the node weights in that order.
+    Both stay as built through every `woodbury_reweight`, so after a bind
+    `pinv` is the contracted graph's lifted pseudoinverse until `restrict`.
     `estimated_error` accumulates the expected squared Frobenius error of the
-    probabilistic updates applied so far (maintained by the reducer, not by
-    this module).
+    probabilistic updates so far (kept by the reducer, not by this module).
     """
 
     nodes: tuple[int, ...]
@@ -273,13 +276,13 @@ def woodbury_reweight(
 
         pinv -= Y (D^{-1} + Omega)^{-1} Z,    D = diag(delta_w).
 
-    `delta_w = -weight` realizes a deletion and `delta_w = +inf` a
-    contraction that merges `v` into `u`, whose entry of D^{-1} is 0; a row
+    `delta_w = -weight` realizes a deletion and `delta_w = +inf` binds `v`
+    to `u`, the contraction of their edge, whose entry of D^{-1} is 0; a row
     with delta_w = 0 changes nothing and is dropped. One solve and one BLAS
-    product accumulated into pinv in place apply the batch. The contracted
-    pairs are then merged: rows by node-weighted average (they are equal in
-    exact arithmetic at the limit), columns by sum; one pass of block copies
-    between the removed slots drops them.
+    product accumulated into pinv in place apply the batch. The state keeps
+    its nodes, weights and size for every batch: rows `u` and `v` of a bound
+    pair become equal, and `restrict` merges them when the contracted graph's
+    own state is wanted.
 
     Mutates `state` in place (and returns it). The graph itself is updated by
     the caller. A bridge deletion makes a denominator vanish and raises
@@ -298,42 +301,24 @@ def woodbury_reweight(
     # pinv^T -= X^T Y^T accumulated by dgemm into pinv's F-ordered view. f2py
     # hands back a copy when that view is not F-ordered float64, so the
     # result is always assigned back.
-    P = blas.dgemm(-1.0, X.T, Y.T, beta=1.0, c=state.pinv.T, overwrite_c=1).T
-    state.pinv = P
-    contract = delta == np.inf
-    if not contract.any():
-        return state
-
-    iu, iv = iu[contract], iv[contract]
-    wu, wv = state.weights[iu, None], state.weights[iv, None]
-    P[iu, :] = (wu * P[iu, :] + wv * P[iv, :]) / (wu + wv)
-    P[:, iu] += P[:, iv]
-    state.weights = state.weights.copy()
-    state.weights[iu] += state.weights[iv]
-    _drop_slots(state, iv)
+    state.pinv = blas.dgemm(-1.0, X.T, Y.T, beta=1.0, c=state.pinv.T, overwrite_c=1).T
     return state
 
 
-def _drop_slots(state: PseudoinverseState, slots: np.ndarray) -> None:
-    # The kept slots form at most s + 1 runs for s dropped ones, starting and
-    # stopping where `keep` flips. The (s + 1)^2 blocks between them are
-    # copied by basic slicing straight into the result: no intermediate, and
-    # none of the per-entry index lookups of np.ix_ or take.
-    keep = np.ones(state.n, dtype=bool)
-    keep[slots] = False
-    kept = np.flatnonzero(keep)
-    flips = np.flatnonzero(np.diff(keep, prepend=False, append=False))
-    starts, stops = flips[::2].tolist(), flips[1::2].tolist()
-    at = kept.searchsorted(flips[::2]).tolist()  # where each run lands
-    runs = [(slice(a, b), slice(o, o + b - a)) for a, b, o in zip(starts, stops, at)]
-    P = state.pinv
-    out = np.empty((len(kept), len(kept)))
-    for rows, out_rows in runs:
-        for cols, out_cols in runs:
-            out[out_rows, out_cols] = P[rows, cols]
-    state.pinv = out
-    state.weights = state.weights[kept]
-    state.nodes = tuple(state.nodes[i] for i in kept)
+def restrict(state: PseudoinverseState, nodes, weights) -> PseudoinverseState:
+    """Compact a lifted state onto the nodes of its contracted graph.
+
+    The inverse of `lift` for a state: gathers the rows and columns of the
+    survivors `nodes`, ascending as `WeightedGraph.nodes` lists them, and
+    rescales each column by its merged weight in `weights` over its original
+    one. Mutates and returns `state`; an unknown id raises KeyError.
+    """
+    at = _node_slots(np.fromiter(state.nodes, np.intp, state.n), np.asarray(nodes))
+    weights = np.asarray(weights, dtype=float)
+    state.pinv = state.pinv[np.ix_(at, at)]
+    state.pinv *= weights / state.weights[at]  # in place: no second copy
+    state.nodes, state.weights = tuple(nodes), weights
+    return state
 
 
 def contraction_update(
@@ -341,14 +326,18 @@ def contraction_update(
 ) -> PseudoinverseState:
     """Shrink the pseudoinverse after the graph contractions in `records`.
 
-    Takes one record or a sequence of node-disjoint ones, and applies them as
-    one `woodbury_reweight` batch with delta_w = +inf, which merges each
-    removed node into its survivor. Mutates and returns `state`.
+    Takes one record or a sequence of node-disjoint ones, binds each removed
+    node to its survivor in one `woodbury_reweight` batch with delta_w = +inf
+    and merges them with `restrict`. Mutates and returns `state`.
     """
     if isinstance(records, ContractionRecord):
         records = [records]
     survivors = [r.survivor for r in records]
-    return woodbury_reweight(state, survivors, [r.removed for r in records], np.inf)
+    woodbury_reweight(state, survivors, [r.removed for r in records], np.inf)
+    weights = dict(zip(state.nodes, state.weights.tolist()))
+    for r in records:
+        weights[r.survivor] += weights.pop(r.removed)
+    return restrict(state, list(weights), list(weights.values()))
 
 
 def lift(
@@ -366,12 +355,9 @@ def lift(
     weights (the default) this leaves merged rows and columns identical.
     Original node order is `cmap.originals`.
     """
-    reduced = list(reduced_nodes)
-    pos = {u: i for i, u in enumerate(reduced)}
-    wr = np.asarray(reduced_weights, dtype=float)
+    pos = {u: i for i, u in enumerate(reduced_nodes)}
     assign = np.array([pos[cmap.assignment[o]] for o in cmap.originals])
-    scaled = matrix / wr[None, :]
-    lifted = scaled[np.ix_(assign, assign)]
+    lifted = (matrix / np.asarray(reduced_weights, dtype=float))[np.ix_(assign, assign)]
     if original_weights is not None:
         lifted = lifted * np.asarray(original_weights, dtype=float)[None, :]
     return lifted

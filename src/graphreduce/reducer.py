@@ -17,12 +17,12 @@ build and the action draws.
 
 One loop serves both modes; a backend chosen once from `config.mode` measures
 the edges and follows the graph. Matched edges share no endpoints, so a
-round's weight changes, contractions last as delta_w = +inf, reach the
-backend as one batch. The exact backend applies it to the dense
+round's weight changes, contractions as delta_w = +inf, reach the backend as
+one batch. The exact backend applies it to the input-sized dense
 pseudoinverse as one rank-k update; the sketch backend estimates from a
 `SketchEstimator` it rebuilds after every round that acted. The backend only
 drives the draws: both modes end with one dense build from the reduced graph,
-and exact mode first records how far its incremental state drifted.
+and exact mode first restricts its state to it and records its drift.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from numbers import Real
 from typing import Sequence
 
 import numpy as np
@@ -48,6 +49,7 @@ from .laplacian import (
     contraction_update,  # unused here; perfbench/tracer.py patches it by this name
     edge_leverage,
     probe_residual,
+    restrict,
     update_norm,
     woodbury_reweight,
 )
@@ -181,6 +183,12 @@ class ReductionConfig:
     mode: ExactMode | SketchMode = field(default_factory=ExactMode)
 
     def __post_init__(self):
+        # Types as given: a bool is a number too, and only allow_contraction is one.
+        for name, kind in (("keep_fraction", Real), ("target_reduction", Real),
+                           ("priority", Priority), ("allow_contraction", bool)):
+            value = getattr(self, name)
+            if not isinstance(value, kind) or isinstance(value, bool) != (kind is bool):
+                raise ValueError(f"{name} must be {kind.__name__}, got {value!r}")
         if not 0.0 < self.keep_fraction <= 1.0:
             raise ValueError(f"keep_fraction in (0, 1], got {self.keep_fraction}")
         if not 0.0 < self.target_reduction < math.inf:
@@ -273,10 +281,10 @@ def select_beta(
 class _ExactBackend:
     """Dense pseudoinverse kept current by one rank-k update per round.
 
-    Built once from the input graph and never rebuilt: a round's reweights,
-    deletions and contractions are one exact Woodbury update, the
-    contractions as its infinite-weight rows, then one compaction. Rounding
-    is the only drift, and `reduce_graph` records it at the end.
+    Built once from the input graph, never rebuilt and never compacted: a
+    round's reweights, deletions and contractions are one exact Woodbury
+    update, the contractions as its infinite-weight rows, which bind their
+    pairs. Rounding is the only drift; `reduce_graph` records it at the end.
     """
 
     def __init__(self, g: WeightedGraph):
@@ -320,8 +328,7 @@ def _apply(
     0 leaves the edge alone and any other value reweights. The graph deletes
     and reweights first (all endpoints still present), then contracts.
     Matched edges are disjoint, so ids stay valid, and the acting edges reach
-    the backend in one call, contractions last. An edge stores its smaller
-    endpoint first, which is the one a contraction keeps.
+    the backend in one call, in matched order.
     """
     u, v, w = g.edge_columns(eids)
     deleted = ratios == -1.0
@@ -335,9 +342,7 @@ def _apply(
     for i in np.flatnonzero(contracted):
         rec = g.contract_edge(eids[i])
         cmap.merge(rec.survivor, rec.removed)
-    acting = np.concatenate(
-        [np.flatnonzero(deleted | reweighted), np.flatnonzero(contracted)]
-    )
+    acting = np.flatnonzero(ratios != 0.0)
     if acting.size:
         backend.apply(u[acting], v[acting], w[acting] * ratios[acting])
     return int(deleted.sum()), int(contracted.sum()), int(reweighted.sum())
@@ -466,7 +471,8 @@ def reduce_graph(
         iteration += 1
 
     if isinstance(backend, _ExactBackend):
-        trace.drift = probe_residual(backend.state, g)
+        weights = [g.node_weight(u) for u in g.nodes()]
+        trace.drift = probe_residual(restrict(backend.state, g.nodes(), weights), g)
     del backend  # frees the incremental pinv before the build allocates its own
     state = build_pseudoinverse(g)
     state.estimated_error = estimated_error

@@ -305,6 +305,8 @@ class SketchEstimator:
         q_norm = None
         if n_modes < n - 1:
             q_norm = build_projection(k - n_modes, w_sqrt, rng)
+            # A row along the kernel projects to roundoff; its exact value is 0.
+            q_norm[np.linalg.norm(q_norm, axis=1) < 1e-12 * math.sqrt(n / len(q_norm))] = 0.0
         signs = rng.integers(0, 2, size=(k, g.n_edges)) * 2.0 - 1.0
         edge_rows = np.asarray((signs / math.sqrt(k)) @ incidence)
 

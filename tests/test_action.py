@@ -49,6 +49,12 @@ def quantity_strategy():
     )
 
 
+def test_priority_must_be_a_priority():
+    # The string "edges" would read as NODES: r_delete 0.
+    with pytest.raises(ValueError, match="priority must be a Priority"):
+        EdgeQuantities(0.5, 0.1, 0, priority="edges")
+
+
 # -- update scalar ---------------------------------------------------------
 
 

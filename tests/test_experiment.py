@@ -96,6 +96,14 @@ class TestParsing:
         )
         assert not parse_config({"no_contraction": True}).allow_contraction
 
+    def test_config_values_are_typed_not_converted(self):
+        # The string "false" is truthy, and true would run as q = 1.0.
+        for bad, name in [({"no_contraction": "false"}, "no_contraction"),
+                          ({"no_contraction": 0}, "no_contraction"),
+                          ({"q": True}, "keep_fraction"), ({"d": "0.5"}, "target_reduction")]:
+            with pytest.raises(ValueError, match=name):
+                parse_config(bad)
+
 
 class TestSpecValidation:
     def test_levels_must_decrease(self):

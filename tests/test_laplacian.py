@@ -7,8 +7,8 @@ from graphreduce.graph import ContractionMap, WeightedGraph
 from graphreduce.laplacian import (
     IDENTITY_TOL,
     DisconnectedGraphError,
+    PseudoinverseState,
     SingularUpdateError,
-    _drop_slots,
     build_pseudoinverse,
     contraction_update,
     edge_leverage,
@@ -16,6 +16,7 @@ from graphreduce.laplacian import (
     laplacian_matrix,
     lift,
     probe_residual,
+    restrict,
     save_matrix_csv,
     update_norm,
     weighted_projector,
@@ -366,6 +367,27 @@ def test_lifted_merged_rows_and_columns_identical():
             np.testing.assert_allclose(lifted[:, first], lifted[:, other], atol=1e-12)
 
 
+def _restrict_to(state: PseudoinverseState, g: WeightedGraph) -> PseudoinverseState:
+    # Merge the bound nodes of a lifted state onto the contracted graph `g`.
+    return restrict(state, g.nodes(), [g.node_weight(u) for u in g.nodes()])
+
+
+def test_restrict_after_lift_gives_back_the_reduced_build():
+    g = random_connected_graph(np.random.default_rng(12), 20, 15, weighted_nodes=True)
+    original = np.array([g.node_weight(u) for u in g.nodes()])
+    cmap = ContractionMap.identity(g.nodes())
+    for eid in g.independent_edge_set(np.random.default_rng(1))[:6]:
+        rec = g.contract_edge(eid)
+        cmap.merge(rec.survivor, rec.removed)
+    reduced = build_pseudoinverse(g)
+    lifted = lift(reduced.pinv, cmap, reduced.nodes, reduced.weights, original)
+    state = PseudoinverseState(cmap.originals, original, lifted)
+    restrict(state, reduced.nodes, reduced.weights)
+    assert state.nodes == reduced.nodes
+    assert np.array_equal(state.weights, reduced.weights)
+    np.testing.assert_allclose(state.pinv, reduced.pinv, rtol=0, atol=1e-14)
+
+
 def test_matrix_exports(tmp_path):
     mat = PATH4_PINV
     csv_path = tmp_path / "m.csv"
@@ -434,7 +456,7 @@ def test_batched_updates_match_rank_one_steps_and_rebuild(seed):
 @given(st.integers(0, 10_000))
 def test_mixed_batch_is_one_update(seed):
     # Contraction is the delta_w = +inf limit of a reweight, so a round's
-    # reweights, deletions and contractions (last) are one call.
+    # reweights, deletions and contractions, in any order, are one call.
     rng = np.random.default_rng(seed)
     g = random_connected_graph(rng, int(rng.integers(6, 16)), extra_edges=12, weighted_nodes=True)
     mixed = build_pseudoinverse(g)
@@ -446,10 +468,11 @@ def test_mixed_batch_is_one_update(seed):
     _, u, v, delta = (np.array(col) for col in zip(*changes))
     woodbury_reweight(
         mixed,
-        np.r_[u, [r.survivor for r in records]],
-        np.r_[v, [r.removed for r in records]],
-        np.r_[delta, np.full(len(records), np.inf)],
+        np.r_[[r.survivor for r in records], u],
+        np.r_[[r.removed for r in records], v],
+        np.r_[np.full(len(records), np.inf), delta],
     )
+    _restrict_to(mixed, g)
     woodbury_reweight(two_batch, u, v, delta)
     contraction_update(two_batch, records)
 
@@ -552,11 +575,12 @@ SLOT_CASES = {
 
 @pytest.mark.parametrize("pairs", SLOT_CASES.values(), ids=SLOT_CASES.keys())
 def test_slot_compaction_is_the_ix_gather(pairs):
+    # `restrict` at unchanged weights is the plain gather.
     state = build_pseudoinverse(_path_with_chords(N_SLOTS))
     pinv, weights, nodes = state.pinv.copy(), state.weights.copy(), state.nodes
     removed = np.array([v for _, v in pairs])
-    _drop_slots(state, removed)
     kept = np.setdiff1d(np.arange(N_SLOTS), removed)
+    restrict(state, [nodes[i] for i in kept], weights[kept])
     assert np.array_equal(state.pinv, pinv[np.ix_(kept, kept)])
     assert np.array_equal(state.weights, weights[kept])
     assert state.nodes == tuple(nodes[i] for i in kept)
@@ -566,18 +590,33 @@ def test_slot_compaction_is_the_ix_gather(pairs):
 
 @pytest.mark.parametrize("pairs", SLOT_CASES.values(), ids=SLOT_CASES.keys())
 def test_contraction_at_edge_slots_matches_rebuild(pairs):
-    # The graph keeps the smaller id of each pair, where the state keeps the
-    # survivor it is given; both put the merged node in the same slot.
+    # The graph keeps the smaller id of each pair, the bind whichever it is
+    # given; `restrict` reads the graph's survivor, and both rows are equal.
     g = _path_with_chords(N_SLOTS)
     state = build_pseudoinverse(g)
     survivors, removed = zip(*pairs)
     woodbury_reweight(state, list(survivors), list(removed), np.inf)
     for u, v in pairs:
         g.contract_edge(g.edge_between(u, v))
+    _restrict_to(state, g)
     fresh = build_pseudoinverse(g)
     assert state.n == fresh.n == N_SLOTS - len(pairs)
     np.testing.assert_array_equal(state.weights, fresh.weights)
     np.testing.assert_allclose(state.pinv, fresh.pinv, rtol=0, atol=1e-10)
+
+
+def test_a_bind_keeps_the_nodes_and_makes_the_pair_rows_equal():
+    g = _path_with_chords(N_SLOTS)
+    state = build_pseudoinverse(g)
+    nodes, weights = state.nodes, state.weights.copy()
+    pairs = SLOT_CASES["first-adjacent-last"]
+    u, v = (np.array(col) for col in zip(*pairs))
+    woodbury_reweight(state, u, v, [np.inf, 0.5, np.inf, -0.25])
+    assert state.n == N_SLOTS and state.nodes == nodes
+    assert np.array_equal(state.weights, weights)
+    bound = [0, 2]
+    gap = state.pinv[u[bound]] - state.pinv[v[bound]]
+    assert np.abs(gap).max() <= 1e-12 * np.abs(state.pinv).max()
 
 
 def _fortran(pinv):
@@ -670,8 +709,10 @@ def test_long_mixed_chain_stays_symmetric_and_matches_rebuild():
         )
         rounds += 1
     assert rounds >= 12
+    assert state.n == 80
     sym = state.pinv / state.weights
     assert np.abs(sym - sym.T).max() <= 1e-13 * np.abs(sym).max()
+    _restrict_to(state, g)
     fresh = build_pseudoinverse(g)
     assert state.nodes == fresh.nodes
     np.testing.assert_allclose(state.weights, fresh.weights, rtol=1e-14)

@@ -13,9 +13,13 @@ from graphreduce.generators import cycle, torus, triangular_lattice
 from graphreduce.laplacian import (
     IDENTITY_TOL,
     DisconnectedGraphError,
+    PseudoinverseState,
     build_pseudoinverse,
+    edge_leverage,
     identity_residual,
     lift,
+    restrict,
+    update_norm,
 )
 import graphreduce.reducer as reducer
 from graphreduce.reducer import (
@@ -180,6 +184,21 @@ def test_validation_errors():
         ReductionConfig(priority=Priority.NODES, allow_contraction=False)
 
 
+def test_config_settings_are_typed_where_they_enter():
+    # Each would otherwise run: "edges" as NODES priority, "no" as True, and
+    # a bool keep_fraction as 1.0.
+    for kwargs, name in [
+        ({"priority": "edges"}, "priority"),
+        ({"allow_contraction": "no"}, "allow_contraction"),
+        ({"allow_contraction": 1}, "allow_contraction"),
+        ({"keep_fraction": True}, "keep_fraction"),
+        ({"target_reduction": "0.25"}, "target_reduction"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            ReductionConfig(**kwargs)
+    assert ReductionConfig(keep_fraction=1, target_reduction=np.float64(0.5)).keep_fraction == 1
+
+
 def test_disconnected_input_rejected():
     g = WeightedGraph.from_edges([(0, 1, 1.0), (2, 3, 1.0)])
     with pytest.raises(DisconnectedGraphError):
@@ -328,13 +347,15 @@ def test_drift_stays_at_rounding_level_on_a_wide_weight_torus():
 
 
 def test_a_perturbed_update_shows_as_drift_not_in_the_output(monkeypatch):
-    # Every update leaves 1e-6 on each entry of pinv; the drift reads it, and
+    # Every update leaves 1e-6 on pinv's diagonal; the drift reads it, and
     # the returned state, built from the reduced graph, does not carry it.
+    # (A constant on every entry would not show: `restrict` turns it into
+    # c * ones w_r^T, which pinv @ L @ x never sees.)
     update = reducer.woodbury_reweight
 
     def perturbed(state, *args):
         update(state, *args)
-        state.pinv += 1e-6
+        state.pinv[np.diag_indices(state.n)] += 1e-6
         return state
 
     monkeypatch.setattr(reducer, "woodbury_reweight", perturbed)
@@ -342,6 +363,42 @@ def test_a_perturbed_update_shows_as_drift_not_in_the_output(monkeypatch):
     result = reduce_graph(g, NodeBudget(40), ReductionConfig(priority=Priority.NODES), seed=3)
     assert result.trace.drift >= 1e-7
     assert identity_residual(result.state, result.graph) <= IDENTITY_TOL
+
+
+DEEP_COARSENINGS = {
+    "lattice": (
+        lambda: triangular_lattice(30, 30), NodeBudget(112),
+        ReductionConfig(keep_fraction=1 / 16, priority=Priority.NODES),
+    ),
+    "torus": (
+        lambda: torus(24, 24, weight_law="exp-uniform:-3,3", rng=np.random.default_rng(0)),
+        NodeBudget(72), ReductionConfig(priority=Priority.NODES),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", DEEP_COARSENINGS.values(), ids=DEEP_COARSENINGS.keys())
+def test_deep_coarsening_reads_the_reduced_graph_from_the_lifted_state(monkeypatch, case):
+    # The exact state keeps the input's nodes to the end; what the draws read
+    # from it, for every edge left, is what a fresh build of the output reads.
+    make, stop, config = case
+    held = []
+
+    def holding(state, nodes, weights):
+        held.append(PseudoinverseState(state.nodes, state.weights, state.pinv.copy()))
+        return restrict(state, nodes, weights)
+
+    monkeypatch.setattr(reducer, "restrict", holding)
+    g = make()
+    result = reduce_graph(g, stop, config, seed=0)
+    (lifted,) = held
+    assert lifted.n == g.n_nodes and result.graph.n_nodes <= stop.nodes
+    u, v, w = result.graph.edge_columns(result.graph.edge_ids())
+    fresh = build_pseudoinverse(result.graph)
+    lev, ref_lev = edge_leverage(lifted, u, v, w), edge_leverage(fresh, u, v, w)
+    assert np.abs(lev - ref_lev).max() <= 1e-10
+    norms, ref_norms = update_norm(lifted, u, v, w), update_norm(fresh, u, v, w)
+    assert np.abs(norms / ref_norms - 1.0).max() <= 1e-10
 
 
 def test_trace_monotonicity_and_roundtrip(tmp_path):

@@ -465,6 +465,20 @@ def test_estimator_measure_raises_on_an_unknown_node_id():
     with pytest.raises(KeyError, match=r"\[7\]"):
         est.measure(other, other.edge_ids())
 
+def test_a_norm_probe_along_the_kernel_is_solved_as_zero():
+    # Over the unit 6-cycle with 4 probes, default_rng(0) draws a norm probe
+    # of equal signs. Projected off the kernel it is zero, not roundoff that
+    # the solve cannot converge on.
+    g = WeightedGraph.from_edges([(i, (i + 2) % 12, 1.0) for i in range(0, 12, 2)])
+    rng = np.random.default_rng(0)
+    rng.standard_normal(g.n_nodes)  # the Lanczos start, drawn first
+    signs = rng.integers(0, 2, size=(3, g.n_nodes))
+    assert (signs[0] == signs[0, 0]).all()
+    est = SketchEstimator.build(g, np.random.default_rng(0), 4)
+    leverages, norms = est.measure(g, g.edge_ids())
+    assert np.all(np.isfinite(leverages)) and np.all(norms > 0)
+
+
 def test_estimator_rejects_a_bad_probe_count():
     # Checked where it enters, before the build draws or solves anything.
     g = random_connected_graph(np.random.default_rng(5), 10, extra_edges=6)
