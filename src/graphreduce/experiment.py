@@ -86,7 +86,7 @@ def parse_mode(spec: str) -> ExactMode | SketchMode:
     """Quantity mode from "exact" or "sketch:K", K the sketch's probe count."""
     if spec == "exact":
         return ExactMode()
-    name, _, probes = spec.partition(":")
+    name, _, probes = spec.partition(":") if isinstance(spec, str) else ("", "", "")
     if name != "sketch" or not probes.isdecimal():
         raise ValueError(f"mode must be 'exact' or 'sketch:K', got {spec!r}")
     return SketchMode(n_probes=int(probes))
@@ -232,7 +232,10 @@ def load_graph(spec: ExperimentSpec) -> WeightedGraph:
 def _run_reduce(g, options: dict, target: str, size: int, seed: int):
     config = parse_config(options, "edges" if target == "edges" else "nodes")
     stops = [EdgeBudget(size) if target == "edges" else NodeBudget(size)]
-    for extra in options.get("stop", []):
+    extras = options.get("stop", [])
+    if not isinstance(extras, list):
+        raise ValueError(f"the stop option wants a list of key=value strings, got {extras!r}")
+    for extra in extras:
         stops.extend(parse_stop(extra))
     result = reduce_graph(g, stops, config, seed=seed)
     return result.graph, result.cmap, result.state

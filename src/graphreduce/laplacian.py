@@ -20,7 +20,10 @@ accumulated into pinv apply it. A contraction only binds: the state keeps its
 nodes, pinv becomes the contracted graph's lifted pseudoinverse (see `lift`),
 whose reads are the contracted graph's, and `restrict` merges once, at the
 end. The update is exact, so a long chain of them agrees with recomputation up
-to float drift, which `probe_residual` measures in one n^2 product.
+to float drift, which `probe_residual` measures in one n^2 product. Exact
+mode's working set is one n x n matrix, a rank-k update's k x n rows and a
+block of 64 rows, in which the build, `update_norm` and `restrict` (which
+compacts into the same buffer) each work.
 """
 
 from __future__ import annotations
@@ -57,6 +60,7 @@ __all__ = [
 ]
 
 IDENTITY_TOL = 1e-8
+_ROW_BLOCK = 64  # rows per block; 64 rows of n <= a few thousand fit in L2
 
 
 class DisconnectedGraphError(ValueError):
@@ -168,9 +172,9 @@ def _lower_inverse_to_pinv(A: np.ndarray, d: np.ndarray, j_row: np.ndarray) -> N
     # From inv(A) in A's lower triangle, A := D^{-1} inv(A) D - J in place with
     # D = diag(d) and every row of J equal to j_row. Row blocks are finished
     # top down, each copying its upper part from the rows below it, which
-    # are still untouched; a block of 64 rows stays in a core's L2 cache
-    # while it is mirrored, scaled and shifted, for n up to a few thousand.
-    n, step = len(A), 64
+    # are still untouched; a block stays in a core's L2 cache while it is
+    # mirrored, scaled and shifted.
+    n, step = len(A), _ROW_BLOCK
     for i0 in range(0, n, step):
         i1 = min(i0 + step, n)
         rows = A[i0:i1]
@@ -258,11 +262,19 @@ def update_norm(state: PseudoinverseState, u, v, weight):
     scalars or equal-length arrays, as `edge_leverage` does.
 
     pinv W_n^{-1} is symmetric, so pinv W_n^{-1} b = W_n^{-1} (b^T pinv)^T and
-    the norm needs only the rows z = b^T pinv: weight * sum(z**2 / w_n).
+    the norm needs only the rows z = b^T pinv: weight * sum(z**2 / w_n),
+    formed 64 edges at a time. `restrict` reuses the state's buffer, so
+    `pinv` may be a view of a larger one.
     """
     iu, iv = _positions(state, u, v)
-    Z = state.pinv[iu, :] - state.pinv[iv, :]
-    return _like(u, np.asarray(weight, dtype=float) * (np.square(Z) @ (1.0 / state.weights)))
+    sums, inv_w = np.empty(len(iu)), 1.0 / state.weights
+    # A lone last row joins the block before it, as numpy sums one row by ddot.
+    ends = [*range(0, max(len(iu) - 1, 1), _ROW_BLOCK), len(iu)]
+    for i0, i1 in zip(ends, ends[1:]):
+        Z = state.pinv[iu[i0:i1]]
+        Z -= state.pinv[iv[i0:i1]]
+        sums[i0:i1] = np.square(Z, out=Z) @ inv_w
+    return _like(u, np.asarray(weight, dtype=float) * sums)
 
 
 def woodbury_reweight(
@@ -311,13 +323,22 @@ def restrict(state: PseudoinverseState, nodes, weights) -> PseudoinverseState:
     The inverse of `lift` for a state: gathers the rows and columns of the
     survivors `nodes`, ascending as `WeightedGraph.nodes` lists them, and
     rescales each column by its merged weight in `weights` over its original
-    one. Mutates and returns `state`; an unknown id raises KeyError.
+    one. Mutates and returns `state`, whose `pinv` may then be a view of the
+    buffer it had; ids not strictly ascending or without one weight each
+    raise ValueError, an unknown id KeyError.
     """
-    at = _node_slots(np.fromiter(state.nodes, np.intp, state.n), np.asarray(nodes))
-    weights = np.asarray(weights, dtype=float)
-    state.pinv = state.pinv[np.ix_(at, at)]
-    state.pinv *= weights / state.weights[at]  # in place: no second copy
-    state.nodes, state.weights = tuple(nodes), weights
+    ids, weights = np.asarray(nodes), np.asarray(weights, dtype=float)
+    if ids.ndim != 1 or weights.shape != ids.shape or np.any(ids[1:] <= ids[:-1]):
+        raise ValueError("restrict wants strictly ascending node ids and one weight each")
+    at = _node_slots(np.fromiter(state.nodes, np.intp, state.n), ids)
+    # Rows [i0, i1) are gathered, then land on flat entries [i0 s, i1 s); rows
+    # still to read start at at[i1] n >= i1 s, as at[i] >= i and n >= s.
+    s = len(at)
+    out = state.pinv.reshape(-1)[: s * s].reshape(s, s)
+    for i0 in range(0, s, _ROW_BLOCK):
+        out[i0 : i0 + _ROW_BLOCK] = state.pinv[np.ix_(at[i0 : i0 + _ROW_BLOCK], at)]
+    out *= weights / state.weights[at]
+    state.pinv, state.nodes, state.weights = out, tuple(nodes), weights
     return state
 
 

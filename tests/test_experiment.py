@@ -87,6 +87,21 @@ class TestParsing:
         with pytest.raises(ValueError):
             parse_mode("approximate")
 
+    def test_mode_must_be_a_string(self):
+        for bad in (8, None):
+            with pytest.raises(ValueError, match="mode must be 'exact' or 'sketch:K'"):
+                parse_config({"mode": bad})
+
+    def test_stop_option_is_a_list(self):
+        def run(stop):
+            algo = AlgorithmSpec("x", "reduce", {"stop": stop})
+            return run_experiment(edge_spec([40], [algo], runs=1))
+
+        with pytest.raises(ValueError, match="stop option wants a list of key=value"):
+            run("edges=4")
+        rows = run(["iters=1"])
+        assert rows and all(row.algorithm == "x" for row in rows)
+
     def test_config_defaults_and_keys(self):
         assert parse_config({}) == ReductionConfig()
         assert parse_config({}, "nodes").priority is Priority.NODES

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from graphreduce.generators import cycle, torus
 from graphreduce.graph import ContractionMap, WeightedGraph
 from graphreduce.laplacian import (
     IDENTITY_TOL,
@@ -386,6 +389,79 @@ def test_restrict_after_lift_gives_back_the_reduced_build():
     assert state.nodes == reduced.nodes
     assert np.array_equal(state.weights, reduced.weights)
     np.testing.assert_allclose(state.pinv, reduced.pinv, rtol=0, atol=1e-14)
+
+
+def _weighted_torus(side: int) -> WeightedGraph:
+    # A side x side torus with spread edge weights and unequal node weights.
+    g = torus(side, side, weight_law="exp-uniform:-1,1", rng=np.random.default_rng(4))
+    for u, w in zip(g.nodes(), np.random.default_rng(5).uniform(0.5, 3.0, g.n_nodes)):
+        g.add_node(u, float(w))
+    return g
+
+
+def _peak_bytes(call) -> int:
+    # Peak traced allocation of `call()` beyond what was resident before it.
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("k", [0, 1, 63, 64, 65, 200])
+def test_update_norm_in_row_blocks_is_bit_equal_to_one_product(k):
+    g = _weighted_torus(16)  # n = 256
+    state = build_pseudoinverse(g)
+    P, nodes = state.pinv, np.array(state.nodes)
+    eids = np.random.default_rng(k).permutation(g.edge_ids())[:k]
+    u, v, w = g.edge_columns(eids.tolist())
+    iu, iv = np.searchsorted(nodes, u), np.searchsorted(nodes, v)
+    one_product = w * (np.square(P[iu] - P[iv]) @ (1.0 / state.weights))
+    assert np.array_equal(update_norm(state, u, v, w), one_product)
+    if k:
+        first = w[0] * (np.square(P[iu[:1]] - P[iv[:1]]) @ (1.0 / state.weights))
+        assert update_norm(state, int(u[0]), int(v[0]), float(w[0])) == float(first[0])
+
+
+def test_update_norm_scratch_is_a_row_block_not_a_copy_per_edge():
+    g = _weighted_torus(30)  # n = 900
+    state = build_pseudoinverse(g)
+    eids = g.independent_edge_set(np.random.default_rng(0))
+    assert len(eids) >= g.n_nodes // 3
+    u, v, w = g.edge_columns(eids)
+    peak = _peak_bytes(lambda: update_norm(state, u, v, w))
+    assert peak < state.pinv.nbytes / 4
+
+
+def test_restrict_compacts_into_the_buffer_it_was_given():
+    g = _weighted_torus(30)
+    state = build_pseudoinverse(g)
+    buffer, weights = state.pinv, state.weights
+    expected_rows = state.pinv[::2, ::2].copy()
+    kept, merged = list(state.nodes[::2]), 2.0 * weights[::2]
+    peak = _peak_bytes(lambda: restrict(state, kept, merged))
+    s = len(kept)
+    assert peak < s * s * 8
+    assert state.pinv.shape == (s, s) and np.shares_memory(state.pinv, buffer)
+    expected_rows *= merged / weights[::2]
+    assert np.array_equal(state.pinv, expected_rows)
+    assert state.nodes == tuple(kept) and np.array_equal(state.weights, merged)
+
+
+@pytest.mark.parametrize(
+    "nodes, weights",
+    [([5, 4, 3, 2, 1, 0], [1.0] * 6), ([0, 1, 2], [2.0]), ([0, 0, 2], [1.0] * 3),
+     ([0, 2, 4], [[1.0], [1.0], [1.0]])],
+    ids=["descending", "one-weight", "duplicate", "weight-column"],
+)
+def test_restrict_wants_ascending_ids_and_one_weight_each(nodes, weights):
+    state = build_pseudoinverse(cycle(6))
+    before = state.pinv.copy()
+    with pytest.raises(ValueError, match="strictly ascending"):
+        restrict(state, nodes, weights)
+    assert state.n == 6 and np.array_equal(state.pinv, before)
 
 
 def test_matrix_exports(tmp_path):
