@@ -13,7 +13,7 @@ search from each drawn deletion that stops where its endpoints meet. The
 draw is one weight change ratio delta_w / w per edge: -1 deletes, +inf
 contracts, and the two actions are the limits of one reweight. One generator
 made from the seed feeds, in loop order, every round's matching, any sketch
-build and the action draws.
+build and the action draws, which go to the kept edges in matched order.
 
 One loop serves both modes; a backend chosen once from `config.mode` measures
 the edges and follows the graph. Matched edges share no endpoints, so a
@@ -266,16 +266,23 @@ def select_beta(
     """Pick the ceil(keep_fraction * len) lowest finite scores.
 
     Returns the largest kept score (the iteration's shared beta) and the kept
-    indices, lowest score first; equal scores keep their index order. The
-    quota counts infinite scores, so a matching whose edges are mostly
+    indices in ascending order, the matched order in which draws are handed
+    out. Scores are ranked rounded to float32, equal keys in index order, so
+    a rounding-level difference (another BLAS thread count, say) cannot move
+    a tie across the quota cut, except for the two values of a tie that
+    straddle a float32 rounding boundary: about one tie in 10^7 when they are
+    1e-14 apart. Scores beyond float32's range rank with the infinite ones.
+    The quota counts infinite scores, so a matching whose edges are mostly
     saturated may keep fewer than the quota, possibly none.
     """
     scores = np.asarray(scores, dtype=float)
-    order = np.argsort(scores, kind="stable")[: math.ceil(keep_fraction * len(scores))]
-    kept = order[np.isfinite(scores[order])]
+    with np.errstate(over="ignore"):
+        key = scores.astype(np.float32)
+    order = np.argsort(key, kind="stable")[: math.ceil(keep_fraction * len(scores))]
+    kept = np.sort(order[np.isfinite(scores[order])])
     if not kept.size:
         return math.inf, []
-    return float(scores[kept[-1]]), kept.tolist()
+    return float(scores[kept].max()), kept.tolist()
 
 
 class _ExactBackend:
@@ -354,7 +361,11 @@ def reduce_graph(
     config: ReductionConfig | None = None,
     seed: int = 0,
 ) -> ReductionResult:
-    """Reduce `graph` until a stop criterion fires, preserving E[pinv].
+    """Reduce `graph` until a stop criterion fires.
+
+    Each kept edge's draw leaves the expected pseudoinverse unchanged on its
+    own, but a round draws all of its kept edges from the same state, and on
+    sparse graphs where they couple strongly the round as a whole is biased.
 
     The input graph is not modified. Raises DisconnectedGraphError for
     disconnected input, RedrawLimitError when an iteration cannot find a

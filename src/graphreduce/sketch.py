@@ -56,62 +56,48 @@ class ConvergenceError(RuntimeError):
 
 
 def pcg(
-    matrix: sp.spmatrix,
+    matrix,
     rhs: np.ndarray,
     rtol: float = 1e-10,
     max_iter: int | None = None,
     deflate: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Jacobi-preconditioned conjugate gradients for SPD / PSD systems.
+    """Scipy's conjugate gradients, preconditioned by strip(r / diag(matrix)).
 
-    `deflate`, if given, must be a unit vector spanning the kernel; the
-    iteration keeps everything orthogonal to it, which makes singular
-    Laplacian systems with compatible right-hand sides well posed.
-    Raises ConvergenceError when the residual fails to reach
-    rtol * ||rhs|| within max_iter steps.
+    `matrix` (SPD or PSD) needs only `shape`, `diagonal()` and `@`. strip
+    projects the rhs, each preconditioned residual and the solution off
+    `deflate`, a unit vector spanning the kernel if given, so singular
+    Laplacian systems with compatible right-hand sides are well posed. Raises
+    ConvergenceError on a zero curvature, or when the residual, checked before
+    each of the max_iter steps, never reaches rtol * ||rhs||.
     """
     n = matrix.shape[0]
-    if max_iter is None:
-        max_iter = 20 * n + 50
     diag = np.asarray(matrix.diagonal(), dtype=float)
     if np.any(diag <= 0):
         raise ValueError("matrix diagonal must be strictly positive")
 
     def strip(vec: np.ndarray) -> np.ndarray:
-        if deflate is not None:
-            vec = vec - deflate * (deflate @ vec)
-        return vec
+        return vec if deflate is None else vec - deflate * (deflate @ vec)
 
     rhs = np.asarray(rhs, dtype=float)
-    b = strip(rhs)
-    x = np.zeros(n)
-    if float(np.linalg.norm(b)) == 0.0:
-        return x
     # Against the rhs as given: a probe row that lies along the kernel strips
     # to roundoff, which no iteration can reduce by a further factor rtol.
     tol = rtol * float(np.linalg.norm(rhs))
-    r = b.copy()
-    z = strip(r / diag)
-    p = z.copy()
-    rz = float(r @ z)
-    for _ in range(max_iter):
-        ap = matrix @ p
-        denom = float(p @ ap)
-        if denom <= 0.0:
-            raise ConvergenceError("conjugate gradient hit a non-positive curvature")
-        alpha = rz / denom
-        x += alpha * p
-        r -= alpha * ap
-        r = strip(r)
-        if np.linalg.norm(r) <= tol:
-            return x
-        z = strip(r / diag)
-        rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    raise ConvergenceError(
-        f"conjugate gradient: no convergence to {rtol:g} in {max_iter} iterations"
-    )
+    max_iter = 20 * n + 50 if max_iter is None else max_iter
+    op = spla.LinearOperator((n, n), matvec=lambda v: matrix @ v, dtype=float)
+    jacobi = spla.LinearOperator((n, n), matvec=lambda r: strip(r / diag), dtype=float)
+    try:
+        with np.errstate(divide="raise", invalid="raise"):
+            x, info = spla.cg(
+                op, strip(rhs), rtol=0.0, atol=tol, maxiter=max_iter, M=jacobi
+            )
+    except FloatingPointError as exc:
+        raise ConvergenceError("conjugate gradient hit a zero curvature") from exc
+    if info:
+        raise ConvergenceError(
+            f"conjugate gradient: no convergence to {rtol:g} in {max_iter} steps"
+        )
+    return strip(x)
 
 
 def build_projection(

@@ -1,13 +1,15 @@
-"""The benchmark's workloads and output checks must keep working.
+"""The benchmark's workloads, output checks and tracer must keep working.
 
-`perfbench/workloads.py` builds the benchmark's inputs and
-`perfbench/checks.py` validates every reduction it times, both through the
-library's public names. A change that breaks either fails here, in the test
+`perfbench/workloads.py` builds the benchmark's inputs,
+`perfbench/checks.py` validates every reduction it times and
+`perfbench/tracer.py` splits a traced reduction into spans, all through the
+library's names. A change that breaks any of them fails here, in the test
 suite, rather than in a benchmark run.
 """
 
 import importlib.util
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +49,11 @@ def checks():
     return load("checks")
 
 
+@pytest.fixture(scope="module")
+def tracer():
+    return load("tracer")
+
+
 @pytest.mark.parametrize(
     "name", ["coarsen-lattice", "sparsify-sbm", "sketch-torus"]
 )
@@ -71,3 +78,28 @@ def test_short_reduction_passes_output_checks(checks, mode):
     assert checks.output_problems(g, result, stop) == []
     assert checks.squared_error(result, checks.reference_pinv(g)) >= 0.0
     assert len(checks.digest(result)) == 64
+
+
+@pytest.mark.parametrize("mode", [ExactMode(), SketchMode(n_probes=8)])
+def test_traced_reduction_accounts_for_its_wall_time(tracer, mode):
+    # run.py rejects a traced run whose span self times miss its wall time by
+    # more than COVERAGE_TOL. In sketch mode `pcg` gets the tracer's counting
+    # stand-in for the matrix, which has only shape, diagonal() and @.
+    for module, attr, _ in tracer.FUNCTION_BINDINGS:
+        assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
+    for cls, attr, _ in tracer.METHOD_BINDINGS:
+        assert attr in cls.__dict__, f"{cls.__name__}.{attr}"
+    g = generate("triangular-lattice", {"rows": 5, "cols": 5})
+    stop, config = EdgeBudget(g.n_edges // 2), ReductionConfig(mode=mode)
+
+    def reduce_seeds():
+        # Patching costs tens of microseconds outside every span; eight
+        # reductions in one traced call keep it far below COVERAGE_TOL.
+        return [reduce_graph(g, stop, config, seed=s) for s in range(8)]
+
+    t = tracer.Tracer()
+    start = time.perf_counter()
+    t.call(reduce_seeds)
+    wall = time.perf_counter() - start
+    assert abs(sum(t.self_s.values()) / wall - 1.0) <= load("run").COVERAGE_TOL
+    assert (t.matvecs > 0) == isinstance(mode, SketchMode)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -132,6 +133,16 @@ def test_pcg_rejects_nonpositive_diagonal():
     mat = sp.csr_matrix(np.diag([1.0, 0.0, 2.0]))
     with pytest.raises(ValueError):
         pcg(mat, np.ones(3))
+
+
+def test_pcg_breakdown_raises_without_a_warning():
+    # Without deflation the rhs lies along the kernel (1, -1) of the all-ones
+    # matrix, so the first search direction has zero curvature.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ConvergenceError):
+            pcg(sp.csr_matrix(np.ones((2, 2))), np.array([1.0, -1.0]))
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 # -- symmetrized operator --------------------------------------------------
