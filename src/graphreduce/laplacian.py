@@ -18,18 +18,19 @@ is delta_w = +inf, where pinv stays finite and D^{-1} reads 1/inf = 0. So one
 batch mixes all three, and one k x k solve and one in-place BLAS product
 accumulated into pinv apply it. A contraction only binds: the state keeps its
 nodes, pinv becomes the contracted graph's lifted pseudoinverse (see `lift`),
-whose reads are the contracted graph's, and `restrict` merges once, at the
-end. The update is exact, so a long chain of them agrees with recomputation up
-to float drift, which `probe_residual` measures in one n^2 product. Exact
-mode's working set is one n x n matrix, a rank-k update's k x n rows and a
-block of 64 rows, in which the build, `update_norm` and `restrict` (which
-compacts into the same buffer) each work.
+whose reads are the contracted graph's, and `restrict` merges the bound pairs
+whenever a smaller state is wanted; the reducer does so during a run, as its
+graph shrinks, and once at the end. The update is exact, so a long chain of
+them agrees with recomputation up to float drift, which `probe_residual`
+measures in one n^2 product. Exact mode's working set is one n x n matrix, a
+rank-k update's k x n rows and a block of 64 rows, in which the build,
+`update_norm` and `restrict` (which compacts into the same buffer) each work.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -85,7 +86,9 @@ class PseudoinverseState:
     `nodes` holds the node ids in ascending order, searched for an id's
     row/column of `pinv`; `weights` holds the node weights in that order.
     Both stay as built through every `woodbury_reweight`, so after a bind
-    `pinv` is the contracted graph's lifted pseudoinverse until `restrict`.
+    `pinv` is the contracted graph's lifted pseudoinverse until `restrict`,
+    the one place `nodes` changes. `ids` is `nodes` as an array, derived
+    when the state is made and again by `restrict`.
     `estimated_error` accumulates the expected squared Frobenius error of the
     probabilistic updates so far (kept by the reducer, not by this module).
     """
@@ -94,6 +97,10 @@ class PseudoinverseState:
     weights: np.ndarray
     pinv: np.ndarray
     estimated_error: float = 0.0
+    ids: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.ids = np.fromiter(self.nodes, np.intp, len(self.nodes))
 
     @property
     def n(self) -> int:
@@ -197,8 +204,7 @@ def _node_slots(nodes: np.ndarray, ids) -> np.ndarray:
 
 
 def _positions(state: PseudoinverseState, u, v) -> tuple[np.ndarray, np.ndarray]:
-    nodes = np.fromiter(state.nodes, np.intp, state.n)
-    return _node_slots(nodes, u), _node_slots(nodes, v)
+    return _node_slots(state.ids, u), _node_slots(state.ids, v)
 
 
 def _like(u, values: np.ndarray):
@@ -330,15 +336,16 @@ def restrict(state: PseudoinverseState, nodes, weights) -> PseudoinverseState:
     ids, weights = np.asarray(nodes), np.asarray(weights, dtype=float)
     if ids.ndim != 1 or weights.shape != ids.shape or np.any(ids[1:] <= ids[:-1]):
         raise ValueError("restrict wants strictly ascending node ids and one weight each")
-    at = _node_slots(np.fromiter(state.nodes, np.intp, state.n), ids)
+    at = _node_slots(state.ids, ids)
     # Rows [i0, i1) are gathered, then land on flat entries [i0 s, i1 s); rows
     # still to read start at at[i1] n >= i1 s, as at[i] >= i and n >= s.
     s = len(at)
     out = state.pinv.reshape(-1)[: s * s].reshape(s, s)
     for i0 in range(0, s, _ROW_BLOCK):
-        out[i0 : i0 + _ROW_BLOCK] = state.pinv[np.ix_(at[i0 : i0 + _ROW_BLOCK], at)]
+        out[i0 : i0 + _ROW_BLOCK] = state.pinv[at[i0 : i0 + _ROW_BLOCK]].take(at, axis=1)
     out *= weights / state.weights[at]
     state.pinv, state.nodes, state.weights = out, tuple(nodes), weights
+    state.ids = state.ids[at]
     return state
 
 

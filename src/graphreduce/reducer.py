@@ -18,11 +18,13 @@ build and the action draws, which go to the kept edges in matched order.
 One loop serves both modes; a backend chosen once from `config.mode` measures
 the edges and follows the graph. Matched edges share no endpoints, so a
 round's weight changes, contractions as delta_w = +inf, reach the backend as
-one batch. The exact backend applies it to the input-sized dense
-pseudoinverse as one rank-k update; the sketch backend estimates from a
-`SketchEstimator` it rebuilds after every round that acted. The backend only
-drives the draws: both modes end with one dense build from the reduced graph,
-and exact mode first restricts its state to it and records its drift.
+one batch. The exact backend applies it to the dense pseudoinverse as one
+rank-k update, in which contractions bind their pairs, and restricts the state
+to the graph's nodes once the graph has at most 3/4 of them; the sketch
+backend estimates from a `SketchEstimator` it rebuilds after every round that
+acted. The backend only drives the draws: both modes end with one dense build
+from the reduced graph, and exact mode first restricts its state to it and
+records its drift.
 """
 
 from __future__ import annotations
@@ -56,6 +58,10 @@ from .laplacian import (
 from .sketch import SketchEstimator
 
 MAX_REDRAWS = 32
+# The exact state is compacted once the live graph has at most this share of
+# its nodes: every round's reads and update scale with the state's size, and
+# each compaction costs a gather of the survivors' rows.
+_COMPACT_AT = 3 / 4
 
 
 class RedrawLimitError(RuntimeError):
@@ -288,10 +294,12 @@ def select_beta(
 class _ExactBackend:
     """Dense pseudoinverse kept current by one rank-k update per round.
 
-    Built once from the input graph, never rebuilt and never compacted: a
-    round's reweights, deletions and contractions are one exact Woodbury
-    update, the contractions as its infinite-weight rows, which bind their
-    pairs. Rounding is the only drift; `reduce_graph` records it at the end.
+    Built once from the input graph and never rebuilt: a round's reweights,
+    deletions and contractions are one exact Woodbury update, the
+    contractions as its infinite-weight rows, which bind their pairs. Once
+    the graph has at most `_COMPACT_AT` of the state's nodes, `restrict`
+    merges the bound pairs, so the work of later rounds follows the live
+    graph. Rounding is the only drift; `reduce_graph` records it at the end.
     """
 
     def __init__(self, g: WeightedGraph):
@@ -301,8 +309,17 @@ class _ExactBackend:
         u, v, w = g.edge_columns(eids)
         return edge_leverage(self.state, u, v, w), update_norm(self.state, u, v, w)
 
-    def apply(self, u: np.ndarray, v: np.ndarray, delta_w: np.ndarray) -> None:
+    def apply(
+        self, g: WeightedGraph, u: np.ndarray, v: np.ndarray, delta_w: np.ndarray
+    ) -> None:
         woodbury_reweight(self.state, u, v, delta_w)
+        if g.n_nodes <= _COMPACT_AT * self.state.n:
+            self.compact(g)
+
+    def compact(self, g: WeightedGraph) -> PseudoinverseState:
+        """Restrict the state to `g`'s nodes, merging its bound pairs."""
+        nodes = g.nodes()
+        return restrict(self.state, nodes, [g.node_weight(x) for x in nodes])
 
 
 class _SketchBackend:
@@ -318,7 +335,9 @@ class _SketchBackend:
             self.estimator = SketchEstimator.build(g, self.rng, self.mode.n_probes)
         return self.estimator.measure(g, eids)
 
-    def apply(self, u: np.ndarray, v: np.ndarray, delta_w: np.ndarray) -> None:
+    def apply(
+        self, g: WeightedGraph, u: np.ndarray, v: np.ndarray, delta_w: np.ndarray
+    ) -> None:
         self.estimator = None
 
 
@@ -351,7 +370,7 @@ def _apply(
         cmap.merge(rec.survivor, rec.removed)
     acting = np.flatnonzero(ratios != 0.0)
     if acting.size:
-        backend.apply(u[acting], v[acting], w[acting] * ratios[acting])
+        backend.apply(g, u[acting], v[acting], w[acting] * ratios[acting])
     return int(deleted.sum()), int(contracted.sum()), int(reweighted.sum())
 
 
@@ -482,8 +501,7 @@ def reduce_graph(
         iteration += 1
 
     if isinstance(backend, _ExactBackend):
-        weights = [g.node_weight(u) for u in g.nodes()]
-        trace.drift = probe_residual(restrict(backend.state, g.nodes(), weights), g)
+        trace.drift = probe_residual(backend.compact(g), g)
     del backend  # frees the incremental pinv before the build allocates its own
     state = build_pseudoinverse(g)
     state.estimated_error = estimated_error

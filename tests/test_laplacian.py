@@ -660,8 +660,10 @@ def test_slot_compaction_is_the_ix_gather(pairs):
     assert np.array_equal(state.pinv, pinv[np.ix_(kept, kept)])
     assert np.array_equal(state.weights, weights[kept])
     assert state.nodes == tuple(nodes[i] for i in kept)
-    # Rows are found by binary search, which needs strictly ascending ids.
+    # Rows are found by binary search, which needs strictly ascending ids,
+    # in the id array that `restrict` derives along with `nodes`.
     assert all(a < b for a, b in zip(state.nodes, state.nodes[1:]))
+    assert state.ids.dtype == np.intp and state.ids.tolist() == list(state.nodes)
 
 
 @pytest.mark.parametrize("pairs", SLOT_CASES.values(), ids=SLOT_CASES.keys())

@@ -393,6 +393,14 @@ def test_drift_stays_at_rounding_level_on_a_wide_weight_torus():
     assert 0 <= result.trace.drift < 1e-10
 
 
+def test_drift_stays_at_rounding_level_through_a_deep_coarsening():
+    g = torus(24, 24, weight_law="exp-uniform:-3,3", rng=np.random.default_rng(2))
+    config = ReductionConfig(priority=Priority.NODES)
+    result = reduce_graph(g, NodeBudget(72), config, seed=5)
+    assert result.graph.n_nodes <= 72
+    assert 0 <= result.trace.drift < 1e-12
+
+
 def test_a_perturbed_update_shows_as_drift_not_in_the_output(monkeypatch):
     # Every update leaves 1e-6 on pinv's diagonal; the drift reads it, and
     # the returned state, built from the reduced graph, does not carry it.
@@ -426,8 +434,9 @@ DEEP_COARSENINGS = {
 
 @pytest.mark.parametrize("case", DEEP_COARSENINGS.values(), ids=DEEP_COARSENINGS.keys())
 def test_deep_coarsening_reads_the_reduced_graph_from_the_lifted_state(monkeypatch, case):
-    # The exact state keeps the input's nodes to the end; what the draws read
-    # from it, for every edge left, is what a fresh build of the output reads.
+    # The exact state is compacted during the run and still holds bound pairs
+    # at the end; what the draws read from it, for every edge left, is what a
+    # fresh build of the output reads.
     make, stop, config = case
     held = []
 
@@ -438,14 +447,52 @@ def test_deep_coarsening_reads_the_reduced_graph_from_the_lifted_state(monkeypat
     monkeypatch.setattr(reducer, "restrict", holding)
     g = make()
     result = reduce_graph(g, stop, config, seed=0)
-    (lifted,) = held
-    assert lifted.n == g.n_nodes and result.graph.n_nodes <= stop.nodes
+    lifted = held[-1]
+    assert len(held) >= 2 and result.graph.n_nodes <= stop.nodes
     u, v, w = result.graph.edge_columns(result.graph.edge_ids())
     fresh = build_pseudoinverse(result.graph)
     lev, ref_lev = edge_leverage(lifted, u, v, w), edge_leverage(fresh, u, v, w)
     assert np.abs(lev - ref_lev).max() <= 1e-10
     norms, ref_norms = update_norm(lifted, u, v, w), update_norm(fresh, u, v, w)
     assert np.abs(norms / ref_norms - 1.0).max() <= 1e-10
+
+
+def test_exact_state_shrinks_with_the_graph(monkeypatch):
+    # Every update runs on a state of at most 4/3 the nodes the graph had
+    # before that round's contractions. A state left at the input's size
+    # would hold 900 nodes to the end.
+    sizes = []
+    update = reducer.woodbury_reweight
+
+    def recording(state, *args):
+        sizes.append(state.n)
+        return update(state, *args)
+
+    monkeypatch.setattr(reducer, "woodbury_reweight", recording)
+    g = triangular_lattice(30, 30)
+    config = ReductionConfig(keep_fraction=1 / 16, priority=Priority.NODES)
+    result = reduce_graph(g, NodeBudget(112), config, seed=0)
+    acted = [r for r in result.trace.records if r.deleted + r.contracted + r.reweighted]
+    assert len(sizes) == len(acted) and sizes[0] == g.n_nodes
+    for n, r in zip(sizes, acted):
+        assert 3 * n <= 4 * (r.nodes_after + r.contracted), (n, r)
+    assert sizes[-1] < g.n_nodes // 4
+
+
+def test_a_sparsifying_run_restricts_once(monkeypatch):
+    # Without contractions the node count never falls, so only the final
+    # restrict before the drift probe runs.
+    calls = []
+
+    def counting(state, nodes, weights):
+        calls.append(state.n)
+        return restrict(state, nodes, weights)
+
+    monkeypatch.setattr(reducer, "restrict", counting)
+    g = triangular_lattice(12, 12)
+    config = ReductionConfig(allow_contraction=False)
+    result = reduce_graph(g, EdgeBudget(g.n_edges // 2), config, seed=1)
+    assert calls == [g.n_nodes] and result.trace.totals()["deleted"] > 0
 
 
 def test_trace_monotonicity_and_roundtrip(tmp_path):
