@@ -192,6 +192,14 @@ def _cmd_compare(args) -> int:
     return 0
 
 
+def _vector_count(text: str) -> int:
+    # A guarantee checked over no vectors would pass whatever the graphs are.
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_input_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", required=True, help="edge list file (u v w lines)")
     p.add_argument("--node-weights", default=None, help="node weight file (u w lines)")
@@ -262,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eigen-k", type=int, default=None)
     p.add_argument("--sigma", type=float, default=None,
                    help="also check the sigma-approximation guarantee")
-    p.add_argument("--sigma-vectors", type=int, default=1000)
+    p.add_argument("--sigma-vectors", type=_vector_count, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="metric CSV output")
     p.add_argument("--json", default=None, help="metric JSON output")

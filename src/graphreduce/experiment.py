@@ -41,19 +41,15 @@ from .reducer import (
     RedrawLimitError,
     ReductionConfig,
     SketchMode,
-    StallError,
     StopCriterion,
     reduce_graph,
 )
 from .sketch import ConvergenceError
 
-# Runtime failures recorded per cell instead of aborting the sweep
-ALGORITHM_FAILURES = (
-    DisconnectedGraphError,
-    RedrawLimitError,
-    StallError,
-    ConvergenceError,
-)
+# Runtime failures recorded per cell instead of aborting the sweep. A
+# reduction that stops before its level is no failure: it is compared at the
+# size it reached.
+ALGORITHM_FAILURES = (DisconnectedGraphError, RedrawLimitError, ConvergenceError)
 
 
 _COUNT_STOPS = {"edges": EdgeBudget, "nodes": NodeBudget, "iters": MaxIterations}
@@ -129,6 +125,13 @@ def probe_vectors(g: WeightedGraph, labels: Sequence[str]) -> dict[str, np.ndarr
     return out
 
 
+def _key(d: dict, key: str, where: str):
+    """d[key], or a ValueError saying that `where` lacks the key."""
+    if key not in d:
+        raise ValueError(f"{where} needs a {key!r} key")
+    return d[key]
+
+
 @dataclass(frozen=True)
 class LevelSchedule:
     """Decreasing sequence of target sizes, counted in edges or nodes."""
@@ -186,17 +189,23 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentSpec":
-        levels = d["levels"]
+        levels = _key(d, "levels", "an experiment spec")
         outputs = d.get("outputs", {})
         # A bare string would split into one-letter vector names.
         vectors = d.get("vectors", ["fiedler"])
         if not isinstance(vectors, list) or not all(isinstance(v, str) for v in vectors):
             raise ValueError(f"vectors must be a list of names, got {vectors!r}")
         return cls(
-            graph=d["graph"],
-            levels=LevelSchedule(levels["target"], tuple(levels["sizes"])),
+            graph=_key(d, "graph", "an experiment spec"),
+            levels=LevelSchedule(
+                _key(levels, "target", "levels"), tuple(_key(levels, "sizes", "levels"))
+            ),
             algorithms=tuple(
-                AlgorithmSpec(a["name"], a["kind"], a.get("options", {}))
+                AlgorithmSpec(
+                    _key(a, "name", "an algorithm"),
+                    _key(a, "kind", "an algorithm"),
+                    a.get("options", {}),
+                )
                 for a in d.get("algorithms", [])
             ),
             runs=d.get("runs", 8),
@@ -226,6 +235,8 @@ class ResultRow:
 def load_graph(spec: ExperimentSpec) -> WeightedGraph:
     if "path" in spec.graph:
         return read_edgelist(spec.graph["path"], spec.graph.get("node_weights"))
+    if "kind" not in spec.graph:
+        raise ValueError("the experiment graph needs a 'kind' or a 'path' key")
     return generate(spec.graph["kind"], spec.graph.get("params", {}), spec.seed)
 
 

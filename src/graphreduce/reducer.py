@@ -25,6 +25,11 @@ backend estimates from a `SketchEstimator` it rebuilds after every round that
 acted. The backend only drives the draws: both modes end with one dense build
 from the reduced graph, and exact mode first restricts its state to it and
 records its drift.
+
+The loop ends on what it has seen, a stopping time that adds no bias of its
+own: once a stop criterion is `done` given the graph, the error estimate, the
+rounds run and the round's beta, or by itself with no edge left or saturated.
+Every stop returns the reduction reached and names its reason.
 """
 
 from __future__ import annotations
@@ -68,10 +73,6 @@ class RedrawLimitError(RuntimeError):
     """Every redraw of an iteration's actions kept disconnecting the graph."""
 
 
-class StallError(RuntimeError):
-    """Every edge was matched since the last action and none acted."""
-
-
 @dataclass(frozen=True)
 class ExactMode:
     """Maintain the dense pseudoinverse throughout the reduction."""
@@ -106,7 +107,7 @@ class EdgeBudget:
     def __post_init__(self):
         _check_count("edge budget", self.edges, 0)
 
-    def done(self, graph: WeightedGraph, error: float) -> bool:
+    def done(self, graph: WeightedGraph, error: float, rounds=0, beta=0.0) -> bool:
         return graph.n_edges <= self.edges
 
 
@@ -119,7 +120,7 @@ class NodeBudget:
     def __post_init__(self):
         _check_count("node budget", self.nodes, 1)
 
-    def done(self, graph: WeightedGraph, error: float) -> bool:
+    def done(self, graph: WeightedGraph, error: float, rounds=0, beta=0.0) -> bool:
         return graph.n_nodes <= self.nodes
 
 
@@ -133,7 +134,7 @@ class ErrorCap:
         if not self.cap > 0:
             raise ValueError(f"error cap must be positive, got {self.cap}")
 
-    def done(self, graph: WeightedGraph, error: float) -> bool:
+    def done(self, graph: WeightedGraph, error: float, rounds=0, beta=0.0) -> bool:
         return error >= self.cap
 
 
@@ -141,8 +142,9 @@ class ErrorCap:
 class BetaCap:
     """Stop once an iteration's selected beta would exceed `cap`.
 
-    Checked against the shared beta right after selection, before any of the
-    iteration's actions are applied.
+    `reduce_graph` passes the shared beta right after a selection that kept
+    edges, before any of the iteration's actions are applied; elsewhere beta
+    is 0 and this never fires.
     """
 
     cap: float
@@ -151,21 +153,21 @@ class BetaCap:
         if not self.cap > 0:
             raise ValueError(f"beta cap must be positive, got {self.cap}")
 
-    def done(self, graph: WeightedGraph, error: float) -> bool:
-        return False
+    def done(self, graph: WeightedGraph, error: float, rounds=0, beta=0.0) -> bool:
+        return beta > self.cap
 
 
 @dataclass(frozen=True)
 class MaxIterations:
-    """Stop after `iterations` matching rounds (zero is legal)."""
+    """Stop once `iterations` matching rounds have run (zero is legal)."""
 
     iterations: int
 
     def __post_init__(self):
         _check_count("iterations", self.iterations, 0)
 
-    def done(self, graph: WeightedGraph, error: float) -> bool:
-        return False
+    def done(self, graph: WeightedGraph, error: float, rounds=0, beta=0.0) -> bool:
+        return rounds >= self.iterations
 
 
 StopCriterion = EdgeBudget | NodeBudget | ErrorCap | BetaCap | MaxIterations
@@ -386,21 +388,26 @@ def reduce_graph(
     own, but a round draws all of its kept edges from the same state, and on
     sparse graphs where they couple strongly the round as a whole is biased.
 
+    The criteria are asked in the order given, before each round and, with
+    the shared beta, after a selection that kept edges; the first one done
+    names the stop in `trace.stopped_by`. The loop stops by itself as
+    "no_edges", or as "saturated" once every edge was matched since the last
+    action and none acted: such a round leaves the graph and the backend as
+    they were, so no later one would act. Every stop returns the graph, map
+    and error reached, so a budget may be unmet.
+
     The input graph is not modified. Raises DisconnectedGraphError for
-    disconnected input, RedrawLimitError when an iteration cannot find a
-    connectivity-preserving draw, StallError once every edge was matched
-    since the last action without acting: a round that acts on nothing
-    leaves the graph and the backend as they were, so none ever will.
+    disconnected input and RedrawLimitError when an iteration cannot find a
+    connectivity-preserving draw.
     """
     config = config or ReductionConfig()
     _check_count("seed", seed, 0)
     stops = list(stop) if isinstance(stop, (list, tuple)) else [stop]
     if not stops:
         raise ValueError("at least one stop criterion is required")
-    beta_cap = min((s.cap for s in stops if isinstance(s, BetaCap)), default=math.inf)
-    max_iters = min(
-        (s.iterations for s in stops if isinstance(s, MaxIterations)), default=None
-    )
+    for s in stops:
+        if not callable(getattr(s, "done", None)):
+            raise ValueError(f"not a stop criterion: {s!r}")
 
     g = graph.copy()
     cmap = ContractionMap.identity(g.nodes())
@@ -415,23 +422,17 @@ def reduce_graph(
     idle: set[int] = set()  # edges matched since the last action
     iteration = 0  # index t of the iteration about to run
 
-    def stop_reason() -> str | None:
-        if max_iters is not None and iteration >= max_iters:
-            return "MaxIterations"
+    def stop_reason(beta: float = 0.0) -> str | None:
         for s in stops:
-            if s.done(g, estimated_error):
+            if s.done(g, estimated_error, iteration, beta):
                 return type(s).__name__
+        if not g.n_edges:
+            return "no_edges"
+        if len(idle) == g.n_edges:
+            return "saturated"
         return None
 
-    while True:
-        reason = stop_reason()
-        if reason is not None:
-            trace.stopped_by = reason
-            break
-        if g.n_edges == 0:
-            trace.stopped_by = "no_edges"
-            break
-
+    while (reason := stop_reason()) is None:
         matched = g.independent_edge_set(rng)
         leverages, norms = backend.measure(g, matched)
         # Only r_contract under EDGES reads triangle counts; a score that
@@ -445,9 +446,7 @@ def reduce_graph(
         )
         scores = activation_beta(eq, config.target_reduction, config.allow_contraction)
         beta, kept = select_beta(scores, config.keep_fraction)
-
-        if kept and beta > beta_cap:
-            trace.stopped_by = "BetaCap"
+        if kept and (reason := stop_reason(beta)) is not None:
             break
 
         # The closed form is elementwise: solve the column, read the kept rows.
@@ -487,11 +486,6 @@ def reduce_graph(
             idle.clear()
         else:
             idle.update(matched)
-            if len(idle) == g.n_edges:
-                raise StallError(
-                    f"iteration {iteration}: all {g.n_edges} edges matched "
-                    "since the last action and none acted"
-                )
         trace.records.append(
             IterationRecord(
                 iteration, len(matched), len(kept), beta, n_del, n_con, n_rew,
@@ -499,6 +493,7 @@ def reduce_graph(
             )
         )
         iteration += 1
+    trace.stopped_by = reason
 
     if isinstance(backend, _ExactBackend):
         trace.drift = probe_residual(backend.compact(g), g)

@@ -141,6 +141,17 @@ class TestReduce:
         )
         assert code == 1
 
+    def test_saturated_reduction_exits_zero_with_its_reason(self, tmp_path, capsys):
+        # A lone bridge can never be deleted, so the budget stays unmet.
+        (tmp_path / "one.edges").write_text("0 1 1.0\n")
+        code = run(
+            "reduce", "--input", str(tmp_path / "one.edges"), "--no-contraction",
+            "--stop", "edges=0", "--out", str(tmp_path / "r"),
+        )
+        assert code == 0
+        assert "stop saturated" in capsys.readouterr().out
+        assert read_edgelist(str(tmp_path / "r.edges")).n_edges == 1
+
     def test_missing_stop_flag_is_usage_error(self, tmp_path, er_graph):
         with pytest.raises(SystemExit) as exc:
             run("reduce", "--input", str(er_graph), "--out", str(tmp_path / "r"))
@@ -216,6 +227,15 @@ class TestMetrics:
             "--sigma", "0.9",
         )
         assert code == 1
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_sigma_vectors_below_one_is_usage_error(self, er_graph, capsys, count):
+        # A guarantee checked over no vectors would pass vacuously.
+        with pytest.raises(SystemExit) as exc:
+            run("metrics", "--original", str(er_graph), "--reduced", str(er_graph),
+                "--sigma", "2", "--sigma-vectors", count)
+        assert exc.value.code == 2
+        assert f"--sigma-vectors: must be at least 1, got {count}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "originals, assignment, reduced_edges, message",

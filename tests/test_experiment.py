@@ -174,6 +174,34 @@ class TestSpecValidation:
         spec = ExperimentSpec.from_dict({**base, "runs": 2, "seed": 0})
         assert (spec.runs, spec.seed, spec.eigen_k) == (2, 0, None)
 
+    @pytest.mark.parametrize(
+        "drop, message",
+        [
+            (("levels",), "an experiment spec needs a 'levels' key"),
+            (("levels", "target"), "levels needs a 'target' key"),
+            (("levels", "sizes"), "levels needs a 'sizes' key"),
+            (("graph",), "an experiment spec needs a 'graph' key"),
+            (("graph", "kind"), "the experiment graph needs a 'kind' or a 'path' key"),
+            (("algorithms", 0, "name"), "an algorithm needs a 'name' key"),
+            (("algorithms", 0, "kind"), "an algorithm needs a 'kind' key"),
+        ],
+        ids=["levels", "levels.target", "levels.sizes", "graph", "graph.kind",
+             "algorithm.name", "algorithm.kind"],
+    )
+    def test_missing_key_is_named(self, drop, message):
+        d = {
+            "graph": {"kind": "er", "params": {"n": 24, "p": 0.25}},
+            "levels": {"target": "edges", "sizes": [40]},
+            "algorithms": [{"name": "ours", "kind": "reduce"}],
+        }
+        *path, key = drop
+        parent = d
+        for step in path:
+            parent = parent[step]
+        del parent[key]
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            load_graph(ExperimentSpec.from_dict(d))
+
     def test_from_dict_roundtrip(self):
         d = {
             "graph": {"kind": "er", "params": {"n": 24, "p": 0.25}},

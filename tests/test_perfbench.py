@@ -68,8 +68,9 @@ def test_workloads_build_at_seed_7(workloads, name):
 
 @pytest.mark.parametrize("mode", [ExactMode(), SketchMode(n_probes=8)])
 def test_short_reduction_passes_output_checks(checks, mode):
-    # MaxIterations never reports itself done, so the checked stop is an edge
-    # budget that the first acting round meets; the cap bounds the run.
+    # Asked without the round count, as output_problems asks, MaxIterations
+    # never reports itself done, so the checked stop is an edge budget that
+    # the first acting round meets; the cap bounds the run.
     g = generate("triangular-lattice", {"rows": 5, "cols": 5})
     stop = EdgeBudget(g.n_edges - 1)
     result = reduce_graph(

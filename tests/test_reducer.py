@@ -37,7 +37,6 @@ from graphreduce.reducer import (
     RedrawLimitError,
     ReductionConfig,
     SketchMode,
-    StallError,
     reduce_graph,
     select_beta,
 )
@@ -169,6 +168,14 @@ def test_validation_errors():
             bad()
     with pytest.raises(ValueError):
         reduce_graph(unit_triangle(), [])
+    # A stop that is no criterion is refused before any work, naming it.
+    for stop, named in (
+        (5, "5"),
+        ([EdgeBudget(3), "edges=3"], "'edges=3'"),
+        ({EdgeBudget(3)}, "{EdgeBudget(edges=3)}"),
+    ):
+        with pytest.raises(ValueError, match=f"^not a stop criterion: {re.escape(named)}$"):
+            reduce_graph(unit_triangle(), stop)
     # The seed is a count too: a bool is no seed, and nothing is truncated.
     for seed in (-1, True, 2.5, "3"):
         with pytest.raises(ValueError, match="seed must be an integer >= 0"):
@@ -217,6 +224,9 @@ def test_max_iterations_zero_is_a_no_op():
     assert result.trace.records == []
     assert result.graph.n_edges == g.n_edges
     assert sorted(result.cmap.groups().values()) == [[u] for u in g.nodes()]
+    # When several criteria are done at one check, the first one listed names it.
+    result = reduce_graph(g, [EdgeBudget(g.n_edges), MaxIterations(0)])
+    assert result.trace.stopped_by == "EdgeBudget"
 
 
 def test_max_iterations_counts_started_rounds():
@@ -600,23 +610,43 @@ def test_unscored_triangles_are_never_counted(monkeypatch, config, stop):
     assert result.graph.is_connected()
 
 
-def test_stall_guard_raises():
+def test_stall_guard_stops_saturated():
     # A single bridge under no-contraction mode can never act.
     g = WeightedGraph.from_edges([(0, 1, 1.0)])
     config = ReductionConfig(allow_contraction=False)
-    with pytest.raises(StallError):
-        reduce_graph(g, EdgeBudget(0), config, seed=0)
+    result = reduce_graph(g, EdgeBudget(0), config, seed=0)
+    assert result.trace.stopped_by == "saturated"
+    assert len(result.trace.records) == 1
+    assert result.graph.edge_ids() == g.edge_ids()
+    assert result.state.estimated_error == 0.0
 
 
-def test_stall_raises_once_every_edge_was_matched():
+def test_stall_stops_once_every_edge_was_matched():
     # Every K10 leverage is 0.2: contracting whenever possible removes 0.2
     # nodes in expectation, below the target 0.25, so every score is infinite.
     g = WeightedGraph.from_edges([(u, v) for u in range(10) for v in range(u + 1, 10)])
     config = ReductionConfig(priority=Priority.NODES)
-    with pytest.raises(StallError) as info:
-        reduce_graph(g, [NodeBudget(2), MaxIterations(200)], config, seed=0)
-    named = re.match(r"iteration (\d+):", str(info.value))
-    assert named and int(named.group(1)) < 200
+    result = reduce_graph(g, [NodeBudget(2), MaxIterations(200)], config, seed=0)
+    assert result.trace.stopped_by == "saturated"
+    rounds = result.trace.records
+    assert 0 < len(rounds) < 200
+    assert all(r.selected == 0 for r in rounds)
+    assert result.graph.n_edges == g.n_edges
+
+
+def test_a_saturated_ladder_returns_the_rounds_it_ran():
+    # Two paths, 0-5 and 6-11, joined by the rungs (i, i+6). Without
+    # contraction, 13 edges left at seed 38 all have leverage >= 0.8, so
+    # deletion alone cannot reach the target and every score is infinite.
+    edges = [(i, i + 1, 1.0) for i in (*range(5), *range(6, 11))]
+    g = WeightedGraph.from_edges(edges + [(i, i + 6, 1.0) for i in range(6)])
+    config = ReductionConfig(allow_contraction=False)
+    result = reduce_graph(g, EdgeBudget(12), config, seed=38)
+    assert result.trace.stopped_by == "saturated"
+    assert result.graph.n_edges == 13 and len(result.trace.records) == 24
+    assert result.graph.is_connected()
+    assert identity_residual(result.state, result.graph) <= IDENTITY_TOL
+    assert result.state.estimated_error == result.trace.records[-1].error_after > 0
 
 
 def test_error_accounting_is_cumulative():
@@ -731,6 +761,12 @@ def test_reduction_invariants_in_both_modes(g, stop, seed):
         errors = [rec.error_after for rec in result.trace.records]
         assert all(math.isfinite(e) for e in errors)
         assert errors == sorted(errors)
+        # The stop is explained, and a criterion that names it is done.
+        reason = result.trace.stopped_by
+        assert reason in (type(stop).__name__, "saturated", "no_edges")
+        if reason == type(stop).__name__:
+            rounds = len(result.trace.records)
+            assert stop.done(h, result.state.estimated_error, rounds)
 
         again = reduce_graph(g, stop, config, seed=seed)
         assert {e: h.edge(e) for e in h.edge_ids()} == {
