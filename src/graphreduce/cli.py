@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -18,8 +19,8 @@ from .experiment import (
     ExperimentSpec,
     parse_config,
     parse_stop,
-    run_experiment_to_files,
     probe_vectors,
+    run_experiment,
     write_rows_csv,
     write_rows_json,
 )
@@ -56,9 +57,7 @@ def _cmd_gen(args) -> int:
 def _cmd_reduce(args) -> int:
     g = _load_input(args)
     config = parse_config(vars(args))
-    stops = []
-    for spec in args.stop:
-        stops.extend(parse_stop(spec))
+    stops = [parse_stop(spec) for spec in args.stop]
     result = reduce_graph(g, stops, config, seed=args.seed)
 
     prefix = args.out
@@ -80,12 +79,8 @@ def _cmd_reduce(args) -> int:
 
 def _cmd_sparsify(args) -> int:
     g = _load_input(args)
-    if args.samples is not None:
-        n_samples = args.samples
-    elif args.target_edges is not None:
-        n_samples = samples_for_edge_target(g, args.target_edges)
-    else:
-        raise ValueError("pass --samples or --target-edges")
+    n_samples = (args.samples if args.samples is not None
+                 else samples_for_edge_target(g, args.target_edges))
     h = ss_sparsify(g, n_samples, np.random.default_rng(args.seed))
     write_edgelist(h, args.out + ".edges", args.out + ".nodeweights")
     print(
@@ -100,7 +95,7 @@ def _cmd_coarsen(args) -> int:
     coarse, cmap = matching_coarsen(
         g,
         strategy=args.strategy,
-        levels=args.levels,
+        levels=1 if args.levels is None else args.levels,
         rng=np.random.default_rng(args.seed),
         target_nodes=args.target_nodes,
     )
@@ -115,7 +110,8 @@ def _cmd_coarsen(args) -> int:
 
 def _check_cmap(cmap: ContractionMap, original, reduced) -> None:
     """Raise ValueError naming a node unless `cmap` maps the nodes of the
-    original graph onto all the nodes of the reduced graph."""
+    original graph onto all the nodes of the reduced graph, each supernode
+    weighing what its original nodes weigh."""
     nodes, supernodes = set(original.nodes()), set(reduced.nodes())
     if nodes != set(cmap.originals):
         u = min(nodes ^ set(cmap.originals))
@@ -127,6 +123,11 @@ def _check_cmap(cmap: ContractionMap, original, reduced) -> None:
     empty = supernodes - set(cmap.assignment.values())
     if empty:
         raise ValueError(f"reduced node {min(empty)} has no original node in the map")
+    for s, members in sorted(cmap.groups().items()):
+        weight, total = reduced.node_weight(s), sum(map(original.node_weight, members))
+        if not math.isclose(weight, total, rel_tol=1e-9):
+            raise ValueError(f"reduced node {s} weighs {weight:.6g}, its original nodes "
+                             f"{total:.6g}; pass --reduced-node-weights")
 
 
 def _cmd_metrics(args) -> int:
@@ -142,8 +143,7 @@ def _cmd_metrics(args) -> int:
     node_w = base.weights
     candidate = lift(red.pinv, cmap, red.nodes, red.weights, node_w)
 
-    labels = [v for v in args.vectors.split(",") if v]
-    vectors = probe_vectors(original, labels)
+    vectors = probe_vectors(original, args.vectors)
     eig = None
     if args.eigen_k is not None:
         eig = eigen_relative_error(
@@ -174,13 +174,12 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    spec = ExperimentSpec.from_json(args.spec)
-    rows = run_experiment_to_files(spec)
+    rows = run_experiment(ExperimentSpec.from_json(args.spec))
     if args.csv:
         write_rows_csv(rows, args.csv)
     if args.json:
         write_rows_json(rows, args.json)
-    wrote = [p for p in (spec.csv_path, spec.json_path, args.csv, args.json) if p]
+    wrote = [p for p in (args.csv, args.json) if p]
     print(f"compare: {len(rows)} rows -> {', '.join(wrote) if wrote else 'stdout'}")
     if not wrote:
         for row in rows:
@@ -198,6 +197,14 @@ def _vector_count(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
+
+
+def _vector_labels(text: str) -> list[str]:
+    # An empty list would compare nothing and report a distance of 0.
+    labels = [v for v in text.split(",") if v]
+    if not labels:
+        raise argparse.ArgumentTypeError(f"names no vector, got {text!r}")
+    return labels
 
 
 def _add_input_args(p: argparse.ArgumentParser) -> None:
@@ -242,10 +249,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sparsify", help="leverage-score sampling baseline")
     _add_input_args(p)
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--target-edges", type=int, default=None,
-                   help="pick the sample count whose expected distinct edge "
-                        "count reaches this")
+    size = p.add_mutually_exclusive_group(required=True)
+    size.add_argument("--samples", type=int, default=None)
+    size.add_argument("--target-edges", type=int, default=None,
+                      help="pick the sample count whose expected distinct edge "
+                           "count reaches this")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output path prefix")
     p.set_defaults(func=_cmd_sparsify)
@@ -253,8 +261,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("coarsen", help="matching-based coarsening baseline")
     _add_input_args(p)
     p.add_argument("--strategy", choices=["random", "heavy-edge"], default="random")
-    p.add_argument("--levels", type=int, default=1)
-    p.add_argument("--target-nodes", type=int, default=None)
+    size = p.add_mutually_exclusive_group()
+    size.add_argument("--levels", type=int, default=None,
+                      help="matching levels to contract (1 when neither is given)")
+    size.add_argument("--target-nodes", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output path prefix")
     p.set_defaults(func=_cmd_coarsen)
@@ -266,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reduced-node-weights", default=None)
     p.add_argument("--cmap", default=None,
                    help="contraction map JSON (identity when omitted)")
-    p.add_argument("--vectors", default="fiedler,median")
+    p.add_argument("--vectors", type=_vector_labels, default="fiedler,median")
     p.add_argument("--eigen-k", type=int, default=None)
     p.add_argument("--sigma", type=float, default=None,
                    help="also check the sigma-approximation guarantee")

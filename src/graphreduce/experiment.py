@@ -6,7 +6,9 @@ target size in a decreasing schedule, lifts each output's pseudoinverse back
 to the original nodes, compares it against the original along fixed test
 vectors, and aggregates mean and standard deviation over repeats. Rows come
 out in long format (level, algorithm, metric, vector, mean, std) so they can
-be plotted without further reshaping.
+be plotted without further reshaping; writing them is the caller's job.
+A spec is checked when it is built: a missing or unknown key, a value of the
+wrong type or an algorithm that cannot count the levels' target raises ValueError.
 """
 
 from __future__ import annotations
@@ -56,26 +58,17 @@ _COUNT_STOPS = {"edges": EdgeBudget, "nodes": NodeBudget, "iters": MaxIterations
 _CAP_STOPS = {"error": ErrorCap, "beta": BetaCap}
 
 
-def parse_stop(spec: str | dict) -> list[StopCriterion]:
-    """Stop criteria from "edges=40" style strings or {"edges": 40} dicts.
-
-    Only string values go through int(); a dict's counts are checked as given.
-    """
-    text = isinstance(spec, str)
-    if text:
-        key, _, value = spec.partition("=")
-        if not value:
-            raise ValueError(f"stop wants key=value, got {spec!r}")
-        spec = {key: value}
-    out: list[StopCriterion] = []
-    for key, value in spec.items():
-        if key in _COUNT_STOPS:
-            out.append(_COUNT_STOPS[key](int(value) if text else value))
-        elif key in _CAP_STOPS:
-            out.append(_CAP_STOPS[key](float(value)))
-        else:
-            raise ValueError(f"unknown stop criterion {key!r}")
-    return out
+def parse_stop(spec: str) -> StopCriterion:
+    """The stop criterion of one key=value string, such as "edges=40": the keys
+    edges, nodes and iters take integers, error and beta floats."""
+    key, _, value = spec.partition("=") if isinstance(spec, str) else ("", "", "")
+    if not value:
+        raise ValueError(f"stop wants key=value, got {spec!r}")
+    if key in _COUNT_STOPS:
+        return _COUNT_STOPS[key](int(value))
+    if key in _CAP_STOPS:
+        return _CAP_STOPS[key](float(value))
+    raise ValueError(f"unknown stop criterion {key!r}")
 
 
 def parse_mode(spec: str) -> ExactMode | SketchMode:
@@ -113,11 +106,8 @@ def probe_vectors(g: WeightedGraph, labels: Sequence[str]) -> dict[str, np.ndarr
     n = g.n_nodes
     out = {}
     for label in labels:
-        if label == "fiedler":
-            idx = 1
-        elif label == "median":
-            idx = n // 2
-        else:
+        idx = {"fiedler": 1, "median": n // 2}.get(label)
+        if idx is None:
             raise ValueError(f"unknown test vector {label!r}")
         if idx >= n:
             raise ValueError(f"graph too small for {label!r} vector")
@@ -125,11 +115,25 @@ def probe_vectors(g: WeightedGraph, labels: Sequence[str]) -> dict[str, np.ndarr
     return out
 
 
-def _key(d: dict, key: str, where: str):
-    """d[key], or a ValueError saying that `where` lacks the key."""
-    if key not in d:
-        raise ValueError(f"{where} needs a {key!r} key")
-    return d[key]
+def _keys(d, where: str, required: tuple[str, ...], optional: tuple[str, ...] = ()):
+    """`d`, unless it is not an object, lacks a required key or holds another
+    key that is not optional: then a ValueError naming the key and `where`."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{where} must be an object, got {d!r}")
+    for key in required:
+        if key not in d:
+            raise ValueError(f"{where} needs a {key!r} key")
+    unknown = sorted(set(d) - set(required) - set(optional))
+    if unknown:
+        raise ValueError(f"{where} takes no keys {unknown}")
+    return d
+
+
+def _list(value, name: str, item: type = object) -> list:
+    # A bare string would split into one-letter names, a number fail in tuple().
+    if not isinstance(value, list) or not all(isinstance(v, item) for v in value):
+        raise ValueError(f"{name} must be a list, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -150,9 +154,13 @@ class LevelSchedule:
             raise ValueError(f"level sizes must strictly decrease, got {self.sizes}")
 
 
-# The options each algorithm kind reads; AlgorithmSpec refuses any other.
+# The options each algorithm kind reads and the level targets it can count;
+# the spec types refuse any other.
 _OPTIONS = {"reduce": {"q", "d", "priority", "no_contraction", "mode", "stop"},
             "sparsify": set(), "coarsen": {"strategy"}}
+_TARGETS = {"reduce": {"edges", "nodes"}, "sparsify": {"edges"}, "coarsen": {"nodes"}}
+# The keys of a generated graph and of one read from an edge list.
+_GRAPH_KEYS = {"kind": ("kind", "params"), "path": ("path", "node_weights")}
 
 
 @dataclass(frozen=True)
@@ -164,9 +172,20 @@ class AlgorithmSpec:
     def __post_init__(self):
         if self.kind not in _OPTIONS:
             raise ValueError(f"unknown algorithm kind {self.kind!r}")
+        if not isinstance(self.options, dict):
+            raise ValueError(f"{self.kind} {self.name!r} options must be an object, "
+                             f"got {self.options!r}")
         unknown = sorted(set(self.options) - _OPTIONS[self.kind])
         if unknown:
             raise ValueError(f"{self.kind} {self.name!r} reads no options {unknown}")
+        if self.kind == "reduce":  # parsed now, so a bad value fails before any run
+            extras = self.options.get("stop", [])
+            if not isinstance(extras, list):
+                raise ValueError(
+                    f"the stop option wants a list of key=value strings, got {extras!r}")
+            for extra in extras:
+                parse_stop(extra)
+            parse_config(self.options)
 
 
 @dataclass(frozen=True)
@@ -178,10 +197,17 @@ class ExperimentSpec:
     seed: int = 0
     vectors: tuple[str, ...] = ("fiedler",)
     eigen_k: int | None = None
-    csv_path: str | None = None
-    json_path: str | None = None
 
     def __post_init__(self):
+        graph = self.graph if isinstance(self.graph, dict) else {}
+        source = "path" if "path" in graph else "kind"
+        if source not in graph:
+            raise ValueError("the experiment graph needs a 'kind' or a 'path' key")
+        _keys(graph, f"the experiment graph with a {source!r} key", (), _GRAPH_KEYS[source])
+        for algo in self.algorithms:
+            if self.levels.target not in _TARGETS[algo.kind]:
+                raise ValueError(
+                    f"{algo.kind} {algo.name!r} cannot target {self.levels.target}")
         _check_count("runs", self.runs, 1)
         _check_count("seed", self.seed, 0)
         if self.eigen_k is not None:
@@ -189,31 +215,18 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentSpec":
-        levels = _key(d, "levels", "an experiment spec")
-        outputs = d.get("outputs", {})
-        # A bare string would split into one-letter vector names.
-        vectors = d.get("vectors", ["fiedler"])
-        if not isinstance(vectors, list) or not all(isinstance(v, str) for v in vectors):
-            raise ValueError(f"vectors must be a list of names, got {vectors!r}")
+        _keys(d, "an experiment spec", ("graph", "levels"),
+              ("algorithms", "runs", "seed", "vectors", "eigen_k"))
+        levels = _keys(d["levels"], "levels", ("target", "sizes"))
         return cls(
-            graph=_key(d, "graph", "an experiment spec"),
-            levels=LevelSchedule(
-                _key(levels, "target", "levels"), tuple(_key(levels, "sizes", "levels"))
-            ),
+            graph=d["graph"],
+            levels=LevelSchedule(levels["target"], tuple(_list(levels["sizes"], "sizes"))),
             algorithms=tuple(
-                AlgorithmSpec(
-                    _key(a, "name", "an algorithm"),
-                    _key(a, "kind", "an algorithm"),
-                    a.get("options", {}),
-                )
-                for a in d.get("algorithms", [])
+                AlgorithmSpec(**_keys(a, "an algorithm", ("name", "kind"), ("options",)))
+                for a in _list(d.get("algorithms", []), "algorithms")
             ),
-            runs=d.get("runs", 8),
-            seed=d.get("seed", 0),
-            vectors=tuple(vectors),
-            eigen_k=d.get("eigen_k"),
-            csv_path=outputs.get("csv"),
-            json_path=outputs.get("json"),
+            vectors=tuple(_list(d.get("vectors", ["fiedler"]), "vectors", str)),
+            **{key: d[key] for key in ("runs", "seed", "eigen_k") if key in d},
         )
 
     @classmethod
@@ -235,26 +248,16 @@ class ResultRow:
 def load_graph(spec: ExperimentSpec) -> WeightedGraph:
     if "path" in spec.graph:
         return read_edgelist(spec.graph["path"], spec.graph.get("node_weights"))
-    if "kind" not in spec.graph:
-        raise ValueError("the experiment graph needs a 'kind' or a 'path' key")
     return generate(spec.graph["kind"], spec.graph.get("params", {}), spec.seed)
 
 
 def _run_reduce(g, options: dict, target: str, size: int, seed: int):
-    config = parse_config(options, "edges" if target == "edges" else "nodes")
-    stops = [EdgeBudget(size) if target == "edges" else NodeBudget(size)]
-    extras = options.get("stop", [])
-    if not isinstance(extras, list):
-        raise ValueError(f"the stop option wants a list of key=value strings, got {extras!r}")
-    for extra in extras:
-        stops.extend(parse_stop(extra))
-    result = reduce_graph(g, stops, config, seed=seed)
+    stops = [_COUNT_STOPS[target](size), *map(parse_stop, options.get("stop", []))]
+    result = reduce_graph(g, stops, parse_config(options, target), seed=seed)
     return result.graph, result.cmap, result.state
 
 
 def _run_sparsify(g, options: dict, target: str, size: int, seed: int):
-    if target != "edges":
-        raise ValueError("sparsify targets edge counts, schedule counts nodes")
     n_samples = samples_for_edge_target(g, size)
     h = ss_sparsify(g, n_samples, np.random.default_rng(seed))
     # build_pseudoinverse raises when h is disconnected
@@ -262,8 +265,6 @@ def _run_sparsify(g, options: dict, target: str, size: int, seed: int):
 
 
 def _run_coarsen(g, options: dict, target: str, size: int, seed: int):
-    if target != "nodes":
-        raise ValueError("coarsen targets node counts, schedule counts edges")
     coarse, cmap = matching_coarsen(
         g,
         strategy=options.get("strategy", "random"),
@@ -293,13 +294,14 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
     vectors = probe_vectors(g, spec.vectors)
     base_spectrum = laplacian_spectrum(g) if spec.eigen_k else None
 
+    # One list of samples per row of a cell, keyed by (metric, vector) in row order.
+    keys = [("hyperbolic", label) for label in vectors]
+    keys += [("eigen_relative_error", "")] if spec.eigen_k else []
+    keys += [("edges", ""), ("nodes", "")]
     rows: list[ResultRow] = []
     for ai, algo in enumerate(spec.algorithms):
         for li, size in enumerate(spec.levels.sizes):
-            distances: dict[str, list[float]] = {label: [] for label in vectors}
-            eig_errors: list[float] = []
-            out_edges: list[float] = []
-            out_nodes: list[float] = []
+            samples: dict[tuple[str, str], list[float]] = {key: [] for key in keys}
             failures = 0
             for r in range(spec.runs):
                 sub_seed = int(
@@ -314,31 +316,24 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
                     continue
                 candidate = lift(state.pinv, cmap, state.nodes, state.weights, node_w)
                 for label, vec in vectors.items():
-                    distances[label].append(
+                    samples["hyperbolic", label].append(
                         hyperbolic_distance(
                             base.pinv, candidate, vec, node_weights=node_w
                         )
                     )
                 if spec.eigen_k:
-                    eig_errors.append(
+                    samples["eigen_relative_error", ""].append(
                         eigen_relative_error(
                             base_spectrum, laplacian_spectrum(out_graph), spec.eigen_k
                         )
                     )
-                out_edges.append(out_graph.n_edges)
-                out_nodes.append(out_graph.n_nodes)
+                samples["edges", ""].append(out_graph.n_edges)
+                samples["nodes", ""].append(out_graph.n_nodes)
 
-            for label in vectors:
-                mean, std = _aggregate(distances[label])
-                rows.append(ResultRow(size, algo.name, "hyperbolic", label, mean, std))
-            if spec.eigen_k:
-                mean, std = _aggregate(eig_errors)
-                rows.append(
-                    ResultRow(size, algo.name, "eigen_relative_error", "", mean, std)
-                )
-            for metric, values in (("edges", out_edges), ("nodes", out_nodes)):
-                mean, std = _aggregate(values)
-                rows.append(ResultRow(size, algo.name, metric, "", mean, std))
+            rows += [
+                ResultRow(size, algo.name, metric, vector, *_aggregate(values))
+                for (metric, vector), values in samples.items()
+            ]
             rows.append(
                 ResultRow(size, algo.name, "failures", "", float(failures), 0.0)
             )
@@ -365,12 +360,3 @@ def write_rows_json(rows: Sequence[ResultRow], path: str) -> None:
     with open(path, "w") as fh:
         json.dump({"rows": [asdict(row) for row in rows]}, fh, indent=1)
         fh.write("\n")
-
-
-def run_experiment_to_files(spec: ExperimentSpec) -> list[ResultRow]:
-    rows = run_experiment(spec)
-    if spec.csv_path:
-        write_rows_csv(rows, spec.csv_path)
-    if spec.json_path:
-        write_rows_json(rows, spec.json_path)
-    return rows

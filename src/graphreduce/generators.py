@@ -157,11 +157,13 @@ _FAMILIES = {"path": path, "cycle": cycle, "torus": torus, "er": er, "sbm": sbm,
 def generate(kind: str, params: dict, seed: int | None = None) -> WeightedGraph:
     """Build a named family from its arguments by name, `rng` made from `seed`.
 
-    The CLI and experiment entry: an unknown key or a count (n, rows, cols,
-    k) that is not an integer >= 1 raises ValueError.
+    The CLI and experiment entry: params that are not a dict, an unknown key
+    or a count (n, rows, cols, k) that is not an integer >= 1 raises ValueError.
     """
     if kind not in _FAMILIES:
         raise ValueError(f"unknown graph kind {kind!r}")
+    if not isinstance(params, dict):
+        raise ValueError(f"params must be an object, got {params!r}")
     family = _FAMILIES[kind]
     takes = inspect.signature(family).parameters
     unknown = sorted(set(params) - (set(takes) - {"rng"}))

@@ -169,8 +169,26 @@ class TestBaselineCommands:
         assert 0 < h.n_edges < read_edgelist(er_graph).n_edges
 
     def test_sparsify_needs_a_size(self, tmp_path, er_graph):
-        code = run("sparsify", "--input", str(er_graph), "--out", str(tmp_path / "sp"))
-        assert code == 1
+        with pytest.raises(SystemExit) as exc:
+            run("sparsify", "--input", str(er_graph), "--out", str(tmp_path / "sp"))
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "command, flags",
+        [("sparsify", ["--samples", "30", "--target-edges", "10"]),
+         ("coarsen", ["--levels", "1", "--target-nodes", "15"])],
+        ids=["sparsify", "coarsen"],
+    )
+    def test_exclusive_size_flags_are_usage_errors(
+        self, tmp_path, er_graph, capsys, command, flags
+    ):
+        # Either flag alone sets the size; an explicit --levels 1 conflicts too.
+        with pytest.raises(SystemExit) as exc:
+            run(command, "--input", str(er_graph), *flags, "--out", str(tmp_path / "o"))
+        assert exc.value.code == 2
+        assert f"argument {flags[2]}: not allowed with argument {flags[0]}" in (
+            capsys.readouterr().err
+        )
 
     def test_coarsen_hits_target(self, tmp_path, er_graph):
         code = run(
@@ -236,6 +254,29 @@ class TestMetrics:
                 "--sigma", "2", "--sigma-vectors", count)
         assert exc.value.code == 2
         assert f"--sigma-vectors: must be at least 1, got {count}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("vectors", ["", ","])
+    def test_empty_vector_list_is_usage_error(self, er_graph, capsys, vectors):
+        # A comparison along no vector would report a distance of 0.
+        with pytest.raises(SystemExit) as exc:
+            run("metrics", "--original", str(er_graph), "--reduced", str(er_graph),
+                "--vectors", vectors)
+        assert exc.value.code == 2
+        assert "argument --vectors: names no vector" in capsys.readouterr().err
+
+    def test_supernode_weights_must_match_the_originals(self, tmp_path, er_graph, capsys):
+        assert run(
+            "reduce", "--input", str(er_graph), "--stop", "nodes=20",
+            "--priority", "nodes", "--seed", "4", "--out", str(tmp_path / "r"),
+        ) == 0
+        argv = ["metrics", "--original", str(er_graph), "--reduced", str(tmp_path / "r.edges"),
+                "--cmap", str(tmp_path / "r.cmap.json")]
+        # Without its node weights every supernode reads as weight 1.
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert re.search(r"error: reduced node \d+ weighs 1, its original nodes \d", err)
+        assert "--reduced-node-weights" in err
+        assert run(*argv, "--reduced-node-weights", str(tmp_path / "r.nodeweights")) == 0
 
     @pytest.mark.parametrize(
         "originals, assignment, reduced_edges, message",
@@ -333,14 +374,34 @@ class TestCompare:
         assert run("compare", "--spec", str(spec), "--csv", str(b)) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_outputs_from_spec_file(self, tmp_path):
+    def test_outputs_from_spec_file(self, tmp_path, capsys):
+        # Rows are written only through --csv and --json; a spec's own
+        # "outputs" is refused, and without flags the rows go to stdout.
         d = self.spec_dict()
         d["outputs"] = {"json": str(tmp_path / "r.json")}
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps(d))
+        assert run("compare", "--spec", str(spec)) == 1
+        assert "an experiment spec takes no keys ['outputs']" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+        del d["outputs"]
+        spec.write_text(json.dumps(d))
+        out = tmp_path / "rows.json"
+        assert run("compare", "--spec", str(spec), "--json", str(out)) == 0
+        rows = json.loads(out.read_text())["rows"]
+        assert f"compare: {len(rows)} rows -> {out}" in capsys.readouterr().out
+        assert len(rows) == 2 * 2 * 4 and rows[0]["algorithm"] == "ours"
+
         assert run("compare", "--spec", str(spec)) == 0
-        payload = json.loads((tmp_path / "r.json").read_text())
-        assert payload["rows"]
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == f"compare: {len(rows)} rows -> stdout"
+        first = rows[0]
+        assert lines[1] == (
+            f"level={first['level']} ours hyperbolic[fiedler]: "
+            f"{first['mean']:.6g} +- {first['std']:.6g}"
+        )
+        assert len(lines) == 1 + len(rows)
 
     def test_missing_spec_exits_nonzero(self, tmp_path):
         assert run("compare", "--spec", str(tmp_path / "nope.json")) == 1

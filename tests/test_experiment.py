@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -16,7 +15,6 @@ from graphreduce.experiment import (
     parse_stop,
     read_rows_csv,
     run_experiment,
-    run_experiment_to_files,
     probe_vectors,
     write_rows_csv,
 )
@@ -48,18 +46,13 @@ def edge_spec(sizes, algorithms, runs=2, seed=5, **kw):
 
 class TestParsing:
     def test_stop_string(self):
-        (stop,) = parse_stop("edges=40")
-        assert stop == EdgeBudget(40)
+        assert parse_stop("edges=40") == EdgeBudget(40)
 
     def test_stop_all_kinds(self):
-        assert parse_stop("nodes=10") == [NodeBudget(10)]
-        assert parse_stop("error=0.5") == [ErrorCap(0.5)]
-        assert parse_stop("beta=2.5") == [BetaCap(2.5)]
-        assert parse_stop("iters=7") == [MaxIterations(7)]
-
-    def test_stop_dict_multiple(self):
-        stops = parse_stop({"edges": 40, "iters": 3})
-        assert EdgeBudget(40) in stops and MaxIterations(3) in stops
+        assert parse_stop("nodes=10") == NodeBudget(10)
+        assert parse_stop("error=0.5") == ErrorCap(0.5)
+        assert parse_stop("beta=2.5") == BetaCap(2.5)
+        assert parse_stop("iters=7") == MaxIterations(7)
 
     def test_stop_dict_counts_are_not_truncated(self):
         for bad in ({"edges": 40.7}, {"nodes": 3.0}, {"iters": True}):
@@ -214,7 +207,6 @@ class TestSpecValidation:
             "seed": 9,
             "vectors": ["fiedler", "median"],
             "eigen_k": 4,
-            "outputs": {"csv": "a.csv", "json": "a.json"},
         }
         spec = ExperimentSpec.from_dict(d)
         assert spec.levels == LevelSchedule("edges", (40, 25))
@@ -222,7 +214,48 @@ class TestSpecValidation:
         assert spec.algorithms[1].options == {}
         assert spec.runs == 3 and spec.seed == 9
         assert spec.vectors == ("fiedler", "median") and spec.eigen_k == 4
-        assert spec.csv_path == "a.csv" and spec.json_path == "a.json"
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"run": 3}, r"an experiment spec takes no keys \['run'\]"),
+            ({"outputs": {"csv": "a.csv"}}, r"an experiment spec takes no keys \['outputs'\]"),
+            ({"levels": {"target": "edges", "sizes": [40], "size": 4}},
+             r"levels takes no keys \['size'\]"),
+            ({"levels": {"target": "edges", "sizes": 40}}, "sizes must be a list, got 40"),
+            ({"graph": {"kind": "er", "param": {"n": 24}}},
+             r"the experiment graph with a 'kind' key takes no keys \['param'\]"),
+            ({"graph": {"kind": "er", "path": "g.edges"}},
+             r"the experiment graph with a 'path' key takes no keys \['kind'\]"),
+            ({"algorithms": [{"name": "ours", "kind": "reduce", "option": {"q": 0.5}}]},
+             r"an algorithm takes no keys \['option'\]"),
+            ({"algorithms": [{"name": "ours", "kind": "reduce", "options": "q=0.5"}]},
+             "reduce 'ours' options must be an object, got 'q=0.5'"),
+            ({"algorithms": {"name": "ours", "kind": "reduce"}}, "algorithms must be a list"),
+            ({"levels": {"target": "nodes", "sizes": [12]},
+              "algorithms": [{"name": "ss", "kind": "sparsify"}]},
+             "sparsify 'ss' cannot target nodes"),
+            ({"algorithms": [{"name": "ours", "kind": "reduce",
+                              "options": {"stop": ["edgez=3"]}}]},
+             "unknown stop criterion 'edgez'"),
+            ({"algorithms": [{"name": "ours", "kind": "reduce", "options": {"q": 2}}]},
+             "keep_fraction"),
+        ],
+        ids=["run", "outputs", "levels.size", "sizes-not-a-list", "graph.param",
+             "graph-kind-and-path", "algorithm.option", "options-not-an-object",
+             "algorithms-not-a-list", "sparsify-on-nodes", "reduce-stop", "reduce-q"],
+    )
+    def test_spec_mistake_is_named_where_it_enters(self, change, message):
+        # A mistake fails where the spec enters, naming its key, rather than
+        # being ignored or failing after earlier algorithms have run.
+        d = {
+            "graph": {"kind": "er", "params": {"n": 24, "p": 0.25}},
+            "levels": {"target": "edges", "sizes": [40]},
+            "algorithms": [{"name": "ours", "kind": "reduce"}],
+            **change,
+        }
+        with pytest.raises(ValueError, match=message):
+            ExperimentSpec.from_dict(d)
 
 
 class TestVectors:
@@ -294,19 +327,18 @@ class TestRunExperiment:
                 assert r.mean == 0.0
 
     def test_sparsify_rejects_node_targets(self):
-        spec = ExperimentSpec(
-            graph={"kind": "er", "params": {"n": 20, "p": 0.3}},
-            levels=LevelSchedule("nodes", (12,)),
-            algorithms=(AlgorithmSpec("ss", "sparsify"),),
-            runs=1,
-        )
-        with pytest.raises(ValueError):
-            run_experiment(spec)
+        # Refused when the spec is built, before any graph or run.
+        with pytest.raises(ValueError, match="sparsify 'ss' cannot target nodes"):
+            ExperimentSpec(
+                graph={"kind": "er", "params": {"n": 20, "p": 0.3}},
+                levels=LevelSchedule("nodes", (12,)),
+                algorithms=(AlgorithmSpec("ss", "sparsify"),),
+                runs=1,
+            )
 
     def test_coarsen_rejects_edge_targets(self):
-        spec = edge_spec([10], [AlgorithmSpec("match", "coarsen")], runs=1)
-        with pytest.raises(ValueError):
-            run_experiment(spec)
+        with pytest.raises(ValueError, match="coarsen 'match' cannot target edges"):
+            edge_spec([10], [AlgorithmSpec("match", "coarsen")], runs=1)
 
     def test_failures_counted_not_fatal(self):
         # 8 distinct edges out of 69 leaves a 24 node sparsifier disconnected
@@ -325,6 +357,14 @@ class TestRunExperiment:
         write_rows_csv(rows, out)
         # read_text folds the csv module's \r\n line ending
         assert out.read_text() == "level,algorithm,metric,vector,mean,std\n"
+
+    def test_cell_row_order(self):
+        spec = edge_spec([30], [AlgorithmSpec("ours", "reduce")], runs=1, eigen_k=3,
+                         vectors=("median", "fiedler"))
+        assert [(r.metric, r.vector) for r in run_experiment(spec)] == [
+            ("hyperbolic", "median"), ("hyperbolic", "fiedler"),
+            ("eigen_relative_error", ""), ("edges", ""), ("nodes", ""), ("failures", ""),
+        ]
 
     def test_eigen_metric_present_when_requested(self):
         spec = edge_spec([30], [AlgorithmSpec("ours", "reduce")], eigen_k=3)
@@ -398,17 +438,3 @@ class TestReportFiles:
         path = tmp_path / "rows.csv"
         write_rows_csv(rows, path)
         assert read_rows_csv(path) == rows
-
-    def test_to_files_writes_csv_and_json(self, tmp_path):
-        spec = edge_spec(
-            [30],
-            [AlgorithmSpec("ours", "reduce")],
-            csv_path=str(tmp_path / "out.csv"),
-            json_path=str(tmp_path / "out.json"),
-        )
-        rows = run_experiment_to_files(spec)
-        assert read_rows_csv(spec.csv_path) == rows
-        with open(spec.json_path) as fh:
-            payload = json.load(fh)
-        assert len(payload["rows"]) == len(rows)
-        assert payload["rows"][0]["algorithm"] == "ours"

@@ -1,4 +1,5 @@
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -165,6 +166,10 @@ def test_generate_refuses_inexact_counts_and_unknown_keys():
         generate("torus", {"rows": 4, "cols": 4, "weightlaw": "exp-uniform:-1,1"})
     with pytest.raises(ValueError, match=r"er takes no params \['rng'\]"):
         generate("er", {"n": 8, "p": 0.5, "rng": 0})
+    # JSON null and a list reach here from `graphreduce gen --params`.
+    for bad in (None, [8], "n=8"):
+        with pytest.raises(ValueError, match=re.escape(f"params must be an object, got {bad!r}")):
+            generate("cycle", bad)
     # numpy integers are counts too; the seed still makes the weights.
     a = generate("torus", {"rows": np.int64(3), "cols": 4, "weight_law": "uniform:1,2"}, seed=5)
     assert edge_set(a) == edge_set(torus(3, 4, "uniform:1,2", np.random.default_rng(5)))
