@@ -78,10 +78,9 @@ def _heavy_edge_matching(
     g: WeightedGraph, rng: np.random.Generator
 ) -> list[int]:
     """Maximal matching greedily preferring heavier edges, random tie order."""
-    eids = g.edge_ids()
-    tie = {eid: rank for rank, eid in enumerate(rng.permutation(eids))}
-    order = sorted(eids, key=lambda e: (-g.edge_weight(e), tie[e]))
-    return g.greedy_matching(order)
+    shuffled = rng.permutation(g.edge_ids())
+    heaviest_first = np.argsort(-g.edge_columns(shuffled)[2], kind="stable")
+    return g.greedy_matching(shuffled[heaviest_first])
 
 
 def matching_coarsen(

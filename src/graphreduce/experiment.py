@@ -208,6 +208,8 @@ class ExperimentSpec:
             if self.levels.target not in _TARGETS[algo.kind]:
                 raise ValueError(
                     f"{algo.kind} {algo.name!r} cannot target {self.levels.target}")
+        if not self.vectors:  # cells would hold no distance, only sizes
+            raise ValueError("an experiment needs at least one vector")
         _check_count("runs", self.runs, 1)
         _check_count("seed", self.seed, 0)
         if self.eigen_k is not None:

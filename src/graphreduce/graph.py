@@ -6,6 +6,9 @@ the whole lifetime of the graph. Parallel edges are merged by summing weights,
 self loops are dropped. Contracting an edge merges its endpoints into the
 smaller endpoint id and accumulates node weights, so a supernode's weight is
 always the total weight of the original nodes inside it.
+
+Edges are held in flat arrays indexed by edge id, so the reads that cover the
+whole graph are numpy operations; a dict adjacency serves the local work.
 """
 
 from __future__ import annotations
@@ -13,22 +16,15 @@ from __future__ import annotations
 import json
 import math
 import numbers
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = [
-    "WeightedGraph",
-    "ContractionRecord",
-    "ContractionMap",
-    "read_edgelist",
-    "write_edgelist",
-    "read_node_weights",
-    "write_node_weights",
-    "read_contraction_map",
-    "write_contraction_map",
-]
+__all__ = ["WeightedGraph", "ContractionRecord", "ContractionMap", "read_edgelist",
+           "write_edgelist", "read_node_weights", "write_node_weights",
+           "read_contraction_map", "write_contraction_map"]
 
 
 def _check_weight(kind: str, weight: float) -> None:
@@ -39,10 +35,11 @@ def _check_weight(kind: str, weight: float) -> None:
 def _check_node(u) -> None:
     # A bool would alias node 0 or 1, so ids are Python or numpy integers only;
     # the exact-type test keeps the common case to one comparison.
-    if not (
-        type(u) is int or isinstance(u, numbers.Integral) and not isinstance(u, bool)
-    ) or u < 0:
+    if not (type(u) is int or isinstance(u, numbers.Integral)
+            and not isinstance(u, bool)) or u < 0:
         raise ValueError(f"node id must be a non-negative integer, got {u!r}")
+    if u >> 63:  # ids are stored as int64
+        raise ValueError(f"node id must be below 2**63, got {u!r}")
 
 
 def _check_count(name: str, value, least: int) -> None:
@@ -63,45 +60,51 @@ class ContractionRecord:
 class WeightedGraph:
     """Undirected graph with weighted nodes and edges.
 
-    Node ids are arbitrary non-negative integers (Python or numpy, never
-    bool); `add_node` and `add_edge` refuse anything else. Edge ids are
-    assigned from a monotone counter at insertion and never reused; they
-    survive reweighting and endpoint re-attachment during contraction.
+    Node ids are arbitrary non-negative integers below 2**63 (Python or
+    numpy, never bool); `add_node` and `add_edge` refuse anything else. Edge
+    ids are assigned from a monotone counter at insertion and never reused;
+    they survive reweighting and endpoint re-attachment during contraction.
+
+    Edge id e indexes `_lo[e]` and `_hi[e]`, its endpoints' slots (smaller
+    id first), `_w[e]` and `_live[e]`. A node's slot, dense and never
+    reused, indexes `_ids` and `_node_w` and any per-node scratch space. The
+    stores are `array`s: they append and read scalars like lists, as Python
+    ints and floats, and `np.asarray` views them without a copy (a store
+    cannot grow while a view lives, so methods keep only what they index out
+    of one). `_adj` (node -> {neighbour: edge id}) stays a dict for the local
+    work of `connected_without`, `triangle_count` and `contract_edge`, which
+    an array scan would make touch every edge.
     """
 
     def __init__(self) -> None:
-        self._node_weight: dict[int, float] = {}
+        self._slot: dict[int, int] = {}
+        self._ids, self._node_w = array("q"), array("d")
         self._adj: dict[int, dict[int, int]] = {}
-        self._edges: dict[int, tuple[int, int, float]] = {}
-        self._next_edge = 0
+        self._lo, self._hi, self._w = array("q"), array("q"), array("d")
+        self._live, self._m = bytearray(), 0  # _m counts the live edges
 
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def from_edges(
-        cls,
-        edges,
-        node_weights: dict[int, float] | None = None,
-    ) -> "WeightedGraph":
+    def from_edges(cls, edges, node_weights: dict | None = None) -> "WeightedGraph":
         """Build a graph from (u, v) or (u, v, w) tuples."""
         g = cls()
         for spec in edges:
-            if len(spec) == 2:
-                u, v = spec
-                w = 1.0
-            else:
-                u, v, w = spec
-            g.add_edge(u, v, w)
-        if node_weights:
-            for u, w in node_weights.items():
-                g.add_node(u, w)
+            g.add_edge(*spec)
+        for u, w in (node_weights or {}).items():
+            g.add_node(u, w)
         return g
 
     def add_node(self, u: int, weight: float = 1.0) -> None:
         _check_node(u)
         _check_weight("node", weight)
-        self._node_weight[u] = float(weight)
-        self._adj.setdefault(u, {})
+        if u in self._slot:
+            self._node_w[self._slot[u]] = float(weight)
+            return
+        u = u if type(u) is int else int(u)
+        self._slot[u], self._adj[u] = len(self._ids), {}
+        self._ids.append(u)
+        self._node_w.append(weight)
 
     def add_edge(self, u: int, v: int, weight: float = 1.0) -> int:
         """Insert an edge, creating missing endpoints with unit weight.
@@ -110,117 +113,121 @@ class WeightedGraph:
         existing id is returned. Self loops are dropped; the returned id is -1.
         """
         _check_weight("edge", weight)
+        slot = self._slot
         for n in (u, v):
-            _check_node(n)  # an existing node equal to a bool skips add_node
-            if n not in self._node_weight:
+            if n not in slot:
                 self.add_node(n)
+            elif type(n) is not int:  # equal to a node, but maybe a bool or a float
+                _check_node(n)
         if u == v:
             return -1
-        existing = self._adj[u].get(v)
-        if existing is not None:
-            a, b, w0 = self._edges[existing]
-            self._edges[existing] = (a, b, w0 + float(weight))
-            return existing
-        eid = self._next_edge
-        self._next_edge += 1
-        a, b = (u, v) if u < v else (v, u)
-        self._edges[eid] = (a, b, float(weight))
-        self._adj[u][v] = eid
-        self._adj[v][u] = eid
+        nbrs = self._adj[u]
+        eid = nbrs.get(v)
+        if eid is not None:
+            self._w[eid] += float(weight)
+            return eid
+        eid = nbrs[v] = self._adj[v][u] = len(self._live)
+        self._lo.append(slot[u] if u < v else slot[v])
+        self._hi.append(slot[v] if u < v else slot[u])
+        self._w.append(weight)  # as float(weight): the store converts
+        self._live.append(1)
+        self._m += 1
         return eid
 
     def copy(self) -> "WeightedGraph":
         g = WeightedGraph()
-        g._node_weight = dict(self._node_weight)
+        g._slot, g._m = dict(self._slot), self._m
         g._adj = {u: dict(nbrs) for u, nbrs in self._adj.items()}
-        g._edges = dict(self._edges)
-        g._next_edge = self._next_edge
+        for name in ("_ids", "_node_w", "_lo", "_hi", "_w", "_live"):
+            setattr(g, name, getattr(self, name)[:])
         return g
 
     # -- inspection --------------------------------------------------------
 
     @property
     def n_nodes(self) -> int:
-        return len(self._node_weight)
+        return len(self._slot)
 
     @property
     def n_edges(self) -> int:
-        return len(self._edges)
+        return self._m
 
     def nodes(self) -> list[int]:
         """Node ids in ascending order."""
-        return sorted(self._node_weight)
+        return sorted(self._slot)
 
     def edge_ids(self) -> list[int]:
         """Edge ids in ascending (insertion) order."""
-        return sorted(self._edges)
+        return np.flatnonzero(self._live).tolist()
+
+    def _checked(self, eids) -> np.ndarray:
+        """`eids` as an index array; KeyError unless every id is a live edge."""
+        idx = np.asarray(eids, dtype=np.intp)
+        if idx.size and not (0 <= idx.min() and idx.max() < len(self._live)
+                             and np.asarray(self._live)[idx].all()):
+            raise KeyError(f"edge ids {sorted(set(idx.tolist()) - set(self.edge_ids()))}")
+        return idx
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Array view of the graph for assembling matrices.
-
-        Returns (ends, edge_weights, node_weights): an m x 2 array holding
-        each edge's endpoints as positions in the ascending node ids, with
-        rows and `edge_weights` in edge-id order, and the node weights in
-        ascending id order. Every matrix the library assembles takes its
-        node order from here.
-        """
-        order = self.nodes()
-        pos = {u: i for i, u in enumerate(order)}
-        edges = [self._edges[eid] for eid in self.edge_ids()]
-        ends = np.column_stack([
-            np.array([pos[u] for u, _, _ in edges], dtype=np.intp),
-            np.array([pos[v] for _, v, _ in edges], dtype=np.intp),
-        ])
-        return (
-            ends,
-            np.array([w for _, _, w in edges], dtype=float),
-            np.array([self._node_weight[u] for u in order], dtype=float),
-        )
+        """(ends, edge_weights, node_weights) for assembling matrices: an m x 2
+        array of each edge's endpoints as positions in the ascending node ids,
+        rows and edge weights in edge-id order, node weights in ascending id
+        order. Every matrix the library assembles takes its node order here."""
+        slots = np.fromiter(self._slot.values(), np.intp, len(self._slot))
+        slots = slots[np.argsort(np.asarray(self._ids)[slots])]
+        pos = np.empty(len(self._ids), np.intp)
+        pos[slots] = np.arange(len(slots))
+        live = np.flatnonzero(self._live)
+        ends = pos[np.stack((np.asarray(self._lo)[live], np.asarray(self._hi)[live]), 1)]
+        return ends, np.asarray(self._w)[live], np.asarray(self._node_w)[slots]
 
     def edge_columns(self, eids) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Endpoint ids and weights of the edges `eids`, as three arrays."""
-        edges = [self._edges[eid] for eid in eids]
-        return (
-            np.array([u for u, _, _ in edges], dtype=np.intp),
-            np.array([v for _, v, _ in edges], dtype=np.intp),
-            np.array([w for _, _, w in edges], dtype=float),
-        )
+        idx, ids = self._checked(eids), np.asarray(self._ids)
+        lo, hi = np.asarray(self._lo)[idx], np.asarray(self._hi)[idx]
+        return ids[lo], ids[hi], np.asarray(self._w)[idx]
 
     def node_weight(self, u: int) -> float:
-        return self._node_weight[u]
+        return self._node_w[self._slot[u]]
 
     def total_node_weight(self) -> float:
-        return math.fsum(self._node_weight.values())
+        return math.fsum(map(self._node_w.__getitem__, self._slot.values()))
+
+    def _edge(self, eid: int) -> int:
+        # Refuses a dead or unknown id, -1 included, rather than read its entry.
+        if 0 <= eid < len(self._live) and self._live[eid]:
+            return eid
+        raise KeyError(eid)
 
     def endpoints(self, eid: int) -> tuple[int, int]:
-        u, v, _ = self._edges[eid]
-        return u, v
+        """The edge's endpoint ids, smaller first."""
+        e = self._edge(eid)
+        return self._ids[self._lo[e]], self._ids[self._hi[e]]
 
     def edge_weight(self, eid: int) -> float:
-        return self._edges[eid][2]
+        return self._w[self._edge(eid)]
 
     def edge(self, eid: int) -> tuple[int, int, float]:
-        return self._edges[eid]
+        return (*self.endpoints(eid), self._w[eid])
 
     def edge_between(self, u: int, v: int) -> int | None:
         return self._adj.get(u, {}).get(v)
 
     def triangle_count(self, eid: int) -> int:
         """Number of triangles through an edge (common-neighbor count)."""
-        u, v, _ = self._edges[eid]
+        u, v = self.endpoints(eid)
         return len(self._adj[u].keys() & self._adj[v].keys())
 
     # -- mutation ----------------------------------------------------------
 
     def set_edge_weight(self, eid: int, weight: float) -> None:
         _check_weight("edge", weight)
-        u, v, _ = self._edges[eid]
-        self._edges[eid] = (u, v, float(weight))
+        self._w[self._edge(eid)] = float(weight)
 
     def delete_edge(self, eid: int) -> None:
-        u, v, _ = self._edges.pop(eid)
-        del self._adj[u][v]
-        del self._adj[v][u]
+        u, v = self.endpoints(eid)
+        self._live[eid], self._m = 0, self._m - 1
+        del self._adj[u][v], self._adj[v][u]
 
     def contract_edge(self, eid: int) -> ContractionRecord:
         """Merge the endpoints of an edge into the smaller endpoint id.
@@ -229,27 +236,23 @@ class WeightedGraph:
         node's edges (parallel pairs merge by weight sum, the loop the edge
         itself would form is dropped) and the node weights add.
         """
-        u, v, _ = self._edges.pop(eid)
-        survivor, removed = (u, v) if u < v else (v, u)
-        del self._adj[survivor][removed]
-        del self._adj[removed][survivor]
-
-        for nbr in sorted(self._adj[removed]):
-            other = self._adj[removed][nbr]
-            _, _, ow = self._edges[other]
-            kept = self._adj[survivor].get(nbr)
+        survivor, removed = self.endpoints(eid)
+        adj, w, keep = self._adj, self._w, self._lo[eid]
+        self._live[eid], self._m = 0, self._m - 1
+        del adj[survivor][removed], adj[removed][survivor]
+        for nbr in sorted(adj[removed]):
+            other = adj[removed][nbr]
+            kept = adj[survivor].get(nbr)
             if kept is not None:
-                ka, kb, kw = self._edges[kept]
-                self._edges[kept] = (ka, kb, kw + ow)
-                del self._edges[other]
+                w[kept] += w[other]
+                self._live[other], self._m = 0, self._m - 1
             else:
-                lo, hi = (survivor, nbr) if survivor < nbr else (nbr, survivor)
-                self._edges[other] = (lo, hi, ow)
-                self._adj[survivor][nbr] = other
-                self._adj[nbr][survivor] = other
-            del self._adj[nbr][removed]
-        del self._adj[removed]
-        self._node_weight[survivor] += self._node_weight.pop(removed)
+                ends = (keep, self._slot[nbr])
+                self._lo[other], self._hi[other] = ends if survivor < nbr else ends[::-1]
+                adj[survivor][nbr] = adj[nbr][survivor] = other
+            del adj[nbr][removed]
+        del adj[removed]
+        self._node_w[keep] += self._node_w[self._slot.pop(removed)]
         return ContractionRecord(survivor, removed)
 
     # -- connectivity ------------------------------------------------------
@@ -258,9 +261,8 @@ class WeightedGraph:
         """True when every node is reachable from every other (empty: True)."""
         if self.n_nodes <= 1:
             return True
-        start = next(iter(self._node_weight))
-        seen = {start}
-        stack = [start]
+        start = next(iter(self._adj))
+        seen, stack = {start}, [start]
         while stack:
             for v in self._adj[stack.pop()]:
                 if v not in seen:
@@ -284,7 +286,7 @@ class WeightedGraph:
 
     def _joined_without(self, eid: int, excluded: set[int]) -> bool:
         # Two-sided breadth-first search between the endpoints of `eid`.
-        u, v, _ = self._edges[eid]
+        u, v = self.endpoints(eid)
         near, far = {u}, {v}
         near_level, far_level = [u], [v]
         while near_level and far_level:
@@ -305,34 +307,35 @@ class WeightedGraph:
     # -- matchings ---------------------------------------------------------
 
     def independent_edge_set(self, rng: np.random.Generator) -> list[int]:
-        """Greedy maximal set of vertex-disjoint edges, in one random order.
-
-        The edges are shuffled once and passed to `greedy_matching`. The
-        result is maximal, so it has at least half the edges of a maximum
-        matching.
-        """
-        # Shuffle draws depend only on the length, so permuting positions
-        # into the sorted ids equals rng.permutation(self.edge_ids()), down
-        # to the generator's state afterwards.
-        ids = np.fromiter(self._edges, dtype=np.intp, count=len(self._edges))
-        ids.sort()
-        return self.greedy_matching(ids[rng.permutation(len(ids))].tolist())
+        """`greedy_matching` over the live ids shuffled once: a maximal set of
+        vertex-disjoint edges, so at least half a maximum matching."""
+        # Shuffle draws depend only on the length, so this equals
+        # rng.permutation(self.edge_ids()), down to the generator's state.
+        ids = np.flatnonzero(self._live)
+        return self._rank_rounds(ids[rng.permutation(len(ids))])
 
     def greedy_matching(self, order) -> list[int]:
-        """Edge ids of `order` kept greedily: each edge whose endpoints are
-        both still unmatched joins the matching. Maximal when `order` holds
-        every edge."""
-        edges = self._edges
-        used: set[int] = set()
-        matched = []
-        for eid in order:
-            u, v, _ = edges[eid]
-            if u in used or v in used:
-                continue
-            used.add(u)
-            used.add(v)
-            matched.append(eid)
-        return matched
+        """Edge ids of `order` kept greedily, in that order: an edge joins when
+        both its endpoints are still unmatched. Maximal if `order` has every edge."""
+        return self._rank_rounds(self._checked(order))
+
+    def _rank_rounds(self, order: np.ndarray) -> list[int]:
+        # The greedy pass in rounds (Blelloch, Fineman & Shun, SPAA 2012): the
+        # pass keeps each edge ranked lowest of those left at both endpoints,
+        # so a round keeps them all, then drops the edges touching them: an
+        # endpoint is matched when its lowest-ranked edge was kept.
+        lo, hi = np.asarray(self._lo)[order], np.asarray(self._hi)[order]
+        rank = np.arange(len(order))
+        kept = np.zeros(len(order), bool)
+        while rank.size:
+            lowest = np.full(len(self._ids), len(order))  # by node slot
+            np.minimum.at(lowest, lo, rank)
+            np.minimum.at(lowest, hi, rank)
+            at_lo, at_hi = lowest[lo], lowest[hi]
+            kept[rank[(at_lo == rank) & (at_hi == rank)]] = True
+            rest = ~(kept[at_lo] | kept[at_hi])
+            lo, hi, rank = lo[rest], hi[rest], rank[rest]
+        return order[kept].tolist()
 
 
 @dataclass
@@ -377,17 +380,14 @@ class ContractionMap:
 def write_edgelist(g: WeightedGraph, path, node_weight_path=None) -> None:
     """Write `u v w` lines (and optionally `u w` node-weight lines)."""
     with open(path, "w") as fh:
-        for eid in g.edge_ids():
-            u, v, w = g.edge(eid)
-            fh.write(f"{u} {v} {w!r}\n")
+        fh.writelines(f"{u} {v} {w!r}\n" for u, v, w in map(g.edge, g.edge_ids()))
     if node_weight_path is not None:
         write_node_weights(g, node_weight_path)
 
 
 def write_node_weights(g: WeightedGraph, path) -> None:
     with open(path, "w") as fh:
-        for u in g.nodes():
-            fh.write(f"{u} {g.node_weight(u)!r}\n")
+        fh.writelines(f"{u} {g.node_weight(u)!r}\n" for u in g.nodes())
 
 
 def _read_records(path, usage: str, counts: tuple[int, ...], parse) -> None:
@@ -432,11 +432,9 @@ def read_node_weights(path) -> dict[int, float]:
 
 
 def write_contraction_map(cmap: ContractionMap, path) -> None:
-    payload = {
-        "originals": list(cmap.originals),
-        # JSON keys are strings; store as pairs to keep ints intact
-        "assignment": [[u, cmap.assignment[u]] for u in cmap.originals],
-    }
+    # JSON keys are strings; store as pairs to keep ints intact
+    payload = {"originals": list(cmap.originals),
+               "assignment": [[u, cmap.assignment[u]] for u in cmap.originals]}
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=1)
         fh.write("\n")

@@ -184,12 +184,16 @@ def compare_operators(
     node_weights: np.ndarray | None = None,
     eigen_error: float | None = None,
 ) -> ComparisonReport:
+    """Hyperbolic distances of `b` from `a` along each named vector, and their
+    maximum. ValueError for no vectors: a maximum over none would read 0."""
+    if not vectors:
+        raise ValueError("compare_operators needs at least one vector")
     distances = {
         label: hyperbolic_distance(a, b, vec, node_weights)
         for label, vec in vectors.items()
     }
     return ComparisonReport(
-        sup_distance=max(distances.values()) if distances else 0.0,
+        sup_distance=max(distances.values()),
         distances=distances,
         eigen_error=eigen_error,
     )

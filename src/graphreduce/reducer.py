@@ -6,14 +6,16 @@ reduction reaches the per-edge target, keeps the cheapest fraction, and
 applies an unbiased delete / contract / reweight draw to each kept edge. The
 accumulated expected error is tracked against the budget. A round's edges
 travel as one column: they are scored, selected, solved, drawn and applied as
-arrays. Python loops remain in three places: the greedy matching, over every
-edge; the triangle counts, over the matched edges and only where a score
-reads them (EDGES priority with contraction); and the connectivity check, a
-search from each drawn deletion that stops where its endpoints meet. The
-draw is one weight change ratio delta_w / w per edge: -1 deletes, +inf
-contracts, and the two actions are the limits of one reweight. One generator
-made from the seed feeds, in loop order, every round's matching, any sketch
-build and the action draws, which go to the kept edges in matched order.
+arrays, and so is the matching: the graph's greedy matching over one random
+order runs as numpy rank rounds over its edge arrays. Python loops remain in
+two places, both local: the triangle counts, over the matched edges and only
+where a score reads them (EDGES priority with contraction); and the
+connectivity check, a search from each drawn deletion that stops where its
+endpoints meet. The draw is one weight change ratio delta_w / w per edge: -1
+deletes, +inf contracts, and the two actions are the limits of one reweight.
+One generator made from the seed feeds, in loop order, every round's
+matching, any sketch build and the action draws, which go to the kept edges
+in matched order.
 
 One loop serves both modes; a backend chosen once from `config.mode` measures
 the edges and follows the graph. Matched edges share no endpoints, so a

@@ -246,6 +246,18 @@ class TestMetrics:
         )
         assert code == 1
 
+    def test_sigma_check_over_no_premise_vector_is_vacuous(self, tmp_path, er_graph, capsys):
+        # No random vector is within ln(1.01) of a halved graph: nothing is checked.
+        assert run("reduce", "--input", str(er_graph), "--stop", "edges=40",
+                   "--seed", "0", "--out", str(tmp_path / "r")) == 0
+        code = run(
+            "metrics", "--original", str(er_graph), "--reduced", str(tmp_path / "r.edges"),
+            "--reduced-node-weights", str(tmp_path / "r.nodeweights"),
+            "--cmap", str(tmp_path / "r.cmap.json"), "--sigma", "1.01",
+        )
+        assert code == 1
+        assert "sigma=1.01: vacuous (0/1000 vectors within premise)" in capsys.readouterr().out
+
     @pytest.mark.parametrize("count", ["0", "-3"])
     def test_sigma_vectors_below_one_is_usage_error(self, er_graph, capsys, count):
         # A guarantee checked over no vectors would pass vacuously.

@@ -167,6 +167,17 @@ class TestSpecValidation:
         spec = ExperimentSpec.from_dict({**base, "runs": 2, "seed": 0})
         assert (spec.runs, spec.seed, spec.eigen_k) == (2, 0, None)
 
+    def test_no_vectors_refused(self):
+        # Its cells would hold edge and node counts but no distance.
+        base = {
+            "graph": {"kind": "er", "params": {"n": 24, "p": 0.25}},
+            "levels": {"target": "edges", "sizes": [40]},
+        }
+        with pytest.raises(ValueError, match="at least one vector"):
+            ExperimentSpec.from_dict({**base, "vectors": []})
+        with pytest.raises(ValueError, match="at least one vector"):
+            edge_spec([10], [], vectors=())
+
     @pytest.mark.parametrize(
         "drop, message",
         [

@@ -416,3 +416,189 @@ def test_edgelist_malformed_line_raises(tmp_path):
         weights.write_text(text)
         with pytest.raises(ValueError, match=re.escape(reason)):
             read_edgelist(p, node_weight_path=weights)
+
+
+# -- the array store ---------------------------------------------------------
+
+
+def sequential_greedy(g, order):
+    """The greedy pass that `greedy_matching` must reproduce: walk `order`
+    once and keep each edge whose endpoints are both still unmatched."""
+    matched, kept = set(), []
+    for eid in order:
+        u, v = g.endpoints(eid)
+        if u not in matched and v not in matched:
+            matched.update((u, v))
+            kept.append(eid)
+    return kept
+
+
+def _gapped_graph(rng):
+    # Ids with gaps: delete some edges, then contract a few.
+    g = random_connected_graph(rng, int(rng.integers(4, 30)), extra_edges=int(rng.integers(0, 50)))
+    for eid in g.edge_ids():
+        if rng.random() < 0.2:
+            g.delete_edge(eid)
+    for eid in g.edge_ids()[: int(rng.integers(0, 4))]:
+        if eid in g.edge_ids():  # not merged away by an earlier contraction
+            g.contract_edge(eid)
+    return g
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_greedy_matching_is_the_sequential_greedy_pass(seed, partial):
+    rng = np.random.default_rng(seed)
+    g = _gapped_graph(rng)
+    order = [int(e) for e in rng.permutation(g.edge_ids())]
+    if partial:  # the heavy-edge baseline's case: some of the edges only
+        order = order[: int(rng.integers(0, len(order) + 1))]
+    matched = g.greedy_matching(order)
+    assert matched == sequential_greedy(g, order)
+    assert all(type(eid) is int for eid in matched)
+    assert g.greedy_matching(np.array(order, dtype=np.int64)) == matched
+
+
+def test_greedy_matching_refuses_dead_ids_and_the_graph_still_grows():
+    g = WeightedGraph.from_edges([(0, 1), (1, 2), (2, 3)])
+    g.delete_edge(1)
+    for bad in ([1], [0, 5], [-1], [2, 1]):
+        with pytest.raises(KeyError):
+            g.greedy_matching(bad)
+        with pytest.raises(KeyError) as caught:
+            g.edge_columns(bad)
+    for read in (g.edge, g.endpoints, g.edge_weight, g.triangle_count, g.delete_edge):
+        with pytest.raises(KeyError):
+            read(1)
+        with pytest.raises(KeyError):
+            read(-1)
+    # `caught` keeps the failed call's frame alive; the stores must still grow.
+    assert caught.value is not None
+    assert g.add_edge(3, 4, 2.0) == 3 and g.edge(3) == (3, 4, 2.0)
+
+
+def test_node_ids_must_fit_int64():
+    g = WeightedGraph()
+    g.add_edge(0, 2**63 - 1)
+    with pytest.raises(ValueError, match=r"below 2\*\*63"):
+        g.add_edge(0, 2**63)
+    with pytest.raises(ValueError, match=r"below 2\*\*63"):
+        g.add_node(2**70)
+    assert g.nodes() == [0, 2**63 - 1] and g.endpoints(0) == (0, 2**63 - 1)
+
+
+def test_matching_scratch_is_sized_by_nodes_not_by_id_values():
+    # An array indexed by id value would need 8 TB here.
+    import tracemalloc
+
+    base = 10**12
+    g = WeightedGraph.from_edges([(base + i, base + (i + 1) % 64) for i in range(64)])
+    tracemalloc.start()
+    try:
+        matched = g.independent_edge_set(np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    assert matched == sequential_greedy(g, matched)
+    assert len(matched) >= 22  # maximal on a 64-cycle
+
+
+# Ids with gaps and near 10**12 and 2**63, so no store may be sized by id value.
+HUGE_IDS = [0, 3, 4, 9, 10**12 - 1, 10**12, 10**12 + 7, 2**62 + 5, 2**63 - 1]
+DYADIC = [0.5, 1.0, 1.25, 2.0, 3.5]  # sums stay exact, whatever their order
+
+
+def _check_against_model(g, edges, nodes):
+    """`g` against a plain-dict model: {frozenset({u, v}): [eid, w]}, {u: w}."""
+    ids = sorted(eid for eid, _ in edges.values())
+    assert g.edge_ids() == ids and g.n_edges == len(ids)
+    assert g.nodes() == sorted(nodes) and g.n_nodes == len(nodes)
+    assert {e for nbrs in g._adj.values() for e in nbrs.values()} == set(ids)
+    rows = {}
+    for pair, (eid, w) in edges.items():
+        u, v = sorted(pair)
+        rows[eid] = (u, v, w)
+        assert g.edge(eid) == (u, v, w) and g.endpoints(eid) == (u, v)
+        assert g.edge_weight(eid) == w
+        assert g.edge_between(u, v) == eid and g.edge_between(v, u) == eid
+        assert [type(x) for x in g.edge(eid)] == [int, int, float]
+        assert all(type(x) is int for x in g.endpoints(eid))
+        assert type(g.edge_weight(eid)) is float and type(g.edge_between(u, v)) is int
+        assert type(g.triangle_count(eid)) is int
+    for u, w in nodes.items():
+        assert g.node_weight(u) == w and type(g.node_weight(u)) is float
+    assert all(type(u) is int for u in g.nodes())
+    assert all(type(e) is int for e in g.edge_ids())
+    assert type(g.total_node_weight()) is float
+    assert g.total_node_weight() == math.fsum(nodes.values())
+
+    us, vs, ws = g.edge_columns(ids)
+    assert us.tolist() == [rows[e][0] for e in ids]
+    assert vs.tolist() == [rows[e][1] for e in ids]
+    assert ws.tolist() == [rows[e][2] for e in ids]
+    ends, ew, nw = g.edge_arrays()
+    pos = {u: i for i, u in enumerate(sorted(nodes))}
+    assert ends.reshape(-1, 2).tolist() == [[pos[rows[e][0]], pos[rows[e][1]]] for e in ids]
+    assert ew.tolist() == [rows[e][2] for e in ids]
+    assert nw.tolist() == [nodes[u] for u in sorted(nodes)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_array_store_agrees_with_a_dict_model(data):
+    g, edges, nodes, next_id = WeightedGraph(), {}, {}, 0
+    node = st.sampled_from(HUGE_IDS)
+    for _ in range(data.draw(st.integers(1, 40))):
+        live = sorted(eid for eid, _ in edges.values())
+        op = data.draw(st.sampled_from(
+            ["add", "add", "add", "node"] + ["delete", "weight", "contract"] * bool(live)))
+        if op == "add":  # includes parallel merges and self loops
+            u, v, w = data.draw(node), data.draw(node), data.draw(st.sampled_from(DYADIC))
+            eid = g.add_edge(u, v, w)
+            nodes.setdefault(u, 1.0)
+            nodes.setdefault(v, 1.0)
+            if u == v:
+                assert eid == -1
+            elif frozenset((u, v)) in edges:
+                assert eid == edges[frozenset((u, v))][0]
+                edges[frozenset((u, v))][1] += w
+            else:
+                assert eid == next_id
+                edges[frozenset((u, v))] = [eid, w]
+                next_id += 1
+            assert type(eid) is int
+        elif op == "node":
+            u, w = data.draw(node), data.draw(st.sampled_from(DYADIC))
+            g.add_node(u, w)
+            nodes[u] = w
+        else:
+            eid = data.draw(st.sampled_from(live))
+            pair = next(p for p, (e, _) in edges.items() if e == eid)
+            if op == "delete":
+                g.delete_edge(eid)
+                del edges[pair]
+            elif op == "weight":
+                w = data.draw(st.sampled_from(DYADIC))
+                g.set_edge_weight(eid, w)
+                edges[pair][1] = w
+            else:
+                rec = g.contract_edge(eid)
+                survivor, removed = sorted(pair)
+                assert (rec.survivor, rec.removed) == (survivor, removed)
+                assert type(rec.survivor) is int and type(rec.removed) is int
+                del edges[pair]
+                for other in sorted(x for p in edges for x in p if removed in p and x != removed):
+                    moved_id, w = edges.pop(frozenset((removed, other)))
+                    kept = edges.get(frozenset((survivor, other)))
+                    if kept is not None:
+                        kept[1] += w
+                    else:
+                        edges[frozenset((survivor, other))] = [moved_id, w]
+                nodes[survivor] += nodes.pop(removed)
+        _check_against_model(g, edges, nodes)
+        copied = g.copy()
+        _check_against_model(copied, edges, nodes)
+        a, b = np.random.default_rng(next_id), np.random.default_rng(next_id)
+        order = [int(e) for e in b.permutation(g.edge_ids())]
+        assert g.independent_edge_set(a) == sequential_greedy(g, order)

@@ -213,3 +213,11 @@ def test_comparison_report_roundtrip(tmp_path):
     blob = json.loads(report.to_json())
     assert blob["eigen_error"] == 0.125
     assert blob["sup_distance"] == pytest.approx(report.sup_distance)
+
+
+def test_comparison_over_no_vectors_refused():
+    # A maximum over no distances would report the operators as equal.
+    rng = np.random.default_rng(12)
+    a, b = random_psd(rng, 4), random_psd(rng, 4)
+    with pytest.raises(ValueError, match="at least one vector"):
+        compare_operators(a, b, {})
