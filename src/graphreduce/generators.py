@@ -134,7 +134,9 @@ def sbm(
     law = parse_weight_law(weight_law)
     if rng is None:
         rng = np.random.default_rng()
-    block = np.repeat(np.arange(k), math.ceil(n / k))[:n]
+    # Plain ints: the pair loop compares n(n-1)/2 labels.
+    size = math.ceil(n / k)
+    block = [u // size for u in range(n)]
 
     def build(rng):
         g = WeightedGraph()

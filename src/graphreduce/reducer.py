@@ -24,9 +24,9 @@ one batch. The exact backend applies it to the dense pseudoinverse as one
 rank-k update, in which contractions bind their pairs, and restricts the state
 to the graph's nodes once the graph has at most 3/4 of them; the sketch
 backend estimates from a `SketchEstimator` it rebuilds after every round that
-acted. The backend only drives the draws: both modes end with one dense build
-from the reduced graph, and exact mode first restricts its state to it and
-records its drift.
+acted, handing each build the last one's deflation basis. The backend only
+drives the draws: both modes end with one dense build from the reduced graph,
+and exact mode first restricts its state to it and records its drift.
 
 The loop ends on what it has seen, a stopping time that adds no bias of its
 own: once a stop criterion is `done` given the graph, the error estimate, the
@@ -87,11 +87,13 @@ class SketchMode:
     The dense pseudoinverse is only built once at the end. `n_probes` = k,
     an integer >= 1, is the sketch's one setting and has no default. Of the
     k vectors, update norms spend k // 4 on exact lowest eigenmodes and the
-    rest on unbiased sign probes; leverages use k edge probes. Each build
+    rest on unbiased sign probes; leverages use k edge probes. A build
     solves with Jacobi-PCG while its first probe converges within sqrt(n)
     matvecs (expanders), with memory linear in the edges; otherwise (grids,
     tori, lattices) with one sparse factor of the grounded Laplacian, holding
-    fill x nnz entries, that also serves the eigensolve.
+    fill x nnz entries, that also serves the eigensolve. Once a build has
+    factored, the later builds of the reduction factor without choosing
+    and carry its low-mode basis in place of an eigensolve.
     """
 
     n_probes: int
@@ -327,16 +329,30 @@ class _ExactBackend:
 
 
 class _SketchBackend:
-    """Sketched estimates, rebuilt for the first round after any action."""
+    """Sketched estimates, rebuilt for the first round after any action.
+
+    Between builds it holds only the last build's node ids and its basis
+    (see `SketchEstimator`). A build handed that basis factors without a
+    solver choice and draws no Lanczos start: its exact rows are
+    (Lhat^+ V)^T for V, the basis at the surviving nodes, weighted by their
+    node weights now and orthonormalized, with the norm probes projected off
+    V before the solve.
+    So the solver is chosen once per reduction on the factor path, and each
+    later build takes one subspace-iteration step from the last build's
+    low modes in place of an eigensolve.
+    """
 
     def __init__(self, mode: SketchMode, rng: np.random.Generator):
         self.mode = mode
         self.rng = rng
         self.estimator: SketchEstimator | None = None
+        self.carry: tuple[np.ndarray, np.ndarray] | None = None
 
     def measure(self, g: WeightedGraph, eids: list[int]):
         if self.estimator is None:
-            self.estimator = SketchEstimator.build(g, self.rng, self.mode.n_probes)
+            est = SketchEstimator.build(g, self.rng, self.mode.n_probes, self.carry)
+            self.carry = None if est.basis is None else (est.nodes, est.basis)
+            self.estimator = est
         return self.estimator.measure(g, eids)
 
     def apply(

@@ -10,13 +10,15 @@ the R of `laplacian.weighted_incidence`: Lhat = R^T R, edge probe rows Q R.
 
 With a budget of k vectors, leverages use k random edge probes. Update norms
 are dominated by the low-frequency end of the spectrum, so they split the
-budget: the r = k // 4 lowest non-kernel eigenpairs of Lhat are handled
-exactly and k - r sign probes sample only the orthogonal rest (a deflated
+budget: an orthonormal basis V of r = k // 4 directions off the kernel is
+handled exactly, by the rows (Lhat^+ V)^T, and k - r sign probes, projected
+off V before they are solved, sample only the orthogonal rest (a deflated
 sketch in the spirit of Hutch++). The probes are +-1/sqrt(k) signs projected
 once off the kernel, so their average Q^T Q is the projector I - what what^T
 and every squared norm they estimate is unbiased (Spielman & Srivastava's
 resistance sketch). The two parts are orthogonal, so the whole estimate stays
-unbiased, and its variance only comes from the residual.
+unbiased for any such V; V only sets the variance, which is least when V
+spans the lowest eigenmodes, where the norms concentrate.
 
 Every solve of a build goes through one `LaplacianSolver`, picked by how
 fast Jacobi-PCG converges on the graph. The first edge probe runs PCG capped
@@ -30,6 +32,16 @@ every probe is one block solve, and the eigensolve runs Lanczos on the
 factor's exact Lhat^+. The factor holds fill x nnz(Lhat) entries, with fill
 about 5-10 on 2-D grids. The rule reads a count, never a clock, so a fixed
 seed gives a fixed result.
+
+Within a reduction each graph is the last one less a round of actions, so
+the solver is chosen once and the deflation basis is carried from round to
+round. A build that factored keeps its exact rows as node values; the next
+build, handed them, factors without a choice, takes the rows of the
+surviving nodes, weights them by today's node weights, orthonormalizes them
+and solves them with the probes: one subspace-iteration step in place of an
+eigensolve. Only the first build of a reduction, or one whose carried basis
+lost rank, runs Lanczos; the PCG path, which has no factor for Lanczos to
+run on, still chooses and solves for modes every time.
 """
 
 from __future__ import annotations
@@ -49,6 +61,9 @@ from .laplacian import symmetrized_laplacian  # re-exported: callers bind it her
 
 # Relative residual every probe solve is run to.
 SOLVER_TOL = 1e-8
+# A carried basis column closer than this share of its norm to the span of
+# the columns before it has lost rank on the surviving nodes.
+_RANK_TOL = 1e-8
 
 
 class ConvergenceError(RuntimeError):
@@ -198,6 +213,10 @@ def lowest_modes(
 
     Returns the eigenvalues in ascending order and an n x r matrix of
     orthonormal eigenvectors orthogonal to the kernel direction `what`.
+    For these V the exact rows (Lhat^+ V)^T are Lambda^{-1} V^T, and
+    projecting solved probes off V is the same as projecting them before the
+    solve; for any other orthonormal V only the latter, with (Lhat^+ V)^T,
+    keeps the sketch unbiased.
     Uses Lanczos (ARPACK) from the start vector `start`, so a fixed start
     gives fixed modes. With PCG it runs on the sparse Lhat, which needs only
     products with Lhat and keeps memory linear in the number of edges. With
@@ -233,6 +252,37 @@ def lowest_modes(
     return lam, vec
 
 
+def _carried_basis(
+    carry: tuple[np.ndarray, np.ndarray] | None,
+    nodes: np.ndarray,
+    w_sqrt: np.ndarray,
+    r: int,
+) -> np.ndarray | None:
+    """An orthonormal n x r basis off `what` from an earlier build's, or None.
+
+    `carry` is the (nodes, basis) of that build, its basis in node values.
+    The rows at today's `nodes` (contraction survivors keep their ids) are
+    scaled by today's `w_sqrt`, so a merged node's weight counts as it does
+    now, projected off `what` and orthonormalized by scipy's QR; numpy's QR
+    would run in numpy's own BLAS pool, which contends with scipy's inside
+    the loop. None without a carry, or when a column's part off the columns
+    before it falls to _RANK_TOL of its norm; the build then runs Lanczos.
+    Raises ValueError unless the carry has r columns.
+    """
+    if carry is None:
+        return None
+    old_nodes, basis = carry
+    if basis.shape[1] != r:
+        raise ValueError(f"carried basis has {basis.shape[1]} columns, need {r}")
+    what = w_sqrt / np.linalg.norm(w_sqrt)
+    v = basis[_node_slots(old_nodes, nodes)] * w_sqrt[:, None]
+    v -= np.outer(what, what @ v)
+    q, tri = sla.qr(v, mode="economic")
+    if np.any(np.abs(np.diag(tri)) <= _RANK_TOL * np.linalg.norm(v, axis=0)):
+        return None
+    return q
+
+
 def edge_projection_rows(g: WeightedGraph, projection: np.ndarray) -> np.ndarray:
     """Rows of projection @ W_e^{1/2} B W^{-1/2} for the current edge order."""
     return np.asarray(projection @ weighted_incidence(g)[0])
@@ -244,16 +294,22 @@ class SketchEstimator:
 
     `n_probes` = k, which the caller always gives, is the budget per
     quantity; the build derives no count of its own. Update norms read k
-    rows: the r = min(k // 4, n - 1) exact rows Lambda_r^{-1} V_r^T W^{-1/2}
-    of the lowest modes, then k - r sign probes projected off the kernel and
-    V_r and solved. When r reaches n - 1 the modes span the whole kernel
-    complement, the norms are exact and no probes are drawn; below k = 4, r
-    is 0 and this is the plain sign sketch. Leverages use k edge probes.
-    One `LaplacianSolver` per build takes every solve and the eigensolve.
+    rows: the r = min(k // 4, n - 1) exact rows (Lhat^+ V)^T W^{-1/2} of an
+    orthonormal basis V off the kernel, then k - r sign probes projected off
+    the kernel and off V, before the solve, and solved. V is the lowest
+    eigenmodes (whose exact rows are Lambda^{-1} V^T), or, given a `carry`
+    (the `nodes` and `basis` of an earlier build of the same reduction),
+    that basis at today's nodes, weighted and orthonormalized; the build
+    then factors without a solver choice and draws no Lanczos start. When r
+    reaches n - 1 the modes span the whole kernel complement, the norms are
+    exact and no probes are drawn; below k = 4, r is 0 and this is the plain
+    sign sketch. Leverages use k edge probes. One `LaplacianSolver` per
+    build takes every solve and the eigensolve.
 
-    `build` raises ValueError unless `n_probes` is an integer >= 1, and
-    DisconnectedGraphError when the Lhat it assembles has more than one
-    component. `measure` reads both quantities for a list of edges.
+    `build` raises ValueError unless `n_probes` is an integer >= 1 and a
+    carried basis has r columns, and DisconnectedGraphError when the Lhat it
+    assembles has more than one component. `measure` reads both quantities
+    for a list of edges.
     Estimates go stale as soon as the graph changes; callers rebuild after
     every modifying round.
     """
@@ -263,6 +319,9 @@ class SketchEstimator:
     # update norm = w_e ||col_u - col_v||^2
     norm_columns: np.ndarray
     leverage_columns: np.ndarray  # k x n, leverage = w_e ||col_u - col_v||^2
+    # n x r basis for the next build: the exact rows as node values,
+    # W^{-1/2} Lhat^+ V; kept only when this build factored and n > 4r.
+    basis: np.ndarray | None = None
 
     @classmethod
     def build(
@@ -270,6 +329,7 @@ class SketchEstimator:
         g: WeightedGraph,
         rng: np.random.Generator,
         n_probes: int,
+        carry: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> "SketchEstimator":
         _check_count("n_probes", n_probes, 1)
         incidence, w_sqrt = weighted_incidence(g)
@@ -278,16 +338,19 @@ class SketchEstimator:
             raise DisconnectedGraphError(
                 "sketch estimates require a connected graph"
             )
-        nodes = g.nodes()
+        nodes = np.array(g.nodes())
         n = len(nodes)
         k = n_probes
         what = w_sqrt / np.linalg.norm(w_sqrt)
 
-        # Update norms: n_modes exact low modes, then k - n_modes probes of
-        # the rest. Draws come in a fixed order: the Lanczos start (only
+        # Update norms: n_modes exact rows, then k - n_modes probes of the
+        # rest. A carried basis, when it still fits, takes the place of the
+        # eigensolve. Draws come in a fixed order: the Lanczos start (only
         # where lowest_modes runs Lanczos), the norm probes, the edge probes.
         n_modes = min(k // 4, n - 1)
-        start = rng.standard_normal(n) if n > 4 * n_modes > 0 else None
+        few_modes = n > 4 * n_modes  # else lowest_modes takes a dense eigh
+        modes = _carried_basis(carry, nodes, w_sqrt, n_modes) if few_modes else None
+        start = rng.standard_normal(n) if few_modes and n_modes and modes is None else None
         q_norm = None
         if n_modes < n - 1:
             q_norm = build_projection(k - n_modes, w_sqrt, rng)
@@ -295,6 +358,15 @@ class SketchEstimator:
             q_norm[np.linalg.norm(q_norm, axis=1) < 1e-12 * math.sqrt(n / len(q_norm))] = 0.0
         signs = rng.integers(0, 2, size=(k, g.n_edges)) * 2.0 - 1.0
         edge_rows = np.asarray((signs / math.sqrt(k)) @ incidence)
+
+        if modes is not None:
+            # The last build chose the factor. Probes leave V before the
+            # solve; X = Lhat^+ V gives the exact rows and the next basis.
+            solver = LaplacianSolver(lhat, what, grounded_factor(lhat))
+            q_norm -= (q_norm @ modes) @ modes.T
+            x = solver.solve(np.vstack([modes.T, q_norm, edge_rows]))
+            y, h = x[:k] / w_sqrt[None, :], x[k:] / w_sqrt[None, :]
+            return cls(nodes, y, h, y[:n_modes].T.copy())
 
         # The first edge probe picks the solver for everything else.
         solver, first = LaplacianSolver.choose(lhat, what, edge_rows[0])
@@ -307,7 +379,8 @@ class SketchEstimator:
             z = solver.solve(q_norm)
             rows.append(z - (z @ modes) @ modes.T)
         y = np.vstack(rows) / w_sqrt[None, :]
-        return cls(np.array(nodes), y, h)
+        basis = y[:n_modes].T.copy() if few_modes and solver.factor is not None else None
+        return cls(nodes, y, h, basis)
 
     def measure(
         self, g: WeightedGraph, eids: list[int]

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import re
 from collections import Counter
@@ -112,6 +114,31 @@ def test_sbm_block_structure():
         else:
             across += 1
     assert within > across
+
+
+def sbm_digest(params, seed):
+    """sha256 prefix of generate("sbm")'s edge list: (id, u, v, weight) rows."""
+    g = generate("sbm", params, seed=seed)
+    rows = [[e, *g.edge(e)] for e in g.edge_ids()]
+    return g.n_edges, hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:16]
+
+
+# Edge lists as the numpy-array block labels generated them; plain int labels
+# must draw the same graphs.
+@pytest.mark.parametrize(
+    "params, seed, expected",
+    [
+        ({"n": 24, "k": 3, "p_in": 0.7, "p_out": 0.1}, 4, (65, "a9d2764fa6511524")),
+        ({"n": 31, "k": 5, "p_in": 0.6, "p_out": 0.1}, 2, (83, "68285def76868578")),
+        ({"n": 17, "k": 17, "p_in": 1.0, "p_out": 0.3}, 1, (39, "cf402b6909d9b010")),
+        ({"n": 50, "k": 1, "p_in": 0.2, "p_out": 0.2}, 3, (252, "3907a0bbc98b34eb")),
+        ({"n": 40, "k": 6, "p_in": 0.5, "p_out": 0.05,
+          "weight_law": "exp-uniform:-1,1"}, 0, (91, "c2fe9bd745bdc4f6")),
+        ({"n": 256, "k": 4, "p_in": 0.25, "p_out": 2**-6}, 7, (2324, "a49416094cf6fdd3")),
+    ],
+)
+def test_sbm_edge_lists_are_pinned(params, seed, expected):
+    assert sbm_digest(params, seed) == expected
 
 
 def test_sbm_validation():

@@ -222,6 +222,25 @@ def test_identity_residual_rejects_a_state_for_another_graph():
 
 
 @settings(max_examples=20, deadline=None)
+@given(st.integers(0, 10_000), st.integers(2, 14), st.integers(0, 4))
+def test_identity_residual_is_the_dense_formula(seed, n, contractions):
+    # max |pinv @ L - (I - J)| from the dense L, on a weighted graph after
+    # some contractions (gapped ids, merged node weights) and a pinv that is
+    # off by a perturbation, so the residual is not only roundoff.
+    rng = np.random.default_rng(seed)
+    g = random_connected_graph(rng, n, extra_edges=int(rng.integers(0, n)), weighted_nodes=True)
+    for _ in range(min(contractions, g.n_nodes - 2)):
+        g.contract_edge(g.edge_ids()[int(rng.integers(g.n_edges))])
+    state = build_pseudoinverse(g)
+    state.pinv = state.pinv + 1e-6 * rng.standard_normal(state.pinv.shape)
+    L, J = laplacian_matrix(g), weighted_projector(state.weights)
+    dense = np.abs(state.pinv @ L - (np.eye(state.n) - J)).max()
+    scale = np.linalg.norm(state.pinv) * np.linalg.norm(L)
+    assert abs(identity_residual(state, g) - dense) <= 1e-12 * scale
+    assert dense > 1e-9
+
+
+@settings(max_examples=20, deadline=None)
 @given(st.integers(0, 10_000), st.integers(2, 12))
 def test_probe_residual_is_the_identity_residual_on_one_vector(seed, n):
     # (pinv @ L - (I - J)) @ x for the fixed x, from the dense L; a perturbed

@@ -1,5 +1,6 @@
 import math
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,6 +17,13 @@ from graphreduce.laplacian import (
     update_norm,
 )
 from graphreduce import sketch
+from graphreduce.reducer import (
+    EdgeBudget,
+    MaxIterations,
+    ReductionConfig,
+    SketchMode,
+    reduce_graph,
+)
 from graphreduce.sketch import (
     SOLVER_TOL,
     ConvergenceError,
@@ -404,6 +412,166 @@ def test_deflated_sketch_unbiased_and_tightens_with_probes():
         assert abs(np.mean([r.mean() for r in runs]) - 1.0) <= 0.03
         spread[k] = np.mean([r.std() for r in runs])
     assert spread[64] < 0.6 * spread[16]
+
+
+def carry_of(g, v):
+    """The carry a build takes for the orthonormal basis v (symmetrized):
+    ascending node ids and v as node values, W^{-1/2} v."""
+    _, w_sqrt = symmetrized_laplacian(g)
+    return np.array(g.nodes()), v / w_sqrt[:, None]
+
+
+def off_kernel_basis(g, r, rng):
+    """A random orthonormal n x r basis orthogonal to `what`: no eigenbasis."""
+    _, w_sqrt = symmetrized_laplacian(g)
+    what = w_sqrt / np.linalg.norm(w_sqrt)
+    v = rng.standard_normal((g.n_nodes, r))
+    v -= np.outer(what, what @ v)
+    return np.linalg.qr(v)[0]
+
+
+def test_norm_sketch_is_unbiased_for_any_orthonormal_basis(monkeypatch):
+    # With V orthonormal and off the kernel, the exact rows (Lhat^+ V)^T and
+    # probes projected off V before the solve estimate every update norm
+    # without bias, eigenbasis or not. Projecting the solved probes off V
+    # as well, right only for eigenvectors, would bias them by far more than
+    # the standard error here.
+    g = weighted_torus(6)
+    _, exact_norm = exact_quantities(g)
+    exact = np.array([exact_norm[eid] for eid in g.edge_ids()])
+    carry = carry_of(g, off_kernel_basis(g, 2, np.random.default_rng(5)))
+    eigensolves = []
+    monkeypatch.setattr(sketch, "lowest_modes", lambda *a: eigensolves.append(a))
+    reps = 400
+    norms = np.array([
+        SketchEstimator.build(g, np.random.default_rng(seed), 8, carry).measure(
+            g, g.edge_ids()
+        )[1]
+        for seed in range(reps)
+    ])
+    assert not eigensolves
+    z = (norms.mean(axis=0) - exact) / (norms.std(axis=0, ddof=1) / math.sqrt(reps))
+    assert np.max(np.abs(z)) < 4.0, np.max(np.abs(z))
+
+
+def test_carried_build_keeps_its_exact_rows_as_the_next_basis(monkeypatch):
+    # Its exact rows are X = Lhat^+ V for the V it was handed, kept as its
+    # basis in node values, and it factors without a solver choice.
+    calls = count_factors(monkeypatch)
+    monkeypatch.setattr(LaplacianSolver, "choose", None)
+    g = weighted_torus(8)
+    for u in g.nodes():
+        g.add_node(u, 1.0 + u % 3)
+    v = off_kernel_basis(g, 4, np.random.default_rng(2))
+    est = SketchEstimator.build(g, np.random.default_rng(0), 16, carry_of(g, v))
+    lhat, w_sqrt = symmetrized_laplacian(g)
+    assert calls == [64]
+    # As node values, W^{-1/2} X: the exact rows. QR may flip V's signs.
+    assert np.array_equal(est.basis, est.norm_columns[:4].T)
+    x = est.basis * w_sqrt[:, None]
+    assert np.allclose(np.abs(v.T @ (lhat @ x)), np.eye(4), atol=1e-10)
+
+
+def test_a_basis_that_lost_rank_falls_back_to_lanczos(monkeypatch):
+    g = weighted_torus(8)
+    v = off_kernel_basis(g, 4, np.random.default_rng(2))
+    v[:, 3] = v[:, 0] + 1e-12 * v[:, 3]
+    eigensolves = []
+    modes = sketch.lowest_modes
+    monkeypatch.setattr(
+        sketch, "lowest_modes", lambda *a: eigensolves.append(a) or modes(*a)
+    )
+    fallback = SketchEstimator.build(g, np.random.default_rng(3), 16, carry_of(g, v))
+    fresh = SketchEstimator.build(g, np.random.default_rng(3), 16)
+    assert len(eigensolves) == 2
+    assert np.array_equal(fallback.norm_columns, fresh.norm_columns)
+    assert np.array_equal(fallback.basis, fresh.basis)
+
+
+def test_a_carry_of_another_width_is_refused():
+    g = weighted_torus(8)
+    carry = carry_of(g, off_kernel_basis(g, 3, np.random.default_rng(2)))
+    with pytest.raises(ValueError, match="3 columns, need 4"):
+        SketchEstimator.build(g, np.random.default_rng(0), 16, carry)
+
+
+def test_only_a_factored_build_with_room_for_lanczos_keeps_a_basis():
+    torus = SketchEstimator.build(weighted_torus(8), np.random.default_rng(0), 16)
+    assert torus.basis.shape == (64, 4)
+    expander = generate("er", {"n": 300, "p": 0.04}, seed=0)
+    pcg_path = SketchEstimator.build(expander, np.random.default_rng(0), 33)
+    assert pcg_path.basis is None
+    # 4 * (64 // 4) modes >= 64 nodes: the dense eigendecomposition.
+    dense = SketchEstimator.build(weighted_torus(8), np.random.default_rng(0), 64)
+    assert dense.basis is None
+
+
+# -- the basis carried through a reduction ----------------------------------
+
+
+def count_build_work(monkeypatch):
+    """Count builds, eigensolves and solver choices; record each build's
+    graph, carry and estimator."""
+    calls, builds = Counter(), []
+    modes, choose = sketch.lowest_modes, LaplacianSolver.choose.__func__
+    build = SketchEstimator.build.__func__
+
+    def modes_spy(*args):
+        calls["lowest_modes"] += 1
+        return modes(*args)
+
+    def choose_spy(cls, *args):
+        calls["choose"] += 1
+        return choose(cls, *args)
+
+    def build_spy(cls, g, rng, n_probes, carry=None):
+        est = build(cls, g, rng, n_probes, carry)
+        builds.append((g.copy(), carry, est))
+        return est
+
+    monkeypatch.setattr(sketch, "lowest_modes", modes_spy)
+    monkeypatch.setattr(LaplacianSolver, "choose", classmethod(choose_spy))
+    monkeypatch.setattr(SketchEstimator, "build", classmethod(build_spy))
+    return calls, builds
+
+
+def test_one_eigensolve_and_solver_choice_per_reduction_on_the_factor_path(monkeypatch):
+    calls, builds = count_build_work(monkeypatch)
+    g = weighted_torus(16)
+    config = ReductionConfig(mode=SketchMode(33))
+    result = reduce_graph(g, EdgeBudget(g.n_edges // 2), config, seed=5)
+    assert len(builds) == len(result.trace.records) > 5
+    assert calls == {"lowest_modes": 1, "choose": 1}
+    assert builds[0][1] is None and all(carry is not None for _, carry, _ in builds[1:])
+
+
+def test_the_pcg_path_chooses_and_solves_for_modes_in_every_build(monkeypatch):
+    calls, builds = count_build_work(monkeypatch)
+    g = generate("er", {"n": 300, "p": 0.04}, seed=0)
+    config = ReductionConfig(mode=SketchMode(33))
+    reduce_graph(g, MaxIterations(3), config, seed=5)
+    assert len(builds) == 3
+    assert calls == {"lowest_modes": 3, "choose": 3}
+    assert all(carry is None and est.basis is None for _, carry, est in builds)
+
+
+def test_a_basis_carried_past_contractions_reads_accurate_norms(monkeypatch):
+    # The round before the second build contracted edges, so that build
+    # takes the carried rows of the surviving nodes only.
+    _, builds = count_build_work(monkeypatch)
+    g = weighted_torus(16)
+    result = reduce_graph(g, MaxIterations(2), ReductionConfig(mode=SketchMode(33)), seed=5)
+    assert result.trace.records[0].contracted > 0
+    (g0, _, est0), (g1, carry, est1) = builds
+    assert carry[0] is est0.nodes and carry[1] is est0.basis
+    assert est0.basis.shape == (g0.n_nodes, 8)
+    assert est1.basis.shape == (g1.n_nodes, 8) and g1.n_nodes < g0.n_nodes
+    _, exact_norm = exact_quantities(g1)
+    _, norms = est1.measure(g1, g1.edge_ids())
+    ratios = norms / np.array([exact_norm[eid] for eid in g1.edge_ids()])
+    # test_07's bar for one build at 33 probes.
+    assert np.mean((ratios >= 1 / 1.5) & (ratios <= 1.5)) >= 0.95
+
 
 # -- randomized estimates --------------------------------------------------
 
