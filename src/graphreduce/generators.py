@@ -135,8 +135,7 @@ def sbm(
     if rng is None:
         rng = np.random.default_rng()
     # Plain ints: the pair loop compares n(n-1)/2 labels.
-    size = math.ceil(n / k)
-    block = [u // size for u in range(n)]
+    block = [u * k // n for u in range(n)]
 
     def build(rng):
         g = WeightedGraph()

@@ -85,15 +85,9 @@ class SketchMode:
     """Estimate per-edge quantities with random projections and linear solves.
 
     The dense pseudoinverse is only built once at the end. `n_probes` = k,
-    an integer >= 1, is the sketch's one setting and has no default. Of the
-    k vectors, update norms spend k // 4 on exact lowest eigenmodes and the
-    rest on unbiased sign probes; leverages use k edge probes. A build
-    solves with Jacobi-PCG while its first probe converges within sqrt(n)
-    matvecs (expanders), with memory linear in the edges; otherwise (grids,
-    tori, lattices) with one sparse factor of the grounded Laplacian, holding
-    fill x nnz entries, that also serves the eigensolve. Once a build has
-    factored, the later builds of the reduction factor without choosing
-    and carry its low-mode basis in place of an eigensolve.
+    an integer >= 1, is the sketch's one setting and has no default: the
+    per-quantity budget of each `SketchEstimator` build, which picks its own
+    solver and deflation basis.
     """
 
     n_probes: int
@@ -331,15 +325,8 @@ class _ExactBackend:
 class _SketchBackend:
     """Sketched estimates, rebuilt for the first round after any action.
 
-    Between builds it holds only the last build's node ids and its basis
-    (see `SketchEstimator`). A build handed that basis factors without a
-    solver choice and draws no Lanczos start: its exact rows are
-    (Lhat^+ V)^T for V, the basis at the surviving nodes, weighted by their
-    node weights now and orthonormalized, with the norm probes projected off
-    V before the solve.
-    So the solver is chosen once per reduction on the factor path, and each
-    later build takes one subspace-iteration step from the last build's
-    low modes in place of an eigensolve.
+    Between builds it holds only the last build's node ids and basis, and
+    hands them to the next build as its `carry` (see `SketchEstimator`).
     """
 
     def __init__(self, mode: SketchMode, rng: np.random.Generator):

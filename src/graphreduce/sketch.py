@@ -11,37 +11,40 @@ the R of `laplacian.weighted_incidence`: Lhat = R^T R, edge probe rows Q R.
 With a budget of k vectors, leverages use k random edge probes. Update norms
 are dominated by the low-frequency end of the spectrum, so they split the
 budget: an orthonormal basis V of r = k // 4 directions off the kernel is
-handled exactly, by the rows (Lhat^+ V)^T, and k - r sign probes, projected
-off V before they are solved, sample only the orthogonal rest (a deflated
-sketch in the spirit of Hutch++). The probes are +-1/sqrt(k) signs projected
-once off the kernel, so their average Q^T Q is the projector I - what what^T
-and every squared norm they estimate is unbiased (Spielman & Srivastava's
-resistance sketch). The two parts are orthogonal, so the whole estimate stays
-unbiased for any such V; V only sets the variance, which is least when V
-spans the lowest eigenmodes, where the norms concentrate.
+handled exactly, by the rows (Lhat^+ V)^T, and k - r sign probes sample only
+the orthogonal rest (a deflated sketch in the spirit of Hutch++). The probes
+are +-1/sqrt(k) signs projected once off the kernel, so their average Q^T Q
+is the projector I - what what^T and every squared norm they estimate is
+unbiased (Spielman & Srivastava's resistance sketch). The two parts are
+orthogonal, so the whole estimate stays unbiased for any such V; V only sets
+the variance, which is least when V spans the lowest eigenmodes, where the
+norms concentrate.
 
-Every solve of a build goes through one `LaplacianSolver`, picked by how
-fast Jacobi-PCG converges on the graph. The first edge probe runs PCG capped
-at sqrt(n) matvecs. Expanders (SBM, Erdos-Renyi) finish well within the cap,
-so PCG solves every probe and the eigensolve runs Lanczos on Lhat; memory
-stays linear in the number of edges. Low-dimensional graphs (grids, tori,
-lattices) need several times the cap, yet their small separators keep a
-sparse factor cheap. There Lhat is grounded (its last row and column
-dropped), the SPD rest is factored once under a minimum-degree ordering,
-every probe is one block solve, and the eigensolve runs Lanczos on the
-factor's exact Lhat^+. The factor holds fill x nnz(Lhat) entries, with fill
-about 5-10 on 2-D grids. The rule reads a count, never a clock, so a fixed
-seed gives a fixed result.
+Every build follows one rule. It picks V and a solver, projects the norm
+probes off V, and makes one block solve of V's rows still unknown, the norm
+probes and the edge probes. V's exact rows are Lambda^{-1} V^T when V is
+eigenmodes and are solved in that block otherwise. V comes from Lanczos, or
+from the basis the last build of the same reduction carried.
 
-Within a reduction each graph is the last one less a round of actions, so
-the solver is chosen once and the deflation basis is carried from round to
-round. A build that factored keeps its exact rows as node values; the next
-build, handed them, factors without a choice, takes the rows of the
-surviving nodes, weights them by today's node weights, orthonormalizes them
-and solves them with the probes: one subspace-iteration step in place of an
-eigensolve. Only the first build of a reduction, or one whose carried basis
-lost rank, runs Lanczos; the PCG path, which has no factor for Lanczos to
-run on, still chooses and solves for modes every time.
+The solver is picked by how fast Jacobi-PCG converges on the graph: a
+capped attempt on the first edge probe, at most sqrt(n) matvecs. Expanders
+(SBM, Erdos-Renyi) finish well within the cap, so PCG solves every row and
+Lanczos runs on Lhat; memory stays linear in the number of edges.
+Low-dimensional graphs (grids, tori, lattices) need several times the cap,
+yet their small separators keep a sparse factor cheap. There Lhat is
+grounded (its last row and column dropped), the SPD rest is factored once
+under a minimum-degree ordering, the block is one multi-row solve, and
+Lanczos runs on the factor's exact Lhat^+. The factor holds fill x
+nnz(Lhat) entries, with fill about 5-10 on 2-D grids. The rule reads a
+count, never a clock, so a fixed seed gives a fixed result.
+
+Within a reduction each graph is the last one less a round of actions. A
+build that factored keeps its exact rows as node values; the next build,
+handed them, factors without a choice and takes as V the rows of the
+surviving nodes, weighted by today's node weights and orthonormalized: one
+subspace-iteration step in place of an eigensolve. Only the first build of
+a reduction, one whose carried basis lost rank, and every build on the PCG
+path, which has no factor for Lanczos to run on, choose and run Lanczos.
 """
 
 from __future__ import annotations
@@ -165,20 +168,19 @@ class LaplacianSolver:
     @classmethod
     def choose(
         cls, lhat: sp.csr_matrix, what: np.ndarray, first_row: np.ndarray
-    ) -> tuple["LaplacianSolver", np.ndarray]:
-        """The solver for Lhat, with its solution of `first_row`.
+    ) -> "LaplacianSolver":
+        """The solver for Lhat: PCG if it solves `first_row` within sqrt(n)
+        matvecs, else the grounded factor.
 
-        PCG keeps the job when it solves `first_row` within sqrt(n) matvecs;
-        otherwise Lhat is factored, and the capped attempt is the only PCG
-        work of the build.
+        The capped attempt only tests convergence; its solution is dropped,
+        and the build solves `first_row` again with the rest of its rows.
         """
         cap = math.isqrt(lhat.shape[0])
         try:
-            x = pcg(lhat, first_row, rtol=SOLVER_TOL, max_iter=cap, deflate=what)
+            pcg(lhat, first_row, rtol=SOLVER_TOL, max_iter=cap, deflate=what)
         except ConvergenceError:
-            solver = cls(lhat, what, grounded_factor(lhat))
-            return solver, solver.solve(first_row[None, :])[0]
-        return cls(lhat, what), x
+            return cls(lhat, what, grounded_factor(lhat))
+        return cls(lhat, what)
 
     def pinv(self, b: np.ndarray) -> np.ndarray:
         """P G^{-1} P b for a vector or the columns of a matrix (factor only)."""
@@ -212,11 +214,8 @@ def lowest_modes(
     """The r smallest eigenvalues of Lhat off its kernel, with eigenvectors.
 
     Returns the eigenvalues in ascending order and an n x r matrix of
-    orthonormal eigenvectors orthogonal to the kernel direction `what`.
-    For these V the exact rows (Lhat^+ V)^T are Lambda^{-1} V^T, and
-    projecting solved probes off V is the same as projecting them before the
-    solve; for any other orthonormal V only the latter, with (Lhat^+ V)^T,
-    keeps the sketch unbiased.
+    orthonormal eigenvectors orthogonal to the kernel direction `what`,
+    whose exact rows (Lhat^+ V)^T are Lambda^{-1} V^T.
     Uses Lanczos (ARPACK) from the start vector `start`, so a fixed start
     gives fixed modes. With PCG it runs on the sparse Lhat, which needs only
     products with Lhat and keeps memory linear in the number of edges. With
@@ -296,15 +295,15 @@ class SketchEstimator:
     quantity; the build derives no count of its own. Update norms read k
     rows: the r = min(k // 4, n - 1) exact rows (Lhat^+ V)^T W^{-1/2} of an
     orthonormal basis V off the kernel, then k - r sign probes projected off
-    the kernel and off V, before the solve, and solved. V is the lowest
-    eigenmodes (whose exact rows are Lambda^{-1} V^T), or, given a `carry`
-    (the `nodes` and `basis` of an earlier build of the same reduction),
-    that basis at today's nodes, weighted and orthonormalized; the build
-    then factors without a solver choice and draws no Lanczos start. When r
-    reaches n - 1 the modes span the whole kernel complement, the norms are
-    exact and no probes are drawn; below k = 4, r is 0 and this is the plain
-    sign sketch. Leverages use k edge probes. One `LaplacianSolver` per
-    build takes every solve and the eigensolve.
+    the kernel and off V. V is the lowest eigenmodes from Lanczos, or, given
+    a `carry` (the `nodes` and `basis` of an earlier build of the same
+    reduction), that basis at today's nodes, weighted and orthonormalized,
+    with a factor and no solver choice. One `LaplacianSolver.solve` takes
+    the rows of V still unknown (the carried V's; an eigenmode's is
+    Lambda^{-1} V^T), the norm probes and k edge probes, whose rows give
+    the leverages. When r reaches n - 1 the modes span the whole kernel
+    complement, the norms are exact and no probes are drawn; below k = 4, r
+    is 0 and this is the plain sign sketch.
 
     `build` raises ValueError unless `n_probes` is an integer >= 1 and a
     carried basis has r columns, and DisconnectedGraphError when the Lhat it
@@ -343,15 +342,14 @@ class SketchEstimator:
         k = n_probes
         what = w_sqrt / np.linalg.norm(w_sqrt)
 
-        # Update norms: n_modes exact rows, then k - n_modes probes of the
-        # rest. A carried basis, when it still fits, takes the place of the
-        # eigensolve. Draws come in a fixed order: the Lanczos start (only
-        # where lowest_modes runs Lanczos), the norm probes, the edge probes.
+        # Draws come in a fixed order: the Lanczos start (only where
+        # lowest_modes runs Lanczos), the norm probes (none once the modes
+        # cover the kernel's complement), the edge probes.
         n_modes = min(k // 4, n - 1)
         few_modes = n > 4 * n_modes  # else lowest_modes takes a dense eigh
         modes = _carried_basis(carry, nodes, w_sqrt, n_modes) if few_modes else None
         start = rng.standard_normal(n) if few_modes and n_modes and modes is None else None
-        q_norm = None
+        q_norm = np.empty((0, n))
         if n_modes < n - 1:
             q_norm = build_projection(k - n_modes, w_sqrt, rng)
             # A row along the kernel projects to roundoff; its exact value is 0.
@@ -359,26 +357,18 @@ class SketchEstimator:
         signs = rng.integers(0, 2, size=(k, g.n_edges)) * 2.0 - 1.0
         edge_rows = np.asarray((signs / math.sqrt(k)) @ incidence)
 
+        # V's exact rows (Lhat^+ V)^T: solved with the probes for a carried
+        # basis, whose last build chose the factor; Lambda^{-1} V^T for modes.
         if modes is not None:
-            # The last build chose the factor. Probes leave V before the
-            # solve; X = Lhat^+ V gives the exact rows and the next basis.
             solver = LaplacianSolver(lhat, what, grounded_factor(lhat))
-            q_norm -= (q_norm @ modes) @ modes.T
-            x = solver.solve(np.vstack([modes.T, q_norm, edge_rows]))
-            y, h = x[:k] / w_sqrt[None, :], x[k:] / w_sqrt[None, :]
-            return cls(nodes, y, h, y[:n_modes].T.copy())
-
-        # The first edge probe picks the solver for everything else.
-        solver, first = LaplacianSolver.choose(lhat, what, edge_rows[0])
-        h = np.vstack([first, solver.solve(edge_rows[1:])]) / w_sqrt[None, :]
-
-        lam, modes = lowest_modes(solver, n_modes, start)
-        rows = [modes.T / lam[:, None]]
-        if q_norm is not None:
-            q_norm -= (q_norm @ modes) @ modes.T
-            z = solver.solve(q_norm)
-            rows.append(z - (z @ modes) @ modes.T)
-        y = np.vstack(rows) / w_sqrt[None, :]
+            known, unknown = np.empty((0, n)), modes.T
+        else:
+            solver = LaplacianSolver.choose(lhat, what, edge_rows[0])
+            lam, modes = lowest_modes(solver, n_modes, start)
+            known, unknown = modes.T / lam[:, None], np.empty((0, n))
+        q_norm -= (q_norm @ modes) @ modes.T
+        x = solver.solve(np.vstack([unknown, q_norm, edge_rows])) / w_sqrt[None, :]
+        y, h = np.vstack([known / w_sqrt[None, :], x[:-k]]), x[-k:]
         basis = y[:n_modes].T.copy() if few_modes and solver.factor is not None else None
         return cls(nodes, y, h, basis)
 

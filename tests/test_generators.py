@@ -124,21 +124,42 @@ def sbm_digest(params, seed):
 
 
 # Edge lists as the numpy-array block labels generated them; plain int labels
-# must draw the same graphs.
+# must draw the same graphs. The (31, 5) and (40, 6) cases, where k does not
+# divide n, were retaken when the blocks became near-equal.
 @pytest.mark.parametrize(
     "params, seed, expected",
     [
         ({"n": 24, "k": 3, "p_in": 0.7, "p_out": 0.1}, 4, (65, "a9d2764fa6511524")),
-        ({"n": 31, "k": 5, "p_in": 0.6, "p_out": 0.1}, 2, (83, "68285def76868578")),
+        ({"n": 31, "k": 5, "p_in": 0.6, "p_out": 0.1}, 2, (78, "36efa21ce29739ca")),
         ({"n": 17, "k": 17, "p_in": 1.0, "p_out": 0.3}, 1, (39, "cf402b6909d9b010")),
         ({"n": 50, "k": 1, "p_in": 0.2, "p_out": 0.2}, 3, (252, "3907a0bbc98b34eb")),
         ({"n": 40, "k": 6, "p_in": 0.5, "p_out": 0.05,
-          "weight_law": "exp-uniform:-1,1"}, 0, (91, "c2fe9bd745bdc4f6")),
+          "weight_law": "exp-uniform:-1,1"}, 0, (90, "2d35de4bdc51cb71")),
         ({"n": 256, "k": 4, "p_in": 0.25, "p_out": 2**-6}, 7, (2324, "a49416094cf6fdd3")),
     ],
 )
 def test_sbm_edge_lists_are_pinned(params, seed, expected):
     assert sbm_digest(params, seed) == expected
+
+
+@pytest.mark.parametrize("n, k", [(9, 4), (10, 4), (31, 5), (40, 6), (7, 3)])
+def test_sbm_blocks_are_k_near_equal_cliques(n, k):
+    # At p_in = 1 every block is a clique, and an edge across blocks is in
+    # all 20 samples with probability 0.3**20.
+    params = {"n": n, "k": k, "p_in": 1.0, "p_out": 0.3}
+    common = set.intersection(*(
+        {(u, v) for u, v, _ in edge_set(generate("sbm", params, seed=s))}
+        for s in range(20)
+    ))
+    block = {u: {u} for u in range(n)}
+    for u, v in common:
+        merged = block[u] | block[v]
+        for x in merged:
+            block[x] = merged
+    blocks = {frozenset(b) for b in block.values()}
+    sizes = sorted(len(b) for b in blocks)
+    assert len(blocks) == k and sizes[-1] - sizes[0] <= 1
+    assert len(common) == sum(s * (s - 1) // 2 for s in sizes)
 
 
 def test_sbm_validation():

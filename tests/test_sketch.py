@@ -506,6 +506,36 @@ def test_only_a_factored_build_with_room_for_lanczos_keeps_a_basis():
     assert dense.basis is None
 
 
+def test_a_build_makes_one_solve_call_on_every_path(monkeypatch):
+    calls, solve = [], LaplacianSolver.solve
+    monkeypatch.setattr(
+        LaplacianSolver, "solve", lambda s, rows: calls.append(len(rows)) or solve(s, rows)
+    )
+    torus = weighted_torus(8)
+    fresh = SketchEstimator.build(torus, np.random.default_rng(0), 16)
+    carry = (fresh.nodes, fresh.basis)
+    SketchEstimator.build(torus, np.random.default_rng(1), 16, carry)
+    expander = generate("er", {"n": 300, "p": 0.04}, seed=0)
+    assert SketchEstimator.build(expander, np.random.default_rng(0), 33).basis is None
+    # Fresh: 12 norm and 16 edge probes; carried: 4 basis rows besides;
+    # PCG: 25 norm and 33 edge probes.
+    assert calls == [28, 32, 58]
+
+
+def test_solved_exact_rows_match_the_eigenmodes_closed_form():
+    # Carrying a fresh build's own basis hands the next build its eigenmodes
+    # back, up to sign, so the rows it solves are Lambda^{-1} V^T again.
+    g = weighted_torus(8)
+    fresh = SketchEstimator.build(g, np.random.default_rng(0), 16)
+    carried = SketchEstimator.build(
+        g, np.random.default_rng(0), 16, (fresh.nodes, fresh.basis)
+    )
+    closed, solved = fresh.norm_columns[:4], carried.norm_columns[:4]
+    solved = solved * np.sign(np.sum(closed * solved, axis=1))[:, None]
+    gap = np.linalg.norm(solved - closed, axis=1)
+    assert np.all(gap <= 1e-8 * np.linalg.norm(closed, axis=1)), gap
+
+
 # -- the basis carried through a reduction ----------------------------------
 
 
