@@ -110,7 +110,8 @@ class WeightedGraph:
         """Insert an edge, creating missing endpoints with unit weight.
 
         A parallel edge merges into the existing one (weights sum) and the
-        existing id is returned. Self loops are dropped; the returned id is -1.
+        existing id is returned; a sum that overflows raises ValueError. Self
+        loops are dropped; the returned id is -1.
         """
         _check_weight("edge", weight)
         slot = self._slot
@@ -124,7 +125,9 @@ class WeightedGraph:
         nbrs = self._adj[u]
         eid = nbrs.get(v)
         if eid is not None:
-            self._w[eid] += float(weight)
+            merged = self._w[eid] + float(weight)
+            _check_weight("merged edge", merged)
+            self._w[eid] = merged
             return eid
         eid = nbrs[v] = self._adj[v][u] = len(self._live)
         self._lo.append(slot[u] if u < v else slot[v])

@@ -13,18 +13,20 @@ and pinv = W_n^{-1/2} inv(A) W_n^{1/2} - J.
 Changing the weights of k node-disjoint edges by D = diag(delta_w) is one
 rank-k Woodbury update, pinv -= Y (D^{-1} + Omega)^{-1} Z, read from the k
 rows Z = B^T pinv alone: pinv W_n^{-1} is symmetric, so Y = pinv W_n^{-1} B =
-(Z W_n^{-1})^T, and Omega = B^T Y. Deletion is delta_w = -weight; contraction
-is delta_w = +inf, where pinv stays finite and D^{-1} reads 1/inf = 0. So one
-batch mixes all three, and one k x k solve and one in-place BLAS product
-accumulated into pinv apply it. A contraction only binds: the state keeps its
-nodes, pinv becomes the contracted graph's lifted pseudoinverse (see `lift`),
-whose reads are the contracted graph's, and `restrict` merges the bound pairs
-whenever a smaller state is wanted; the reducer does so during a run, as its
-graph shrinks, and once at the end. The update is exact, so a long chain of
-them agrees with recomputation up to float drift, which `probe_residual`
-measures in one n^2 product. Exact mode's working set is one n x n matrix, a
-rank-k update's k x n rows and a block of 64 rows, in which the build,
-`update_norm` and `restrict` (which compacts into the same buffer) each work.
+(Z W_n^{-1})^T, and Omega = B^T Y, whose diagonal times the edge weights is
+their leverage. `edge_rows` reads them once and `woodbury_reweight` updates
+from that read. Deletion is delta_w = -weight; contraction is delta_w = +inf,
+where pinv stays finite and D^{-1} reads 1/inf = 0. So one batch mixes all
+three, and one k x k solve and one in-place BLAS product accumulated into pinv
+apply it. A contraction only binds: the state keeps its nodes, pinv becomes
+the contracted graph's lifted pseudoinverse (see `lift`), whose reads are the
+contracted graph's, and `restrict` merges the bound pairs whenever a smaller
+state is wanted; the reducer does so during a run, as its graph shrinks, and
+once at the end. The update is exact, so a long chain of them agrees with
+recomputation up to float drift, which `probe_residual` measures in one n^2
+product. Exact mode's working set is one n x n matrix, a rank-k update's k x n
+rows and a block of 64 rows, in which the build, `update_norm` and `restrict`
+(which compacts into the same buffer) each work.
 """
 
 from __future__ import annotations
@@ -51,6 +53,8 @@ __all__ = [
     "build_pseudoinverse",
     "edge_leverage",
     "update_norm",
+    "EdgeRows",
+    "edge_rows",
     "woodbury_reweight",
     "contraction_update",
     "restrict",
@@ -283,43 +287,74 @@ def update_norm(state: PseudoinverseState, u, v, weight):
     return _like(u, np.asarray(weight, dtype=float) * sums)
 
 
+@dataclass(frozen=True)
+class EdgeRows:
+    """The k-space rows of k node-disjoint pairs, read once by `edge_rows`.
+
+    `iu` and `iv` are the pairs' slots in the state; `z` is Z = B^T pinv
+    (k x n), `y` is Y = (Z W_n^{-1})^T (n x k) and `omega` is Omega = B^T Y
+    (k x k), whose diagonal times the edge weights is their leverage. They
+    describe the state they were read from, until its next update.
+    """
+
+    iu: np.ndarray
+    iv: np.ndarray
+    z: np.ndarray
+    y: np.ndarray
+    omega: np.ndarray
+
+
+def edge_rows(state: PseudoinverseState, u, v) -> EdgeRows:
+    """Read the rows Z, Y and Omega of the node-disjoint pairs (u, v).
+
+    `u` and `v` are scalars or equal-length arrays. This is the one gather of
+    a batch's rows: `woodbury_reweight` updates from it. Each row is a gather
+    or a subtraction, so the rows of a subset of pairs equal a subset of the
+    rows bit for bit. An unknown node id raises KeyError.
+    """
+    iu, iv = _positions(state, u, v)
+    z = state.pinv[iu] - state.pinv[iv]
+    y = (z / state.weights).T
+    return EdgeRows(iu, iv, z, y, y[iu] - y[iv])
+
+
 def woodbury_reweight(
-    state: PseudoinverseState, u, v, delta_w
+    state: PseudoinverseState, rows: EdgeRows, delta_w
 ) -> PseudoinverseState:
     """Apply the pseudoinverse update for edge weight changes delta_w.
 
-    `u`, `v` and `delta_w` are scalars or equal-length arrays of node-disjoint
-    pairs; k pairs are one rank-k Woodbury update, read from their rows
-    Z = B^T pinv alone:
+    `rows` is the `edge_rows` read of k node-disjoint pairs from `state`, and
+    `delta_w` a scalar or k changes; the pairs are one rank-k Woodbury update
+    from those rows alone:
 
         pinv -= Y (D^{-1} + Omega)^{-1} Z,    D = diag(delta_w).
 
     `delta_w = -weight` realizes a deletion and `delta_w = +inf` binds `v`
     to `u`, the contraction of their edge, whose entry of D^{-1} is 0; a row
-    with delta_w = 0 changes nothing and is dropped. One solve and one BLAS
-    product accumulated into pinv in place apply the batch. The state keeps
-    its nodes, weights and size for every batch: rows `u` and `v` of a bound
-    pair become equal, and `restrict` merges them when the contracted graph's
-    own state is wanted.
+    with delta_w = 0 changes nothing and is dropped (the rows are subset only
+    then). One solve and one BLAS product accumulated into pinv in place
+    apply the batch. The state keeps its nodes, weights and size for every
+    batch: rows `u` and `v` of a bound pair become equal, and `restrict`
+    merges them when the contracted graph's own state is wanted.
 
-    Mutates `state` in place (and returns it). The graph itself is updated by
-    the caller. A bridge deletion makes a denominator vanish and raises
-    SingularUpdateError, and an unknown node id KeyError, before `state` is
-    touched.
+    Mutates `state` in place (and returns it); `rows` then no longer
+    describes it. The graph itself is updated by the caller. A bridge
+    deletion makes a denominator vanish and raises SingularUpdateError before
+    `state` is touched.
     """
-    iu, iv = _positions(state, u, v)
+    iu, iv, z, y, omega = rows.iu, rows.iv, rows.z, rows.y, rows.omega
     delta = np.broadcast_to(np.asarray(delta_w, dtype=float), iu.shape)
     acts = delta != 0.0
-    iu, iv, delta = iu[acts], iv[acts], delta[acts]
-    Z = state.pinv[iu] - state.pinv[iv]
-    Y = (Z / state.weights).T
-    capacitance = np.diag(1.0 / delta) + (Y[iu] - Y[iv])
+    if not acts.all():
+        iu, iv, delta, z, y = iu[acts], iv[acts], delta[acts], z[acts], y[:, acts]
+        omega = omega[np.ix_(acts, acts)]
+    capacitance = np.diag(1.0 / delta) + omega
     _check_pivots(state, iu, iv, capacitance, delta)
-    X = np.linalg.solve(capacitance, Z)
+    X = np.linalg.solve(capacitance, z)
     # pinv^T -= X^T Y^T accumulated by dgemm into pinv's F-ordered view. f2py
     # hands back a copy when that view is not F-ordered float64, so the
     # result is always assigned back.
-    state.pinv = blas.dgemm(-1.0, X.T, Y.T, beta=1.0, c=state.pinv.T, overwrite_c=1).T
+    state.pinv = blas.dgemm(-1.0, X.T, y.T, beta=1.0, c=state.pinv.T, overwrite_c=1).T
     return state
 
 
@@ -355,13 +390,14 @@ def contraction_update(
     """Shrink the pseudoinverse after the graph contractions in `records`.
 
     Takes one record or a sequence of node-disjoint ones, binds each removed
-    node to its survivor in one `woodbury_reweight` batch with delta_w = +inf
-    and merges them with `restrict`. Mutates and returns `state`.
+    node to its survivor in one `woodbury_reweight` batch with delta_w = +inf,
+    from one `edge_rows` read of the pairs, and merges them with `restrict`.
+    Mutates and returns `state`.
     """
     if isinstance(records, ContractionRecord):
         records = [records]
-    survivors = [r.survivor for r in records]
-    woodbury_reweight(state, survivors, [r.removed for r in records], np.inf)
+    rows = edge_rows(state, [r.survivor for r in records], [r.removed for r in records])
+    woodbury_reweight(state, rows, np.inf)
     weights = dict(zip(state.nodes, state.weights.tolist()))
     for r in records:
         weights[r.survivor] += weights.pop(r.removed)

@@ -18,15 +18,18 @@ matching, any sketch build and the action draws, which go to the kept edges
 in matched order.
 
 One loop serves both modes; a backend chosen once from `config.mode` measures
-the edges and follows the graph. Matched edges share no endpoints, so a
-round's weight changes, contractions as delta_w = +inf, reach the backend as
-one batch. The exact backend applies it to the dense pseudoinverse as one
-rank-k update, in which contractions bind their pairs, and restricts the state
-to the graph's nodes once the graph has at most 3/4 of them; the sketch
-backend estimates from a `SketchEstimator` it rebuilds after every round that
-acted, handing each build the last one's deflation basis. The backend only
-drives the draws: both modes end with one dense build from the reduced graph,
-and exact mode first restricts its state to it and records its drift.
+the edges and follows the graph. Right after selection it reads the kept
+edges' k-space rows once, in matched order; matched edges share no endpoints,
+so a round's weight changes, contractions as delta_w = +inf, reach it as one
+batch with that read. The exact backend's read is `edge_rows`, from which one
+rank-k update, in which contractions bind their pairs, applies the batch to
+the dense pseudoinverse; once the graph has at most 3/4 of the state's nodes,
+the next measurement restricts the state to them, after the loop has let go of
+the round's rows. The sketch backend's read carries nothing: it estimates from
+a `SketchEstimator` it rebuilds after every round that acted, handing each
+build the last one's deflation basis. The backend only drives the draws: both
+modes end with one dense build from the reduced graph, and exact mode first
+restricts its state to it and records its drift.
 
 The loop ends on what it has seen, a stopping time that adds no bias of its
 own: once a stop criterion is `done` given the graph, the error estimate, the
@@ -53,10 +56,12 @@ from .action import (
 )
 from .graph import ContractionMap, WeightedGraph, _check_count
 from .laplacian import (
+    EdgeRows,
     PseudoinverseState,
     build_pseudoinverse,
     contraction_update,  # unused here; perfbench/tracer.py patches it by this name
     edge_leverage,
+    edge_rows,
     probe_residual,
     restrict,
     update_norm,
@@ -295,26 +300,29 @@ class _ExactBackend:
     """Dense pseudoinverse kept current by one rank-k update per round.
 
     Built once from the input graph and never rebuilt: a round's reweights,
-    deletions and contractions are one exact Woodbury update, the
-    contractions as its infinite-weight rows, which bind their pairs. Once
-    the graph has at most `_COMPACT_AT` of the state's nodes, `restrict`
-    merges the bound pairs, so the work of later rounds follows the live
-    graph. Rounding is the only drift; `reduce_graph` records it at the end.
+    deletions and contractions are one exact Woodbury update from the kept
+    edges' `edge_rows`, the contractions as its infinite-weight rows, which
+    bind their pairs. Once the graph has at most `_COMPACT_AT` of the
+    state's nodes, the next `measure` first lets `restrict` merge the bound
+    pairs, with no round's rows alive, so the work of later rounds follows
+    the live graph. Rounding is the only drift; `reduce_graph` records it at
+    the end.
     """
 
     def __init__(self, g: WeightedGraph):
         self.state = build_pseudoinverse(g)
 
     def measure(self, g: WeightedGraph, eids: list[int]):
+        if g.n_nodes <= _COMPACT_AT * self.state.n:
+            self.compact(g)
         u, v, w = g.edge_columns(eids)
         return edge_leverage(self.state, u, v, w), update_norm(self.state, u, v, w)
 
-    def apply(
-        self, g: WeightedGraph, u: np.ndarray, v: np.ndarray, delta_w: np.ndarray
-    ) -> None:
-        woodbury_reweight(self.state, u, v, delta_w)
-        if g.n_nodes <= _COMPACT_AT * self.state.n:
-            self.compact(g)
+    def edge_rows(self, u: np.ndarray, v: np.ndarray) -> EdgeRows:
+        return edge_rows(self.state, u, v)
+
+    def apply(self, rows: EdgeRows, delta_w: np.ndarray) -> None:
+        woodbury_reweight(self.state, rows, delta_w)
 
     def compact(self, g: WeightedGraph) -> PseudoinverseState:
         """Restrict the state to `g`'s nodes, merging its bound pairs."""
@@ -326,7 +334,8 @@ class _SketchBackend:
     """Sketched estimates, rebuilt for the first round after any action.
 
     Between builds it holds only the last build's node ids and basis, and
-    hands them to the next build as its `carry` (see `SketchEstimator`).
+    hands them to the next build as its `carry` (see `SketchEstimator`). Its
+    kept edges' rows carry nothing: an action only drops the estimator.
     """
 
     def __init__(self, mode: SketchMode, rng: np.random.Generator):
@@ -342,9 +351,10 @@ class _SketchBackend:
             self.estimator = est
         return self.estimator.measure(g, eids)
 
-    def apply(
-        self, g: WeightedGraph, u: np.ndarray, v: np.ndarray, delta_w: np.ndarray
-    ) -> None:
+    def edge_rows(self, u: np.ndarray, v: np.ndarray) -> None:
+        return None
+
+    def apply(self, rows: None, delta_w: np.ndarray) -> None:
         self.estimator = None
 
 
@@ -353,17 +363,20 @@ def _apply(
     backend: _ExactBackend | _SketchBackend,
     cmap: ContractionMap,
     eids: list[int],
+    w: np.ndarray,
+    rows: EdgeRows | None,
     ratios: np.ndarray,
 ) -> tuple[int, int, int]:
     """Apply a round's drawn actions; returns (deleted, contracted, reweighted).
 
-    `ratios` holds each edge's drawn delta_w / w: -1 deletes, +inf contracts,
-    0 leaves the edge alone and any other value reweights. The graph deletes
+    `w` holds the kept edges' weights, `rows` the backend's read of them and
+    `ratios` each edge's drawn delta_w / w: -1 deletes, +inf contracts, 0
+    leaves the edge alone and any other value reweights. The graph deletes
     and reweights first (all endpoints still present), then contracts.
-    Matched edges are disjoint, so ids stay valid, and the acting edges reach
-    the backend in one call, in matched order.
+    Matched edges are disjoint, so ids stay valid. If any edge acts, the
+    backend updates from `rows` in one call, in matched order; it drops the
+    rows whose delta_w is 0.
     """
-    u, v, w = g.edge_columns(eids)
     deleted = ratios == -1.0
     contracted = ratios == np.inf
     reweighted = ~(deleted | contracted) & (ratios != 0.0)
@@ -375,10 +388,10 @@ def _apply(
     for i in np.flatnonzero(contracted):
         rec = g.contract_edge(eids[i])
         cmap.merge(rec.survivor, rec.removed)
-    acting = np.flatnonzero(ratios != 0.0)
-    if acting.size:
-        backend.apply(g, u[acting], v[acting], w[acting] * ratios[acting])
-    return int(deleted.sum()), int(contracted.sum()), int(reweighted.sum())
+    counts = int(deleted.sum()), int(contracted.sum()), int(reweighted.sum())
+    if any(counts):
+        backend.apply(rows, w * ratios)
+    return counts
 
 
 def reduce_graph(
@@ -462,6 +475,9 @@ def reduce_graph(
         )
         del eq, dist  # column-sized: not held through the next build
         eids = [matched[i] for i in kept]
+        # The kept edges' rows, read once; the update applies from them.
+        u, v, w = g.edge_columns(eids)
+        rows = backend.edge_rows(u, v)
 
         # Redraw the whole iteration's actions until deletions keep the graph
         # connected. Contractions and reweights never disconnect, so checking
@@ -483,7 +499,8 @@ def reduce_graph(
             )
         redraws = attempt
 
-        n_del, n_con, n_rew = _apply(g, backend, cmap, eids, ratios)
+        n_del, n_con, n_rew = _apply(g, backend, cmap, eids, w, rows, ratios)
+        del rows, u, v, w  # not held through the next compaction or build
         # Python's sum adds edge by edge in kept order; np.sum's pairwise
         # order would round the total differently.
         estimated_error += sum(kept_error.tolist())

@@ -27,6 +27,7 @@ from graphreduce.laplacian import (
     build_pseudoinverse,
     contraction_update,
     edge_leverage,
+    edge_rows,
     laplacian_matrix,
     lift,
     update_norm,
@@ -169,13 +170,13 @@ def test_03_single_edge_action_is_unbiased():
         cmap = ContractionMap.identity(h.nodes())
         if draw < dist.p_delete:
             h.delete_edge(h.edge_between(0, 1))
-            woodbury_reweight(state, 0, 1, -1.0)
+            woodbury_reweight(state, edge_rows(state, 0, 1), -1.0)
         elif draw < dist.p_delete + dist.p_contract:
             rec = h.contract_edge(h.edge_between(0, 1))
             contraction_update(state, rec)
             cmap.merge(rec.survivor, rec.removed)
         else:
-            woodbury_reweight(state, 0, 1, dist.reweight_ratio)
+            woodbury_reweight(state, edge_rows(state, 0, 1), dist.reweight_ratio)
         lifted = lift(state.pinv, cmap, state.nodes, state.weights)
         total += lifted
         total_sq += lifted**2
@@ -317,7 +318,7 @@ def test_09_incremental_updates_track_full_recomputation():
             # factor >= 0.3 keeps the update scalar's denominator away from 0
             delta = w * float(rng.uniform(0.3, 2.0) - 1.0)
             g.set_edge_weight(eid, w + delta)
-            woodbury_reweight(state, u, v, delta)
+            woodbury_reweight(state, edge_rows(state, u, v), delta)
         else:
             rec = g.contract_edge(eid)
             contraction_update(state, rec)

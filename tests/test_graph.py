@@ -401,6 +401,9 @@ def test_edgelist_malformed_line_raises(tmp_path):
         ("1 2 -3\n", "bad.txt:1: edge weight must be positive and finite, got -3.0"),
         ("0 1\nx 2\n", "bad.txt:2: invalid literal for int"),
         ("0 1\n1 -2\n", "bad.txt:2: node id must be a non-negative integer, got -2"),
+        # Each weight is finite, but the merged parallel edge's sum is not.
+        ("0 1 1e308\n1 0 1e308\n",
+         "bad.txt:2: merged edge weight must be positive and finite, got inf"),
     ]:
         p.write_text(text)
         with pytest.raises(ValueError, match=re.escape(reason)):

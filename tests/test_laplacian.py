@@ -15,6 +15,7 @@ from graphreduce.laplacian import (
     build_pseudoinverse,
     contraction_update,
     edge_leverage,
+    edge_rows,
     identity_residual,
     laplacian_matrix,
     lift,
@@ -283,7 +284,7 @@ def test_woodbury_matches_rebuild(seed):
         u, v, w = g.edge(eid)
         ratio = float(rng.uniform(-0.8, 2.0))
         g.set_edge_weight(eid, w * (1 + ratio))
-        woodbury_reweight(state, u, v, w * ratio)
+        woodbury_reweight(state, edge_rows(state, u, v), w * ratio)
     fresh = build_pseudoinverse(g)
     np.testing.assert_allclose(state.pinv, fresh.pinv, atol=1e-9)
 
@@ -291,7 +292,7 @@ def test_woodbury_matches_rebuild(seed):
 def test_woodbury_deletion_matches_rebuild():
     g = unit_triangle()
     state = build_pseudoinverse(g)
-    woodbury_reweight(state, 0, 1, -1.0)
+    woodbury_reweight(state, edge_rows(state, 0, 1), -1.0)
     g.delete_edge(g.edge_between(0, 1))
     np.testing.assert_allclose(state.pinv, build_pseudoinverse(g).pinv, atol=1e-10)
 
@@ -300,7 +301,7 @@ def test_bridge_deletion_raises():
     g = weighted_path4()
     state = build_pseudoinverse(g)
     with pytest.raises(SingularUpdateError):
-        woodbury_reweight(state, 1, 2, -2.0)
+        woodbury_reweight(state, edge_rows(state, 1, 2), -2.0)
 
 
 def test_contraction_update_golden():
@@ -532,9 +533,9 @@ def test_batched_updates_match_rank_one_steps_and_rebuild(seed):
 
     if changes:
         _, u, v, delta = (np.array(col) for col in zip(*changes))
-        woodbury_reweight(batched, u, v, delta)
+        woodbury_reweight(batched, edge_rows(batched, u, v), delta)
         for _, a, b, d in changes:
-            woodbury_reweight(stepped, a, b, d)
+            woodbury_reweight(stepped, edge_rows(stepped, a, b), d)
     if records:
         contraction_update(batched, records)
         for rec in records:
@@ -563,12 +564,13 @@ def test_mixed_batch_is_one_update(seed):
     _, u, v, delta = (np.array(col) for col in zip(*changes))
     woodbury_reweight(
         mixed,
-        np.r_[[r.survivor for r in records], u],
-        np.r_[[r.removed for r in records], v],
+        edge_rows(
+            mixed, np.r_[[r.survivor for r in records], u], np.r_[[r.removed for r in records], v]
+        ),
         np.r_[np.full(len(records), np.inf), delta],
     )
     _restrict_to(mixed, g)
-    woodbury_reweight(two_batch, u, v, delta)
+    woodbury_reweight(two_batch, edge_rows(two_batch, u, v), delta)
     contraction_update(two_batch, records)
 
     fresh = build_pseudoinverse(g)
@@ -595,7 +597,7 @@ def test_batch_with_bridge_deletion_raises_and_leaves_state_unchanged():
     state = build_pseudoinverse(_bridged_triangles())
     pinv, nodes, weights = state.pinv.copy(), state.nodes, state.weights.copy()
     with pytest.raises(SingularUpdateError, match=r"edge \(2, 3\)"):
-        woodbury_reweight(state, [0, 2, 4], [1, 3, 5], [0.5, -2.0, -0.5])
+        woodbury_reweight(state, edge_rows(state, [0, 2, 4], [1, 3, 5]), [0.5, -2.0, -0.5])
     assert np.array_equal(state.pinv, pinv)
     assert state.nodes == nodes
     assert np.array_equal(state.weights, weights)
@@ -611,7 +613,7 @@ def test_mixed_batch_with_bridge_deletion_raises_before_compaction(u, v, delta):
     state = build_pseudoinverse(_bridged_triangles())
     pinv, nodes, weights = state.pinv.copy(), state.nodes, state.weights.copy()
     with pytest.raises(SingularUpdateError, match=r"edge \(2, 3\): update denominator"):
-        woodbury_reweight(state, u, v, delta)
+        woodbury_reweight(state, edge_rows(state, u, v), delta)
     assert state.pinv.shape == pinv.shape and np.array_equal(state.pinv, pinv)
     assert state.nodes == nodes
     assert np.array_equal(state.weights, weights)
@@ -692,7 +694,7 @@ def test_contraction_at_edge_slots_matches_rebuild(pairs):
     g = _path_with_chords(N_SLOTS)
     state = build_pseudoinverse(g)
     survivors, removed = zip(*pairs)
-    woodbury_reweight(state, list(survivors), list(removed), np.inf)
+    woodbury_reweight(state, edge_rows(state, list(survivors), list(removed)), np.inf)
     for u, v in pairs:
         g.contract_edge(g.edge_between(u, v))
     _restrict_to(state, g)
@@ -708,7 +710,7 @@ def test_a_bind_keeps_the_nodes_and_makes_the_pair_rows_equal():
     nodes, weights = state.nodes, state.weights.copy()
     pairs = SLOT_CASES["first-adjacent-last"]
     u, v = (np.array(col) for col in zip(*pairs))
-    woodbury_reweight(state, u, v, [np.inf, 0.5, np.inf, -0.25])
+    woodbury_reweight(state, edge_rows(state, u, v), [np.inf, 0.5, np.inf, -0.25])
     assert state.n == N_SLOTS and state.nodes == nodes
     assert np.array_equal(state.weights, weights)
     bound = [0, 2]
@@ -741,8 +743,8 @@ def test_update_of_any_pinv_layout_matches_c_order(layout, contract):
     if contract:
         delta[0] = np.inf
     before = reference.pinv.copy()
-    woodbury_reweight(reference, u, v, delta)
-    woodbury_reweight(other, u, v, delta)
+    woodbury_reweight(reference, edge_rows(reference, u, v), delta)
+    woodbury_reweight(other, edge_rows(other, u, v), delta)
     assert other.nodes == reference.nodes
     scale = np.abs(reference.pinv).max()
     np.testing.assert_allclose(other.pinv, reference.pinv, rtol=0, atol=1e-14 * scale)
@@ -756,15 +758,16 @@ def _even_ids_cycle() -> WeightedGraph:
 
 
 @pytest.mark.parametrize("u, v, missing", [(4, 7, 7), (-1, 0, -1), (10, 11, 11)])
-@pytest.mark.parametrize("read", [edge_leverage, update_norm, woodbury_reweight])
+@pytest.mark.parametrize("read", [edge_leverage, update_norm, edge_rows])
 def test_unknown_node_id_raises_and_leaves_state_unchanged(read, u, v, missing):
     # 7 sits between two ids, -1 before the first and 11 past the last; none
-    # may be read as a neighbouring row.
+    # may be read as a neighbouring row. `edge_rows` is the update's one read.
     state = build_pseudoinverse(_even_ids_cycle())
     pinv, nodes, weights = state.pinv.copy(), state.nodes, state.weights.copy()
+    weight = () if read is edge_rows else (0.5,)
     for ends in [(u, v), ([0, u], [2, v])]:
         with pytest.raises(KeyError, match=rf"\[{missing}\]"):
-            read(state, *ends, 0.5)
+            read(state, *ends, *weight)
     assert np.array_equal(state.pinv, pinv)
     assert state.nodes == nodes
     assert np.array_equal(state.weights, weights)
@@ -776,15 +779,15 @@ def test_zero_delta_rows_change_nothing():
     u, v, w = g.edge_columns(g.independent_edge_set(rng)[:4])
     delta = np.array([0.5, 0.0, np.inf, 0.0]) * w
     with_zeros, without = build_pseudoinverse(g), build_pseudoinverse(g)
-    woodbury_reweight(with_zeros, u, v, delta)
+    woodbury_reweight(with_zeros, edge_rows(with_zeros, u, v), delta)
     acts = delta != 0.0
-    woodbury_reweight(without, u[acts], v[acts], delta[acts])
+    woodbury_reweight(without, edge_rows(without, u[acts], v[acts]), delta[acts])
     assert with_zeros.nodes == without.nodes
     assert np.array_equal(with_zeros.weights, without.weights)
     assert np.array_equal(with_zeros.pinv, without.pinv)
     # A batch of zero rows only is a no-op.
     pinv = without.pinv.copy()
-    woodbury_reweight(without, u[:2], v[:2], 0.0)
+    woodbury_reweight(without, edge_rows(without, u[:2], v[:2]), 0.0)
     assert np.array_equal(without.pinv, pinv)
 
 
@@ -798,12 +801,12 @@ def test_long_mixed_chain_stays_symmetric_and_matches_rebuild():
     while g.n_nodes > 12:
         changes, contract = _matched_actions(rng, g)
         records = _edit_graph(g, changes, contract)
-        woodbury_reweight(
+        rows = edge_rows(
             state,
             [c[1] for c in changes] + [r.survivor for r in records],
             [c[2] for c in changes] + [r.removed for r in records],
-            [c[3] for c in changes] + [np.inf] * len(records),
         )
+        woodbury_reweight(state, rows, [c[3] for c in changes] + [np.inf] * len(records))
         rounds += 1
     assert rounds >= 12
     assert state.n == 80

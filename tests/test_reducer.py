@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -525,6 +526,74 @@ def test_a_sparsifying_run_restricts_once(monkeypatch):
     result = reduce_graph(g, EdgeBudget(g.n_edges // 2), config, seed=1)
     assert calls == [g.n_nodes] and result.trace.totals()["deleted"] > 0
 
+
+
+def test_each_round_updates_from_the_rows_it_measured(monkeypatch):
+    # A weighted torus coarsened by contractions, so that reads land on a
+    # state holding bound pairs. Every round reads its kept edges' rows once,
+    # the update gets that same read, and the read gives back the leverage
+    # and update norm the round measured for those edges.
+    measured, norms, reads, updates = [], [], [], []
+    leverage, norm, read, update = (
+        reducer.edge_leverage, reducer.update_norm, reducer.edge_rows, reducer.woodbury_reweight
+    )
+
+    def measuring(state, u, v, w):
+        measured.append((u, v, w, leverage(state, u, v, w)))
+        return measured[-1][-1]
+
+    def norming(state, u, v, w):
+        norms.append(norm(state, u, v, w))
+        return norms[-1]
+
+    def reading(state, u, v):
+        reads.append((u, v, state.weights, state.n, read(state, u, v)))
+        return reads[-1][-1]
+
+    def updating(state, rows, delta_w):
+        updates.append(rows)
+        return update(state, rows, delta_w)
+
+    for name, spy in [("edge_leverage", measuring), ("update_norm", norming),
+                      ("edge_rows", reading), ("woodbury_reweight", updating)]:
+        monkeypatch.setattr(reducer, name, spy)
+    g = torus(16, 16, weight_law="exp-uniform:-1,1", rng=np.random.default_rng(3))
+    result = reduce_graph(g, NodeBudget(64), ReductionConfig(priority=Priority.NODES), seed=2)
+    records = result.trace.records
+    assert [len(r[0]) for r in reads] == [r.selected for r in records]
+    acted = [i for i, r in enumerate(records) if r.deleted + r.contracted + r.reweighted]
+    assert len(updates) == len(acted) > 0
+    assert all(rows is reads[i][-1] for rows, i in zip(updates, acted))
+    assert any(n > r.nodes_after + r.contracted for (*_, n, _), r in zip(reads, records))
+    for (u, v, wn, _, rows), (mu, mv, mw, lev), mnorm in zip(reads, measured, norms):
+        at = {pair: j for j, pair in enumerate(zip(mu.tolist(), mv.tolist()))}
+        kept = [at[pair] for pair in zip(u.tolist(), v.tolist())]
+        w = mw[kept]
+        np.testing.assert_allclose(w * np.diag(rows.omega), lev[kept], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(w * (rows.z**2 @ (1 / wn)), mnorm[kept], rtol=1e-12, atol=0)
+
+
+def test_a_rounds_rows_are_released_before_the_state_is_compacted(monkeypatch):
+    # Rows held through `restrict` would raise the run's peak memory by k x n
+    # floats twice over; every read's Z must be gone when it compacts.
+    rows_z, seen = [], []
+    read = reducer.edge_rows
+
+    def reading(state, u, v):
+        rows = read(state, u, v)
+        rows_z.append(weakref.ref(rows.z))
+        return rows
+
+    def compacting(state, nodes, weights):
+        seen.append(len(rows_z))
+        assert all(ref() is None for ref in rows_z)
+        return restrict(state, nodes, weights)
+
+    monkeypatch.setattr(reducer, "edge_rows", reading)
+    monkeypatch.setattr(reducer, "restrict", compacting)
+    g = triangular_lattice(20, 20)
+    reduce_graph(g, NodeBudget(50), ReductionConfig(priority=Priority.NODES), seed=0)
+    assert len(seen) >= 3 and 0 < seen[0] < seen[-1] == len(rows_z)
 
 def test_trace_monotonicity_and_roundtrip(tmp_path):
     rng = np.random.default_rng(10)
