@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -116,6 +117,10 @@ class EdgeQuantities:
     def r_contract(self) -> float | np.ndarray:
         return 1.0 + self.triangles if self.priority is Priority.EDGES else 1.0
 
+    @cached_property
+    def thresholds(self) -> "Thresholds":  # read by both the score and the solve
+        return regime_thresholds(self)
+
 
 @dataclass(frozen=True)
 class Thresholds:
@@ -182,7 +187,7 @@ def optimal_action(
     """
     if beta < 0:
         raise ValueError(f"beta must be >= 0, got {beta}")
-    th = regime_thresholds(eq)
+    th = eq.thresholds
     x = np.asarray(eq.leverage, dtype=float)
     # p overflows for a tiny beta far below onset; such edges do not act, so
     # their p is discarded.
@@ -234,7 +239,7 @@ def activation_beta(
     d = min_reduction
     if not d > 0:
         raise ValueError(f"min_reduction must be positive, got {d}")
-    th = regime_thresholds(eq)
+    th = eq.thresholds
     x = np.asarray(eq.leverage, dtype=float)
     rd, rc = np.asarray(eq.r_delete, dtype=float), eq.r_contract
     with np.errstate(divide="ignore", invalid="ignore"):

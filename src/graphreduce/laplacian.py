@@ -17,16 +17,16 @@ rows Z = B^T pinv alone: pinv W_n^{-1} is symmetric, so Y = pinv W_n^{-1} B =
 their leverage. `edge_rows` reads them once and `woodbury_reweight` updates
 from that read. Deletion is delta_w = -weight; contraction is delta_w = +inf,
 where pinv stays finite and D^{-1} reads 1/inf = 0. So one batch mixes all
-three, and one k x k solve and one in-place BLAS product accumulated into pinv
-apply it. A contraction only binds: the state keeps its nodes, pinv becomes
-the contracted graph's lifted pseudoinverse (see `lift`), whose reads are the
-contracted graph's, and `restrict` merges the bound pairs whenever a smaller
-state is wanted; the reducer does so during a run, as its graph shrinks, and
-once at the end. The update is exact, so a long chain of them agrees with
-recomputation up to float drift, which `probe_residual` measures in one n^2
-product. Exact mode's working set is one n x n matrix, a rank-k update's k x n
-rows and a block of 64 rows, in which the build, `update_norm` and `restrict`
-(which compacts into the same buffer) each work.
+three, and one k x k inverse and two BLAS products, the second accumulated
+into pinv in place, apply it. A contraction only binds: the state keeps its
+nodes, pinv becomes the contracted graph's lifted pseudoinverse (see `lift`),
+whose reads are the contracted graph's, and `restrict` merges the bound pairs
+whenever a smaller state is wanted; the reducer does so during a run, as its
+graph shrinks, and once at the end. The update is exact, so a long chain of
+them agrees with recomputation up to float drift, which `probe_residual`
+measures in one n^2 product. Exact mode's working set is one n x n matrix, a
+rank-k update's k x n rows and a block of 64 rows, in which the build,
+`update_norm` and `restrict` (which compacts into the same buffer) each work.
 """
 
 from __future__ import annotations
@@ -235,8 +235,9 @@ def _check_pivots(
     meet in row order: 1 + delta_w * resistance on a reweight row, which must
     exceed 1e-12, and on a contraction row (1/delta_w = 0) the resistance,
     which must exceed 0. The first that fails is named by its node pair.
+    It precedes one k x k inverse and two BLAS products, which name no edge.
     """
-    A = np.array(A, dtype=float)
+    A, delta = np.array(A, dtype=float), delta.tolist()
     for j in range(len(A)):
         contract = delta[j] == np.inf
         pivot = A[j, j] if contract else delta[j] * A[j, j]
@@ -248,7 +249,7 @@ def _check_pivots(
                 "deleting a bridge or overshooting a high-leverage edge"
             )
             raise SingularUpdateError(f"edge {pair}: {problem}")
-        A[j + 1 :, j + 1 :] -= np.outer(A[j + 1 :, j], A[j, j + 1 :] / A[j, j])
+        A[j + 1 :, j + 1 :] -= A[j + 1 :, j, None] * (A[j, j + 1 :] / A[j, j])
 
 
 def edge_leverage(state: PseudoinverseState, u, v, weight):
@@ -332,10 +333,10 @@ def woodbury_reweight(
     `delta_w = -weight` realizes a deletion and `delta_w = +inf` binds `v`
     to `u`, the contraction of their edge, whose entry of D^{-1} is 0; a row
     with delta_w = 0 changes nothing and is dropped (the rows are subset only
-    then). One solve and one BLAS product accumulated into pinv in place
-    apply the batch. The state keeps its nodes, weights and size for every
-    batch: rows `u` and `v` of a bound pair become equal, and `restrict`
-    merges them when the contracted graph's own state is wanted.
+    then). One k x k inverse (LAPACK `dgesv`) and two BLAS products, the
+    second accumulated into pinv in place, apply the batch. The state keeps
+    its nodes, weights and size: a bound pair's rows become equal, and
+    `restrict` merges them when the contracted graph's own state is wanted.
 
     Mutates `state` in place (and returns it); `rows` then no longer
     describes it. The graph itself is updated by the caller. A bridge
@@ -345,16 +346,21 @@ def woodbury_reweight(
     iu, iv, z, y, omega = rows.iu, rows.iv, rows.z, rows.y, rows.omega
     delta = np.broadcast_to(np.asarray(delta_w, dtype=float), iu.shape)
     acts = delta != 0.0
+    if not acts.any():
+        return state
     if not acts.all():
         iu, iv, delta, z, y = iu[acts], iv[acts], delta[acts], z[acts], y[:, acts]
         omega = omega[np.ix_(acts, acts)]
     capacitance = np.diag(1.0 / delta) + omega
     _check_pivots(state, iu, iv, capacitance, delta)
-    X = np.linalg.solve(capacitance, z)
-    # pinv^T -= X^T Y^T accumulated by dgemm into pinv's F-ordered view. f2py
-    # hands back a copy when that view is not F-ordered float64, so the
-    # result is always assigned back.
-    state.pinv = blas.dgemm(-1.0, X.T, y.T, beta=1.0, c=state.pinv.T, overwrite_c=1).T
+    inverse, info = lapack.dgesv(capacitance, np.eye(len(delta)))[2:]
+    if info:
+        raise SingularUpdateError(f"capacitance is singular (LAPACK info {info})")
+    # X^T = Z^T C^{-T} comes back F-ordered; pinv^T -= X^T Y^T accumulates
+    # into pinv's F-ordered view. f2py hands back a copy when that view is not
+    # F-ordered float64, so the result is always assigned back.
+    xt = blas.dgemm(1.0, z.T, inverse, trans_b=1)
+    state.pinv = blas.dgemm(-1.0, xt, y.T, beta=1.0, c=state.pinv.T, overwrite_c=1).T
     return state
 
 

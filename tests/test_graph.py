@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphreduce.baselines import _heavy_edge_matching
-from graphreduce.generators import path, torus
+import graphreduce.graph as graph_module
+from graphreduce.generators import generate, path, torus
 from graphreduce.graph import (
     ContractionMap,
     WeightedGraph,
@@ -103,6 +104,20 @@ def test_contract_to_single_node_flagged():
     assert g.node_weight(0) == pytest.approx(2.0)
 
 
+def test_contract_refuses_an_overflowing_merge_and_changes_nothing():
+    g = WeightedGraph.from_edges([(0, 1, 1.0), (1, 2, 1e308), (0, 2, 1e308)])
+    before = (g.edge_arrays(), [g.edge(e) for e in g.edge_ids()],
+              {u: dict(nbrs) for u, nbrs in g._adj.items()}, g.n_edges, g.n_nodes)
+    with pytest.raises(ValueError, match="merged edge weight must be positive and finite"):
+        g.contract_edge(g.edge_between(0, 1))
+    ends, w, wn = before[0]
+    after_ends, after_w, after_wn = g.edge_arrays()
+    assert np.array_equal(ends, after_ends) and np.array_equal(w, after_w)
+    assert np.array_equal(wn, after_wn)
+    assert [g.edge(e) for e in g.edge_ids()] == before[1]
+    assert g._adj == before[2] and (g.n_edges, g.n_nodes) == before[3:]
+
+
 def test_contract_keeps_moved_edge_ids():
     g = WeightedGraph.from_edges([(0, 1), (1, 5), (5, 9)])
     e15 = g.edge_between(1, 5)
@@ -118,6 +133,16 @@ def test_connectivity():
     bridge = g.edge_between(2, 3)
     assert not g.connected_without([bridge])
     assert g.connected_without([])
+
+
+def test_a_shared_neighbour_joins_only_through_edges_kept():
+    # Triangle 0-1-2 with node 3 hanging off 2.
+    g = WeightedGraph.from_edges([(0, 1), (1, 2), (0, 2), (2, 3)])
+    e01, e12 = g.edge_between(0, 1), g.edge_between(1, 2)
+    assert not g.connected_without([e01, e12])  # node 1 is cut off
+    assert not g.connected_without([e12, e01])
+    assert g.connected_without([e01])  # 0-2-1 remains
+    assert g.connected_without([e12])
 
 
 @settings(max_examples=60, deadline=None)
@@ -436,9 +461,9 @@ def sequential_greedy(g, order):
     return kept
 
 
-def _gapped_graph(rng):
+def _gapped_graph(rng, nodes=(4, 30), extra=(0, 50)):
     # Ids with gaps: delete some edges, then contract a few.
-    g = random_connected_graph(rng, int(rng.integers(4, 30)), extra_edges=int(rng.integers(0, 50)))
+    g = random_connected_graph(rng, int(rng.integers(*nodes)), extra_edges=int(rng.integers(*extra)))
     for eid in g.edge_ids():
         if rng.random() < 0.2:
             g.delete_edge(eid)
@@ -460,6 +485,33 @@ def test_greedy_matching_is_the_sequential_greedy_pass(seed, partial):
     assert matched == sequential_greedy(g, order)
     assert all(type(eid) is int for eid in matched)
     assert g.greedy_matching(np.array(order, dtype=np.int64)) == matched
+
+
+@pytest.mark.parametrize("partial", [False, True], ids=["full", "partial"])
+@pytest.mark.parametrize("seed, nodes, extra", [(0, 60, 330), (1, 150, 600), (2, 300, 1200),
+                                                (3, 500, 2000)])
+def test_greedy_matching_on_both_sides_of_the_greedy_tail(seed, nodes, extra, partial):
+    # 300 to 2,000 edges, so rank rounds run before the greedy tail.
+    rng = np.random.default_rng(seed)
+    g = _gapped_graph(rng, (nodes, nodes + 1), (extra, extra + 1))
+    order = [int(e) for e in rng.permutation(g.edge_ids())]
+    if partial:
+        order = order[: int(rng.integers(len(order) // 2, len(order)))]
+    assert len(order) > graph_module._GREEDY_TAIL
+    assert g.greedy_matching(order) == sequential_greedy(g, order)
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("triangular-lattice", {"rows": 30, "cols": 30}),
+    ("sbm", {"n": 256, "k": 4, "p_in": 0.25, "p_out": 2**-6}),
+    ("torus", {"rows": 48, "cols": 48, "weight_law": "exp-uniform:-1,1"}),
+])
+def test_independent_edge_set_on_the_benchmark_graphs(kind, params):
+    g = generate(kind, params, seed=7)
+    for seed in range(3):
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        order = [int(e) for e in b.permutation(g.edge_ids())]
+        assert g.independent_edge_set(a) == sequential_greedy(g, order)
 
 
 def test_greedy_matching_refuses_dead_ids_and_the_graph_still_grows():

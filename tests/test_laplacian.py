@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from graphreduce import NodeBudget, Priority, ReductionConfig, reduce_graph
 from graphreduce.generators import cycle, torus
 from graphreduce.graph import ContractionMap, WeightedGraph
 from graphreduce.laplacian import (
@@ -817,3 +818,45 @@ def test_long_mixed_chain_stays_symmetric_and_matches_rebuild():
     assert state.nodes == fresh.nodes
     np.testing.assert_allclose(state.weights, fresh.weights, rtol=1e-14)
     np.testing.assert_allclose(state.pinv, fresh.pinv, rtol=0, atol=1e-12)
+
+
+def test_an_exact_reduction_makes_no_numpy_linalg_call(monkeypatch):
+    # The update takes its k x k inverse from scipy's LAPACK; a numpy.linalg
+    # call in the loop would run on numpy's own BLAS pool.
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg called during an exact reduction")
+
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    monkeypatch.setattr(np.linalg, "inv", refuse)
+    result = reduce_graph(
+        _weighted_torus(8), NodeBudget(24), ReductionConfig(priority=Priority.NODES), seed=0
+    )
+    assert all(result.trace.totals().values())  # deleted, contracted and reweighted
+    assert result.trace.drift <= 1e-12
+
+
+@pytest.mark.parametrize("gap", [1e-5, 1e-7])
+def test_near_bridge_deletion_with_a_contraction_matches_rebuild(gap):
+    # Node 16 hangs off 0 by a unit edge and reaches 5 only through a path of
+    # resistance ~1/gap, so deleting (0, 16) has leverage ~1 - gap and pinv
+    # grows to ~1/gap. The batch also reweights (9, 10) and contracts (6, 7).
+    g = torus(4, 4)
+    for u in g.nodes():
+        g.add_node(u, 1.0 + 0.25 * (u % 3))
+    g.add_edge(0, 16, 1.0)
+    g.add_edge(16, 17, 1.0)
+    g.add_edge(17, 5, gap)
+    state = build_pseudoinverse(g)
+    assert 1.0 - edge_leverage(state, 0, 16, 1.0) == pytest.approx(gap, rel=0.01)
+    rows = edge_rows(state, [0, 9, 6], [16, 10, 7])
+    woodbury_reweight(state, rows, [-1.0, 0.5, np.inf])
+    g.delete_edge(g.edge_between(0, 16))
+    g.set_edge_weight(g.edge_between(9, 10), 1.5)
+    g.contract_edge(g.edge_between(6, 7))
+    _restrict_to(state, g)
+    fresh = build_pseudoinverse(g)
+    # Rounding grows like the capacitance's condition number, ~1/gap: both a
+    # k x k inverse and numpy's pivoted solve of C stay near 3e-9 at gap 1e-7.
+    scale = np.abs(fresh.pinv).max()
+    assert scale > 0.5 / gap
+    assert np.abs(state.pinv - fresh.pinv).max() <= 1e-7 * scale
