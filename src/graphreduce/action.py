@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -117,10 +116,6 @@ class EdgeQuantities:
     def r_contract(self) -> float | np.ndarray:
         return 1.0 + self.triangles if self.priority is Priority.EDGES else 1.0
 
-    @cached_property
-    def thresholds(self) -> "Thresholds":  # read by both the score and the solve
-        return regime_thresholds(self)
-
 
 @dataclass(frozen=True)
 class Thresholds:
@@ -187,7 +182,7 @@ def optimal_action(
     """
     if beta < 0:
         raise ValueError(f"beta must be >= 0, got {beta}")
-    th = eq.thresholds
+    th = regime_thresholds(eq)
     x = np.asarray(eq.leverage, dtype=float)
     # p overflows for a tiny beta far below onset; such edges do not act, so
     # their p is discarded.
@@ -239,7 +234,7 @@ def activation_beta(
     d = min_reduction
     if not d > 0:
         raise ValueError(f"min_reduction must be positive, got {d}")
-    th = eq.thresholds
+    th = regime_thresholds(eq)
     x = np.asarray(eq.leverage, dtype=float)
     rd, rc = np.asarray(eq.r_delete, dtype=float), eq.r_contract
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -8,7 +8,8 @@ vectors, and aggregates mean and standard deviation over repeats. Rows come
 out in long format (level, algorithm, metric, vector, mean, std) so they can
 be plotted without further reshaping; writing them is the caller's job.
 A spec is checked when it is built: a missing or unknown key, a value of the
-wrong type or an algorithm that cannot count the levels' target raises ValueError.
+wrong type, an algorithm that cannot run to the levels' target or an eigen_k
+that a node level cannot hold raises ValueError.
 """
 
 from __future__ import annotations
@@ -208,12 +209,21 @@ class ExperimentSpec:
             if self.levels.target not in _TARGETS[algo.kind]:
                 raise ValueError(
                     f"{algo.kind} {algo.name!r} cannot target {self.levels.target}")
+            if algo.kind == "reduce":  # its priority defaults to the target
+                try:
+                    parse_config(algo.options, self.levels.target)
+                except ValueError as exc:
+                    raise ValueError(f"reduce {algo.name!r} at {self.levels.target} "
+                                     f"levels: {exc}") from None
         if not self.vectors:  # cells would hold no distance, only sizes
             raise ValueError("an experiment needs at least one vector")
         _check_count("runs", self.runs, 1)
         _check_count("seed", self.seed, 0)
         if self.eigen_k is not None:
             _check_count("eigen_k", self.eigen_k, 1)
+            if self.levels.target == "nodes" and self.eigen_k >= self.levels.sizes[-1]:
+                raise ValueError(f"eigen_k {self.eigen_k} needs every node level "
+                                 f"above {self.eigen_k}, got {self.levels.sizes[-1]}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentSpec":

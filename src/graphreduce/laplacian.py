@@ -79,7 +79,8 @@ class SingularUpdateError(ValueError):
     the deletion denominator 1 - w * resistance vanishes. In a rank-k update
     the denominators are those of its k rank-one steps taken in order; the
     message names the node pair of the first that fails. A dense build
-    raises it when rounding leaves L + J numerically indefinite.
+    raises it when rounding leaves L + J numerically indefinite, a sketch
+    build when its grounded factor is exactly singular.
     """
 
 

@@ -5,17 +5,17 @@ edge's leverage and update norm, scores it by the beta at which its expected
 reduction reaches the per-edge target, keeps the cheapest fraction, and
 applies an unbiased delete / contract / reweight draw to each kept edge. The
 accumulated expected error is tracked against the budget. A round's edges
-travel as one column: they are scored, selected, solved, drawn and applied as
-arrays, and so is the matching: the graph's greedy matching over one random
-order runs as numpy rank rounds over its edge arrays. Python loops remain in
-two places, both local: the triangle counts, over the matched edges and only
-where a score reads them (EDGES priority with contraction); and the
-connectivity check, a search from each drawn deletion that stops where its
-endpoints meet. The draw is one weight change ratio delta_w / w per edge: -1
-deletes, +inf contracts, and the two actions are the limits of one reweight.
-One generator made from the seed feeds, in loop order, every round's
-matching, any sketch build and the action draws, which go to the kept edges
-in matched order.
+travel as arrays: the score reads the matched column; the closed form, the
+draws and the update read only the kept rows. The matching is array work too:
+the graph's greedy matching over one random order runs as numpy rank rounds
+over its edge arrays. Python loops remain in two places, both local: the
+triangle counts, over the matched edges and only where a score reads them
+(EDGES priority with contraction); and the connectivity check, a search from
+each drawn deletion that stops where its endpoints meet. The draw is one
+weight change ratio delta_w / w per edge: -1 deletes, +inf contracts, and the
+two actions are the limits of one reweight. One generator made from the seed
+feeds, in loop order, every round's matching, any sketch build and the action
+draws, which go to the kept edges in matched order.
 
 One loop serves both modes; a backend chosen once from `config.mode` measures
 the edges and follows the graph. Right after selection it reads the kept
@@ -415,8 +415,11 @@ def reduce_graph(
     and error reached, so a budget may be unmet.
 
     The input graph is not modified. Raises DisconnectedGraphError for
-    disconnected input and RedrawLimitError when an iteration cannot find a
-    connectivity-preserving draw.
+    disconnected input; RedrawLimitError when an iteration cannot find a
+    connectivity-preserving draw; SingularUpdateError when an update's pivot
+    falls below its floor, or when rounding leaves a dense build or a
+    sketch's grounded factor singular, as extreme weight ratios can; and
+    ConvergenceError when a sketch build cannot solve to its tolerance.
     """
     config = config or ReductionConfig()
     _check_count("seed", seed, 0)
@@ -467,13 +470,11 @@ def reduce_graph(
         if kept and (reason := stop_reason(beta)) is not None:
             break
 
-        # The closed form is elementwise: solve the column, read the kept rows.
-        dist = optimal_action(eq, beta, config.allow_contraction)
-        kept_error = expected_error(eq, dist)[kept]
-        p_delete, p_contract, reweight = (
-            col[kept] for col in (dist.p_delete, dist.p_contract, dist.reweight_ratio)
+        # Only the kept rows draw an action, so only they are solved.
+        eq = EdgeQuantities(
+            eq.leverage[kept], eq.update_norm[kept], eq.triangles[kept], eq.priority
         )
-        del eq, dist  # column-sized: not held through the next build
+        dist = optimal_action(eq, beta, config.allow_contraction)
         eids = [matched[i] for i in kept]
         # The kept edges' rows, read once; the update applies from them.
         u, v, w = g.edge_columns(eids)
@@ -486,8 +487,10 @@ def reduce_graph(
         for attempt in range(MAX_REDRAWS):
             draws = rng.random(len(eids))
             ratios = np.where(
-                draws < p_delete, -1.0,
-                np.where(draws < p_delete + p_contract, np.inf, reweight),
+                draws < dist.p_delete, -1.0,
+                np.where(
+                    draws < dist.p_delete + dist.p_contract, np.inf, dist.reweight_ratio
+                ),
             )
             cut = np.flatnonzero(ratios == -1.0)
             if not cut.size or g.connected_without([eids[i] for i in cut]):
@@ -503,7 +506,7 @@ def reduce_graph(
         del rows, u, v, w  # not held through the next compaction or build
         # Python's sum adds edge by edge in kept order; np.sum's pairwise
         # order would round the total differently.
-        estimated_error += sum(kept_error.tolist())
+        estimated_error += sum(expected_error(eq, dist).tolist())
         if n_del + n_con + n_rew:
             idle.clear()
         else:

@@ -59,7 +59,9 @@ import scipy.sparse.linalg as spla
 from scipy.sparse import csgraph
 
 from .graph import WeightedGraph, _check_count
-from .laplacian import DisconnectedGraphError, _node_slots, weighted_incidence
+from .laplacian import (
+    DisconnectedGraphError, SingularUpdateError, _node_slots, weighted_incidence
+)
 from .laplacian import symmetrized_laplacian  # re-exported: callers bind it here
 
 # Relative residual every probe solve is run to.
@@ -141,13 +143,17 @@ def grounded_factor(lhat: sp.csr_matrix) -> spla.SuperLU:
 
     On a connected graph that submatrix is SPD. The minimum-degree ordering
     of A^T + A keeps the fill of a 2-D grid below COLAMD's: 9.2 against 16
-    times nnz on a 48 x 48 torus.
+    times nnz on a 48 x 48 torus. Raises SingularUpdateError when rounding
+    leaves a zero pivot, as extreme weight ratios can.
     """
-    return spla.splu(
-        lhat[:-1, :-1].tocsc(),
-        permc_spec="MMD_AT_PLUS_A",
-        options=dict(SymmetricMode=True),
-    )
+    try:
+        return spla.splu(
+            lhat[:-1, :-1].tocsc(),
+            permc_spec="MMD_AT_PLUS_A",
+            options=dict(SymmetricMode=True),
+        )
+    except RuntimeError as exc:  # SuperLU's "Factor is exactly singular"
+        raise SingularUpdateError(f"grounded factor of Lhat: {exc}") from exc
 
 
 @dataclass(frozen=True)

@@ -167,6 +167,36 @@ class TestSpecValidation:
         spec = ExperimentSpec.from_dict({**base, "runs": 2, "seed": 0})
         assert (spec.runs, spec.seed, spec.eigen_k) == (2, 0, None)
 
+    def test_reduce_options_are_checked_at_the_level_target(self):
+        # Under node levels a reduce priority defaults to nodes, which needs
+        # contraction; the sweep would otherwise refuse it only when it runs.
+        d = {
+            "graph": {"kind": "er", "params": {"n": 24, "p": 0.25}},
+            "levels": {"target": "nodes", "sizes": [15, 5]},
+            "algorithms": [{"name": "ours", "kind": "reduce",
+                            "options": {"no_contraction": True}}],
+        }
+        with pytest.raises(ValueError, match="^reduce 'ours' at nodes levels: NODES "
+                                             "priority needs allow_contraction=True$"):
+            ExperimentSpec.from_dict(d)
+        d["algorithms"][0]["options"]["priority"] = "edges"
+        ExperimentSpec.from_dict(d)
+
+    def test_eigen_k_fits_the_smallest_node_level(self):
+        # A 5-node output has 4 nontrivial eigenvalues to compare.
+        d = {
+            "graph": {"kind": "er", "params": {"n": 24, "p": 0.25}},
+            "levels": {"target": "nodes", "sizes": [15, 5]},
+            "algorithms": [{"name": "match", "kind": "coarsen"}],
+            "runs": 1,
+        }
+        for k in (5, 6):
+            with pytest.raises(ValueError, match=f"^eigen_k {k} needs every node level "
+                                                 f"above {k}, got 5$"):
+                ExperimentSpec.from_dict({**d, "eigen_k": k})
+        rows = run_experiment(ExperimentSpec.from_dict({**d, "eigen_k": 4}))
+        assert {r.level for r in rows if r.metric == "eigen_relative_error"} == {15, 5}
+
     def test_no_vectors_refused(self):
         # Its cells would hold edge and node counts but no distance.
         base = {

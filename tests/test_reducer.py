@@ -19,6 +19,7 @@ from graphreduce.laplacian import (
     IDENTITY_TOL,
     DisconnectedGraphError,
     PseudoinverseState,
+    SingularUpdateError,
     build_pseudoinverse,
     edge_leverage,
     identity_residual,
@@ -595,6 +596,31 @@ def test_a_rounds_rows_are_released_before_the_state_is_compacted(monkeypatch):
     reduce_graph(g, NodeBudget(50), ReductionConfig(priority=Priority.NODES), seed=0)
     assert len(seen) >= 3 and 0 < seen[0] < seen[-1] == len(rows_z)
 
+
+@pytest.mark.parametrize("mode", [ExactMode(), SketchMode(n_probes=16)], ids=["exact", "sketch"])
+def test_a_round_solves_only_its_kept_edges(monkeypatch, mode):
+    # Only the kept edges draw an action, so each round hands exactly them,
+    # and once, to the closed form and to the error sum.
+    solved, summed = [], []
+    solve, error = reducer.optimal_action, reducer.expected_error
+
+    def solving(eq, beta, allow_contraction=True):
+        solved.append(np.size(eq.leverage))
+        return solve(eq, beta, allow_contraction)
+
+    def summing(eq, dist):
+        summed.append(np.size(eq.leverage))
+        return error(eq, dist)
+
+    monkeypatch.setattr(reducer, "optimal_action", solving)
+    monkeypatch.setattr(reducer, "expected_error", summing)
+    g = torus(8, 8, weight_law="exp-uniform:-1,1", rng=np.random.default_rng(3))
+    result = reduce_graph(g, EdgeBudget(64), ReductionConfig(mode=mode), seed=1)
+    records = result.trace.records
+    assert solved == summed == [r.selected for r in records]
+    assert all(0 < r.selected < r.matched for r in records)
+
+
 def test_trace_monotonicity_and_roundtrip(tmp_path):
     rng = np.random.default_rng(10)
     g = random_connected_graph(rng, 20, extra_edges=30)
@@ -801,6 +827,15 @@ def test_sketch_mode_reduces_uniform_star():
     for seed in range(4):
         result = reduce_graph(g, EdgeBudget(0), config, seed=seed)
         assert result.graph.n_nodes == 1
+
+
+@pytest.mark.parametrize("mode", [ExactMode(), SketchMode(n_probes=8)], ids=["exact", "sketch"])
+def test_extreme_weight_ratios_raise_singular_update_error(mode):
+    # Rounding makes both the dense build's L + J and the sketch's grounded
+    # factor singular at a 1e40 weight ratio; both modes say so alike.
+    g = WeightedGraph.from_edges([(0, 1, 1e-20), (1, 2, 1e20), (2, 3, 1.0), (3, 0, 1.0)])
+    with pytest.raises(SingularUpdateError):
+        reduce_graph(g, EdgeBudget(2), ReductionConfig(mode=mode), seed=0)
 
 
 def test_exact_mode_default():
