@@ -59,20 +59,22 @@ def _cmd_reduce(args) -> int:
     config = parse_config(vars(args))
     stops = [parse_stop(spec) for spec in args.stop]
     result = reduce_graph(g, stops, config, seed=args.seed)
+    # The dense build runs on this read; if it fails, no file is written.
+    pinv = result.state.pinv if args.pinv_out else None
 
     prefix = args.out
     write_edgelist(result.graph, prefix + ".edges", prefix + ".nodeweights")
     write_contraction_map(result.cmap, prefix + ".cmap.json")
     result.trace.write_jsonl(prefix + ".trace.jsonl")
     if args.pinv_out:
-        save_matrix_csv(args.pinv_out, result.state.pinv)
+        save_matrix_csv(args.pinv_out, pinv)
     totals = result.trace.totals()
     print(
         f"reduce: {g.n_nodes}x{g.n_edges} -> "
         f"{result.graph.n_nodes}x{result.graph.n_edges} "
         f"(deleted {totals['deleted']}, contracted {totals['contracted']}, "
         f"reweighted {totals['reweighted']}; stop {result.trace.stopped_by}; "
-        f"error {result.state.estimated_error:.6g}) -> {prefix}.*"
+        f"error {result.estimated_error:.6g}) -> {prefix}.*"
     )
     return 0
 

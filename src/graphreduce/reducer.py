@@ -27,9 +27,11 @@ the dense pseudoinverse; once the graph has at most 3/4 of the state's nodes,
 the next measurement restricts the state to them, after the loop has let go of
 the round's rows. The sketch backend's read carries nothing: it estimates from
 a `SketchEstimator` it rebuilds after every round that acted, handing each
-build the last one's deflation basis. The backend only drives the draws: both
-modes end with one dense build from the reduced graph, and exact mode first
-restricts its state to it and records its drift.
+build the last one's deflation basis. The backend only drives the draws: the
+result's pseudoinverse is the reduced graph's own, built from it on first
+read of `ReductionResult.state`, so a sketch reduction allocates no n x n
+array unless asked. Exact mode ends by restricting its state to the reduced
+graph and recording its drift.
 
 The loop ends on what it has seen, a stopping time that adds no bias of its
 own: once a stop criterion is `done` given the graph, the error estimate, the
@@ -39,6 +41,7 @@ Every stop returns the reduction reached and names its reason.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -57,9 +60,12 @@ from .action import (
 from .graph import ContractionMap, WeightedGraph, _check_count
 from .laplacian import (
     EdgeRows,
+    PseudoinverseAssembly,
     PseudoinverseState,
+    assemble_pseudoinverse,
     build_pseudoinverse,
     contraction_update,  # unused here; perfbench/tracer.py patches it by this name
+    dense_pseudoinverse,
     edge_leverage,
     edge_rows,
     probe_residual,
@@ -89,10 +95,10 @@ class ExactMode:
 class SketchMode:
     """Estimate per-edge quantities with random projections and linear solves.
 
-    The dense pseudoinverse is only built once at the end. `n_probes` = k,
-    an integer >= 1, is the sketch's one setting and has no default: the
-    per-quantity budget of each `SketchEstimator` build, which picks its own
-    solver and deflation basis.
+    No dense pseudoinverse is built unless the result's `state` is read.
+    `n_probes` = k, an integer >= 1, is the sketch's one setting and has no
+    default: the per-quantity budget of each `SketchEstimator` build, which
+    picks its own solver and deflation basis.
     """
 
     n_probes: int
@@ -240,8 +246,8 @@ class ReductionTrace:
     """Per-round records, why the loop stopped, and the exact state's drift.
 
     `drift` is `probe_residual` of the incrementally updated pseudoinverse
-    against the reduced graph, taken once before the final dense build; it
-    is None in sketch mode, which keeps no dense state.
+    against the reduced graph, taken once as the loop ends; it is None in
+    sketch mode, which keeps no dense state.
     """
 
     records: list[IterationRecord] = field(default_factory=list)
@@ -265,10 +271,26 @@ class ReductionTrace:
 
 @dataclass
 class ReductionResult:
+    """The reduced graph, its contraction map, the trace and the error estimate.
+
+    `state`, the reduced graph's dense pseudoinverse with `estimated_error`
+    set, is built on its first read and kept: an O(n^3) build and an n x n
+    array that a caller who wants only the graph never pays for. It is built
+    from `assembly`, which `reduce_graph` read from `graph` before returning,
+    so it describes the graph as returned, whatever edits `graph` sees later.
+    """
+
     graph: WeightedGraph
     cmap: ContractionMap
-    state: PseudoinverseState
     trace: ReductionTrace
+    estimated_error: float
+    assembly: PseudoinverseAssembly = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def state(self) -> PseudoinverseState:
+        state = dense_pseudoinverse(self.assembly)
+        state.estimated_error = self.estimated_error
+        return state
 
 
 def select_beta(
@@ -419,7 +441,9 @@ def reduce_graph(
     connectivity-preserving draw; SingularUpdateError when an update's pivot
     falls below its floor, or when rounding leaves a dense build or a
     sketch's grounded factor singular, as extreme weight ratios can; and
-    ConvergenceError when a sketch build cannot solve to its tolerance.
+    ConvergenceError when a sketch build cannot solve to its tolerance. The
+    output's dense build waits for the first read of `result.state`, so a
+    singular one raises SingularUpdateError there.
     """
     config = config or ReductionConfig()
     _check_count("seed", seed, 0)
@@ -522,7 +546,4 @@ def reduce_graph(
 
     if isinstance(backend, _ExactBackend):
         trace.drift = probe_residual(backend.compact(g), g)
-    del backend  # frees the incremental pinv before the build allocates its own
-    state = build_pseudoinverse(g)
-    state.estimated_error = estimated_error
-    return ReductionResult(g, cmap, state, trace)
+    return ReductionResult(g, cmap, trace, estimated_error, assemble_pseudoinverse(g))

@@ -1,6 +1,23 @@
 import numpy as np
 
+import graphreduce.laplacian as laplacian
+import graphreduce.reducer as reducer
 from graphreduce.graph import WeightedGraph
+
+
+def count_dense_builds(monkeypatch) -> list[int]:
+    """Patch every caller's `dense_pseudoinverse`, the O(n^3) step of each
+    dense build; returns the list to which each build appends its n."""
+    built = []
+    real = laplacian.dense_pseudoinverse
+
+    def counting(assembly):
+        built.append(len(assembly.nodes))
+        return real(assembly)
+
+    for module in (laplacian, reducer):
+        monkeypatch.setattr(module, "dense_pseudoinverse", counting)
+    return built
 
 
 def random_connected_graph(

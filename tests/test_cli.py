@@ -4,8 +4,11 @@ import re
 
 import pytest
 
+import graphreduce.reducer as reducer
 from graphreduce.cli import main
 from graphreduce.graph import read_contraction_map, read_edgelist
+from graphreduce.laplacian import SingularUpdateError
+from tests.conftest import count_dense_builds
 
 
 def run(*argv):
@@ -126,6 +129,35 @@ class TestReduce:
         with open(tmp_path / "p.csv", newline="") as fh:
             matrix = list(csv.reader(fh))
         assert len(matrix) == len(matrix[0])
+
+    def test_sketch_reduction_builds_the_pinv_only_for_pinv_out(
+        self, monkeypatch, tmp_path, er_graph
+    ):
+        built = count_dense_builds(monkeypatch)
+        args = ["reduce", "--input", str(er_graph), "--stop", "edges=40",
+                "--mode", "sketch:8", "--seed", "1"]
+        assert run(*args, "--out", str(tmp_path / "a")) == 0
+        assert built == []
+        pinv = tmp_path / "p.csv"
+        assert run(*args, "--out", str(tmp_path / "b"), "--pinv-out", str(pinv)) == 0
+        n = read_edgelist(str(tmp_path / "b.edges")).n_nodes
+        assert built == [n]
+        with open(pinv, newline="") as fh:
+            matrix = list(csv.reader(fh))
+        assert len(matrix) == n and {len(row) for row in matrix} == {n}
+
+    def test_a_failed_pinv_build_writes_no_file(self, monkeypatch, tmp_path, er_graph, capsys):
+        def singular(assembly):
+            raise SingularUpdateError("L + J is not positive definite (LAPACK info 3)")
+
+        monkeypatch.setattr(reducer, "dense_pseudoinverse", singular)
+        code = run(
+            "reduce", "--input", str(er_graph), "--stop", "edges=40",
+            "--out", str(tmp_path / "r"), "--pinv-out", str(tmp_path / "p.csv"),
+        )
+        assert code == 1
+        assert "not positive definite" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == [er_graph.name]
 
     def test_missing_input_exits_nonzero(self, tmp_path):
         code = run(

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -42,7 +43,7 @@ from graphreduce.reducer import (
     reduce_graph,
     select_beta,
 )
-from tests.conftest import random_connected_graph
+from tests.conftest import count_dense_builds, random_connected_graph
 
 
 def unit_triangle() -> WeightedGraph:
@@ -396,28 +397,66 @@ def test_maintained_state_matches_rebuild():
 
 
 @pytest.mark.parametrize(
-    "mode, builds", [(ExactMode(), 2), (SketchMode(8), 1)], ids=["exact", "sketch"]
+    "mode, builds", [(ExactMode(), 1), (SketchMode(8), 0)], ids=["exact", "sketch"]
 )
 def test_one_dense_build_at_each_end(monkeypatch, mode, builds):
-    # Exact mode builds for the input graph and, never in between, for the
-    # output graph; sketch mode only for the output graph. The returned state
-    # is that last build, bit for bit.
+    # Inside the call, exact mode builds for the input graph and never again;
+    # sketch mode never builds. The output's build runs at the first read of
+    # `state`, bit for bit the graph's own, and later reads reuse it.
     g = triangular_lattice(16, 16)
-    built = []
-
-    def counting_build(graph):
-        built.append((graph.n_nodes, graph.n_edges))
-        return build_pseudoinverse(graph)
-
-    monkeypatch.setattr(reducer, "build_pseudoinverse", counting_build)
+    built = count_dense_builds(monkeypatch)
     config = ReductionConfig(keep_fraction=0.25, priority=Priority.NODES, mode=mode)
     result = reduce_graph(g, NodeBudget(40), config, seed=3)
-    out = (result.graph.n_nodes, result.graph.n_edges)
-    assert built == [(g.n_nodes, g.n_edges), out][-builds:]
+    assert built == [g.n_nodes][:builds]
+    state = result.state
+    assert built[builds:] == [result.graph.n_nodes]
+    assert result.state is state
+    assert len(built) == builds + 1
     assert len(result.trace.records) > 10
-    assert np.array_equal(result.state.pinv, build_pseudoinverse(result.graph).pinv)
-    assert identity_residual(result.state, result.graph) <= IDENTITY_TOL
+    assert np.array_equal(state.pinv, build_pseudoinverse(result.graph).pinv)
+    assert identity_residual(state, result.graph) <= IDENTITY_TOL
     assert (result.trace.drift is None) == isinstance(mode, SketchMode)
+
+
+@pytest.mark.parametrize("mode", [ExactMode(), SketchMode(8)], ids=["exact", "sketch"])
+def test_state_describes_the_graph_as_returned(mode):
+    g = torus(6, 6, weight_law="exp-uniform:-1,1", rng=np.random.default_rng(4))
+    result = reduce_graph(g, EdgeBudget(50), ReductionConfig(mode=mode), seed=2)
+    unedited = result.graph.copy()
+    eid = result.graph.edge_ids()[0]
+    result.graph.set_edge_weight(eid, 7.0 * result.graph.edge(eid)[2])
+    result.graph.contract_edge(result.graph.edge_ids()[1])
+    fresh = build_pseudoinverse(unedited)
+    assert result.state.nodes == fresh.nodes
+    assert np.array_equal(result.state.weights, fresh.weights)
+    assert np.array_equal(result.state.pinv, fresh.pinv)
+
+
+@pytest.mark.parametrize("mode", [ExactMode(), SketchMode(8)], ids=["exact", "sketch"])
+def test_estimated_error_is_the_trace_total(mode):
+    g = triangular_lattice(8, 8)
+    result = reduce_graph(g, EdgeBudget(80), ReductionConfig(mode=mode), seed=1)
+    assert result.estimated_error > 0
+    assert (
+        result.estimated_error
+        == result.state.estimated_error
+        == result.trace.records[-1].error_after
+    )
+
+
+def test_a_sketch_reduction_that_never_reads_state_allocates_no_dense_matrix():
+    # The last round's estimator and the O(m) assembly stay well below one
+    # n_out x n_out float64 array, the smallest a dense build allocates.
+    g = torus(64, 64, weight_law="exp-uniform:-1,1", rng=np.random.default_rng(0))
+    stop = EdgeBudget(math.ceil(g.n_edges / 2))
+    tracemalloc.start()
+    try:
+        result = reduce_graph(g, stop, ReductionConfig(mode=SketchMode(33)), seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < result.graph.n_nodes**2 * 8
+    assert "state" not in vars(result)
 
 
 def test_drift_stays_at_rounding_level_on_a_wide_weight_torus():
