@@ -205,6 +205,22 @@ def _vector_count(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    # numpy's own refusal of a negative seed does not name the option.
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
+def _sigma(text: str) -> float:
+    # Refused before any output is written; sigma = inf would pass any graph.
+    value = float(text)
+    if not 1.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and exceed 1, got {text}")
+    return value
+
+
 def _vector_labels(text: str) -> list[str]:
     # An empty list would compare nothing and report a distance of 0.
     labels = [v for v in text.split(",") if v]
@@ -230,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", required=True,
                    help="path|cycle|torus|triangular-lattice|er|sbm")
     p.add_argument("--params", default="", help="JSON parameter object")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True, help="edge list output path")
     p.add_argument("--node-weights-out", default=None)
     p.set_defaults(func=_cmd_gen)
@@ -244,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--priority", choices=["edges", "nodes"], default="edges")
     p.add_argument("--stop", action="append", required=True,
                    help="edges=N|nodes=N|error=X|beta=X|iters=N (repeatable)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--mode", default="exact", help="exact|sketch:K")
     p.add_argument("--no-contraction", action="store_true",
                    help="restrict to deletion/reweight (sparsify-only mode)")
@@ -260,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     size.add_argument("--target-edges", type=int, default=None,
                       help="pick the sample count whose expected distinct edge "
                            "count reaches this")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True, help="output path prefix")
     p.set_defaults(func=_cmd_sparsify)
 
@@ -271,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     size.add_argument("--levels", type=int, default=None,
                       help="matching levels to contract (1 when neither is given)")
     size.add_argument("--target-nodes", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True, help="output path prefix")
     p.set_defaults(func=_cmd_coarsen)
 
@@ -284,10 +300,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="contraction map JSON (identity when omitted)")
     p.add_argument("--vectors", type=_vector_labels, default="fiedler,median")
     p.add_argument("--eigen-k", type=int, default=None)
-    p.add_argument("--sigma", type=float, default=None,
+    p.add_argument("--sigma", type=_sigma, default=None,
                    help="also check the sigma-approximation guarantee")
     p.add_argument("--sigma-vectors", type=_vector_count, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default=None, help="metric CSV output")
     p.add_argument("--json", default=None, help="metric JSON output")
     p.set_defaults(func=_cmd_metrics)

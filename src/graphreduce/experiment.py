@@ -65,11 +65,15 @@ def parse_stop(spec: str) -> StopCriterion:
     key, _, value = spec.partition("=") if isinstance(spec, str) else ("", "", "")
     if not value:
         raise ValueError(f"stop wants key=value, got {spec!r}")
-    if key in _COUNT_STOPS:
-        return _COUNT_STOPS[key](int(value))
-    if key in _CAP_STOPS:
-        return _CAP_STOPS[key](float(value))
-    raise ValueError(f"unknown stop criterion {key!r}")
+    kinds = {**_COUNT_STOPS, **_CAP_STOPS}
+    if key not in kinds:
+        raise ValueError(f"unknown stop criterion {key!r}")
+    convert, wanted = (int, "an integer") if key in _COUNT_STOPS else (float, "a number")
+    try:
+        number = convert(value)
+    except ValueError:
+        raise ValueError(f"stop {spec!r}: {key} wants {wanted}") from None
+    return kinds[key](number)
 
 
 def parse_mode(spec: str) -> ExactMode | SketchMode:

@@ -51,9 +51,6 @@ __all__ = [
     "laplacian_matrix",
     "weighted_projector",
     "build_pseudoinverse",
-    "PseudoinverseAssembly",
-    "assemble_pseudoinverse",
-    "dense_pseudoinverse",
     "edge_leverage",
     "update_norm",
     "EdgeRows",
@@ -158,31 +155,8 @@ def build_pseudoinverse(g: WeightedGraph) -> PseudoinverseState:
     Factors A = Lhat + what what^T by Cholesky and inverts it in place (see
     the module docstring); raises DisconnectedGraphError when Lhat's sparsity
     pattern has more than one component, and SingularUpdateError if rounding
-    leaves A numerically indefinite, as extreme edge weight ratios can. It is
-    `dense_pseudoinverse` of `assemble_pseudoinverse`.
+    leaves A numerically indefinite, as extreme edge weight ratios can.
     """
-    return dense_pseudoinverse(assemble_pseudoinverse(g))
-
-
-@dataclass(frozen=True)
-class PseudoinverseAssembly:
-    """A connected graph's O(m) inputs to its dense pseudoinverse.
-
-    `lhat` is Lhat in COO form, `w_sqrt` the node weight square roots, and
-    `nodes` and `weights` the ids and weights in ascending id order. It holds
-    no reference to the graph, so later edits of the graph leave it as read.
-    """
-
-    nodes: tuple[int, ...]
-    weights: np.ndarray
-    w_sqrt: np.ndarray
-    lhat: sp.coo_matrix
-
-
-def assemble_pseudoinverse(g: WeightedGraph) -> PseudoinverseAssembly:
-    """Read `g` once for `dense_pseudoinverse`, in O(m); raises
-    DisconnectedGraphError when Lhat's sparsity pattern has more than one
-    component."""
     if g.n_nodes == 0:
         raise ValueError("empty graph")
     lhat, w_sqrt = symmetrized_laplacian(g)
@@ -190,16 +164,9 @@ def assemble_pseudoinverse(g: WeightedGraph) -> PseudoinverseAssembly:
         raise DisconnectedGraphError("pseudoinverse requires a connected graph")
     order = g.nodes()
     wn = np.array([g.node_weight(u) for u in order])
-    return PseudoinverseAssembly(tuple(order), wn, w_sqrt, lhat.tocoo())
-
-
-def dense_pseudoinverse(a: PseudoinverseAssembly) -> PseudoinverseState:
-    """The O(n^3) step of `build_pseudoinverse`: one n x n array, factored
-    and inverted in place; raises SingularUpdateError if rounding leaves it
-    numerically indefinite. `a` is only read."""
-    wn, w_sqrt, lhat = a.weights, a.w_sqrt, a.lhat
     what = w_sqrt / np.sqrt(wn.sum())
     A = np.outer(what, what)
+    lhat = lhat.tocoo()
     A[lhat.row, lhat.col] += lhat.data
     # A.T is A's F-ordered view, so LAPACK factors and inverts in place; the
     # upper triangle it reads and writes is A's lower one.
@@ -210,7 +177,7 @@ def dense_pseudoinverse(a: PseudoinverseAssembly) -> PseudoinverseState:
         raise SingularUpdateError(f"L + J is not positive definite (LAPACK info {info})")
     A = c.T
     _lower_inverse_to_pinv(A, w_sqrt, wn / wn.sum())
-    return PseudoinverseState(nodes=a.nodes, weights=wn, pinv=A)
+    return PseudoinverseState(nodes=tuple(order), weights=wn, pinv=A)
 
 
 def _lower_inverse_to_pinv(A: np.ndarray, d: np.ndarray, j_row: np.ndarray) -> None:

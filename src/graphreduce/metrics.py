@@ -107,8 +107,8 @@ def check_sigma_approx(
     distance premise are not checked. `slack` absorbs roundoff at the
     boundary.
     """
-    if sigma <= 1.0:
-        raise ValueError(f"sigma must exceed 1, got {sigma}")
+    if not 1.0 < sigma < math.inf:
+        raise ValueError(f"sigma must be finite and exceed 1, got {sigma}")
     xs = np.asarray(vectors, dtype=float)
     if node_weights is not None:
         xs = kernel_project(xs, node_weights)

@@ -28,10 +28,10 @@ the next measurement restricts the state to them, after the loop has let go of
 the round's rows. The sketch backend's read carries nothing: it estimates from
 a `SketchEstimator` it rebuilds after every round that acted, handing each
 build the last one's deflation basis. The backend only drives the draws: the
-result's pseudoinverse is the reduced graph's own, built from it on first
-read of `ReductionResult.state`, so a sketch reduction allocates no n x n
-array unless asked. Exact mode ends by restricting its state to the reduced
-graph and recording its drift.
+result's pseudoinverse is `build_pseudoinverse` of the reduced graph, run on
+the first read of `ReductionResult.state`, so a sketch reduction allocates no
+n x n array unless asked. Exact mode ends by restricting its state to the
+reduced graph and recording its drift.
 
 The loop ends on what it has seen, a stopping time that adds no bias of its
 own: once a stop criterion is `done` given the graph, the error estimate, the
@@ -59,13 +59,11 @@ from .action import (
 )
 from .graph import ContractionMap, WeightedGraph, _check_count
 from .laplacian import (
+    DisconnectedGraphError,
     EdgeRows,
-    PseudoinverseAssembly,
     PseudoinverseState,
-    assemble_pseudoinverse,
     build_pseudoinverse,
     contraction_update,  # unused here; perfbench/tracer.py patches it by this name
-    dense_pseudoinverse,
     edge_leverage,
     edge_rows,
     probe_residual,
@@ -273,22 +271,20 @@ class ReductionTrace:
 class ReductionResult:
     """The reduced graph, its contraction map, the trace and the error estimate.
 
-    `state`, the reduced graph's dense pseudoinverse with `estimated_error`
-    set, is built on its first read and kept: an O(n^3) build and an n x n
-    array that a caller who wants only the graph never pays for. It is built
-    from `assembly`, which `reduce_graph` read from `graph` before returning,
-    so it describes the graph as returned, whatever edits `graph` sees later.
+    `state` is `build_pseudoinverse(graph)` with `estimated_error` set, built
+    on its first read and kept: an O(n^3) build and an n x n array that a
+    caller who wants only the graph never pays for. It describes `graph` as
+    it is at that read; later edits of `graph` leave it as built.
     """
 
     graph: WeightedGraph
     cmap: ContractionMap
     trace: ReductionTrace
     estimated_error: float
-    assembly: PseudoinverseAssembly = field(repr=False, compare=False)
 
     @functools.cached_property
     def state(self) -> PseudoinverseState:
-        state = dense_pseudoinverse(self.assembly)
+        state = build_pseudoinverse(self.graph)
         state.estimated_error = self.estimated_error
         return state
 
@@ -357,10 +353,16 @@ class _SketchBackend:
 
     Between builds it holds only the last build's node ids and basis, and
     hands them to the next build as its `carry` (see `SketchEstimator`). Its
-    kept edges' rows carry nothing: an action only drops the estimator.
+    kept edges' rows carry nothing: an action only drops the estimator. It
+    refuses an empty or disconnected input up front, as the exact backend's
+    input build does, so a stop met before the first build still raises.
     """
 
-    def __init__(self, mode: SketchMode, rng: np.random.Generator):
+    def __init__(self, g: WeightedGraph, mode: SketchMode, rng: np.random.Generator):
+        if g.n_nodes == 0:
+            raise ValueError("empty graph")
+        if not g.is_connected():
+            raise DisconnectedGraphError("sketch estimates require a connected graph")
         self.mode = mode
         self.rng = rng
         self.estimator: SketchEstimator | None = None
@@ -443,7 +445,8 @@ def reduce_graph(
     sketch's grounded factor singular, as extreme weight ratios can; and
     ConvergenceError when a sketch build cannot solve to its tolerance. The
     output's dense build waits for the first read of `result.state`, so a
-    singular one raises SingularUpdateError there.
+    singular one raises SingularUpdateError there, and a `result.graph`
+    made disconnected before that read raises DisconnectedGraphError there.
     """
     config = config or ReductionConfig()
     _check_count("seed", seed, 0)
@@ -458,7 +461,7 @@ def reduce_graph(
     cmap = ContractionMap.identity(g.nodes())
     rng = np.random.default_rng(seed)
     if isinstance(config.mode, SketchMode):
-        backend = _SketchBackend(config.mode, rng)
+        backend = _SketchBackend(g, config.mode, rng)
     else:
         backend = _ExactBackend(g)
 
@@ -546,4 +549,4 @@ def reduce_graph(
 
     if isinstance(backend, _ExactBackend):
         trace.drift = probe_residual(backend.compact(g), g)
-    return ReductionResult(g, cmap, trace, estimated_error, assemble_pseudoinverse(g))
+    return ReductionResult(g, cmap, trace, estimated_error)

@@ -1,22 +1,21 @@
 import numpy as np
 
-import graphreduce.laplacian as laplacian
 import graphreduce.reducer as reducer
 from graphreduce.graph import WeightedGraph
 
 
 def count_dense_builds(monkeypatch) -> list[int]:
-    """Patch every caller's `dense_pseudoinverse`, the O(n^3) step of each
-    dense build; returns the list to which each build appends its n."""
+    """Patch `reducer.build_pseudoinverse`, the reduction's one dense build,
+    for the input (exact mode) and for `ReductionResult.state`; returns the
+    list to which each build appends its n."""
     built = []
-    real = laplacian.dense_pseudoinverse
+    real = reducer.build_pseudoinverse
 
-    def counting(assembly):
-        built.append(len(assembly.nodes))
-        return real(assembly)
+    def counting(g):
+        built.append(g.n_nodes)
+        return real(g)
 
-    for module in (laplacian, reducer):
-        monkeypatch.setattr(module, "dense_pseudoinverse", counting)
+    monkeypatch.setattr(reducer, "build_pseudoinverse", counting)
     return built
 
 

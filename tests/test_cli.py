@@ -147,12 +147,14 @@ class TestReduce:
         assert len(matrix) == n and {len(row) for row in matrix} == {n}
 
     def test_a_failed_pinv_build_writes_no_file(self, monkeypatch, tmp_path, er_graph, capsys):
-        def singular(assembly):
+        # A sketch reduction builds nothing itself: the failing build is the
+        # first read of `state`.
+        def singular(g):
             raise SingularUpdateError("L + J is not positive definite (LAPACK info 3)")
 
-        monkeypatch.setattr(reducer, "dense_pseudoinverse", singular)
+        monkeypatch.setattr(reducer, "build_pseudoinverse", singular)
         code = run(
-            "reduce", "--input", str(er_graph), "--stop", "edges=40",
+            "reduce", "--input", str(er_graph), "--stop", "edges=40", "--mode", "sketch:8",
             "--out", str(tmp_path / "r"), "--pinv-out", str(tmp_path / "p.csv"),
         )
         assert code == 1
@@ -172,6 +174,14 @@ class TestReduce:
             "--out", str(tmp_path / "r"),
         )
         assert code == 1
+
+    def test_a_malformed_stop_value_names_the_stop(self, tmp_path, er_graph, capsys):
+        code = run(
+            "reduce", "--input", str(er_graph), "--stop", "edges=20.5",
+            "--out", str(tmp_path / "r"),
+        )
+        assert code == 1
+        assert "stop 'edges=20.5': edges wants an integer" in capsys.readouterr().err
 
     def test_saturated_reduction_exits_zero_with_its_reason(self, tmp_path, capsys):
         # A lone bridge can never be deleted, so the budget stays unmet.
@@ -272,11 +282,22 @@ class TestMetrics:
         assert payload["eigen_error"] >= 0
 
     def test_bad_sigma_exits_nonzero(self, tmp_path, er_graph):
-        code = run(
-            "metrics", "--original", str(er_graph), "--reduced", str(er_graph),
-            "--sigma", "0.9",
-        )
-        assert code == 1
+        with pytest.raises(SystemExit) as exc:
+            run("metrics", "--original", str(er_graph), "--reduced", str(er_graph),
+                "--sigma", "0.9")
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("sigma", ["0.5", "1", "nan", "inf"])
+    def test_bad_sigma_is_a_usage_error_that_writes_no_file(
+        self, tmp_path, er_graph, capsys, sigma
+    ):
+        with pytest.raises(SystemExit) as exc:
+            run("metrics", "--original", str(er_graph), "--reduced", str(er_graph),
+                "--sigma", sigma, "--out", str(tmp_path / "m.csv"),
+                "--json", str(tmp_path / "m.json"))
+        assert exc.value.code == 2
+        assert f"--sigma: must be finite and exceed 1, got {sigma}" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == [er_graph.name]
 
     def test_sigma_check_over_no_premise_vector_is_vacuous(self, tmp_path, er_graph, capsys):
         # No random vector is within ln(1.01) of a halved graph: nothing is checked.
@@ -449,3 +470,19 @@ class TestCompare:
 
     def test_missing_spec_exits_nonzero(self, tmp_path):
         assert run("compare", "--spec", str(tmp_path / "nope.json")) == 1
+
+
+@pytest.mark.parametrize("command", ["gen", "reduce", "sparsify", "coarsen", "metrics"])
+def test_a_negative_seed_is_a_usage_error_naming_the_seed(tmp_path, er_graph, capsys, command):
+    graph, out = str(er_graph), str(tmp_path / "out")
+    args = {
+        "gen": ["--kind", "er", "--params", '{"n": 8, "p": 0.5}', "--out", out],
+        "reduce": ["--input", graph, "--stop", "edges=40", "--out", out],
+        "sparsify": ["--input", graph, "--samples", "50", "--out", out],
+        "coarsen": ["--input", graph, "--out", out],
+        "metrics": ["--original", graph, "--reduced", graph, "--sigma", "2"],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        run(command, *args, "--seed", "-1")
+    assert exc.value.code == 2
+    assert "--seed: must be non-negative, got -1" in capsys.readouterr().err

@@ -61,6 +61,12 @@ class TestParsing:
         with pytest.raises(ValueError):
             parse_stop("edges=40.7")
 
+    def test_stop_value_errors_name_the_stop(self):
+        with pytest.raises(ValueError, match=r"^stop 'edges=20\.5': edges wants an integer$"):
+            parse_stop("edges=20.5")
+        with pytest.raises(ValueError, match=r"^stop 'error=x': error wants a number$"):
+            parse_stop("error=x")
+
     def test_stop_rejects_unknown_and_bare(self):
         with pytest.raises(ValueError):
             parse_stop("volume=3")

@@ -155,6 +155,15 @@ def test_sigma_validation():
         check_sigma_approx(a, a, rng.normal(size=(4, 3)), sigma=1.0)
 
 
+@pytest.mark.parametrize("sigma", [math.nan, math.inf])
+def test_sigma_must_be_finite(sigma):
+    # NaN meets no premise, so nothing is checked; inf admits every ratio.
+    rng = np.random.default_rng(8)
+    a = random_psd(rng, 4)
+    with pytest.raises(ValueError, match="sigma must be finite and exceed 1"):
+        check_sigma_approx(a, a, rng.normal(size=(4, 3)), sigma=sigma)
+
+
 # -- spectra ---------------------------------------------------------------
 
 

@@ -420,16 +420,39 @@ def test_one_dense_build_at_each_end(monkeypatch, mode, builds):
 
 @pytest.mark.parametrize("mode", [ExactMode(), SketchMode(8)], ids=["exact", "sketch"])
 def test_state_describes_the_graph_as_returned(mode):
+    # `state` is built from `result.graph` as it is at the first read: an
+    # edit before that read shows in it, an edit after it does not.
     g = torus(6, 6, weight_law="exp-uniform:-1,1", rng=np.random.default_rng(4))
     result = reduce_graph(g, EdgeBudget(50), ReductionConfig(mode=mode), seed=2)
-    unedited = result.graph.copy()
+    n_returned = result.graph.n_nodes
     eid = result.graph.edge_ids()[0]
     result.graph.set_edge_weight(eid, 7.0 * result.graph.edge(eid)[2])
     result.graph.contract_edge(result.graph.edge_ids()[1])
-    fresh = build_pseudoinverse(unedited)
-    assert result.state.nodes == fresh.nodes
-    assert np.array_equal(result.state.weights, fresh.weights)
-    assert np.array_equal(result.state.pinv, fresh.pinv)
+    edited = build_pseudoinverse(result.graph)
+    state = result.state
+    assert len(state.nodes) == n_returned - 1
+    assert state.nodes == edited.nodes
+    assert np.array_equal(state.weights, edited.weights)
+    assert np.array_equal(state.pinv, edited.pinv)
+    assert state.estimated_error == result.estimated_error
+    result.graph.contract_edge(result.graph.edge_ids()[0])
+    assert result.state is state
+    assert len(state.nodes) == n_returned - 1
+    assert np.array_equal(state.pinv, edited.pinv)
+
+
+@pytest.mark.parametrize("mode", [ExactMode(), SketchMode(8)], ids=["exact", "sketch"])
+def test_a_bad_input_raises_inside_the_call_when_the_stop_is_already_met(mode):
+    # Nothing is built or measured before these stops fire; the input is
+    # refused all the same, not at the first read of `state`.
+    config = ReductionConfig(mode=mode)
+    with pytest.raises(ValueError, match="empty graph"):
+        reduce_graph(WeightedGraph(), EdgeBudget(1), config)
+    g = WeightedGraph.from_edges([(0, 1, 1.0), (2, 3, 1.0)])
+    with pytest.raises(DisconnectedGraphError, match="require[s]? a connected graph"):
+        reduce_graph(g, EdgeBudget(2), config)
+    with pytest.raises(DisconnectedGraphError, match="require[s]? a connected graph"):
+        reduce_graph(g, MaxIterations(0), config)
 
 
 @pytest.mark.parametrize("mode", [ExactMode(), SketchMode(8)], ids=["exact", "sketch"])
@@ -445,8 +468,8 @@ def test_estimated_error_is_the_trace_total(mode):
 
 
 def test_a_sketch_reduction_that_never_reads_state_allocates_no_dense_matrix():
-    # The last round's estimator and the O(m) assembly stay well below one
-    # n_out x n_out float64 array, the smallest a dense build allocates.
+    # The last round's estimator stays well below one n_out x n_out float64
+    # array, the smallest a dense build allocates.
     g = torus(64, 64, weight_law="exp-uniform:-1,1", rng=np.random.default_rng(0))
     stop = EdgeBudget(math.ceil(g.n_edges / 2))
     tracemalloc.start()
