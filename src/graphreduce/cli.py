@@ -32,13 +32,8 @@ from .graph import (
     write_contraction_map,
     write_edgelist,
 )
-from .laplacian import build_pseudoinverse, lift, save_matrix_csv
-from .metrics import (
-    check_sigma_approx,
-    compare_operators,
-    eigen_relative_error,
-    laplacian_spectrum,
-)
+from .laplacian import build_pseudoinverse, save_matrix_csv
+from .metrics import check_sigma_approx, compare_output, laplacian_spectrum
 from .reducer import reduce_graph
 
 
@@ -140,18 +135,15 @@ def _cmd_metrics(args) -> int:
     else:
         cmap = ContractionMap.identity(original.nodes())
     _check_cmap(cmap, original, reduced)
+    for name, g in (("original", original), ("reduced", reduced)):
+        if args.eigen_k is not None and args.eigen_k >= g.n_nodes:
+            raise ValueError(f"--eigen-k {args.eigen_k} needs more nodes than the "
+                             f"{name} graph's {g.n_nodes}")
 
-    base, red = build_pseudoinverse(original), build_pseudoinverse(reduced)
-    node_w = base.weights
-    candidate = lift(red.pinv, cmap, red.nodes, red.weights, node_w)
-
+    base = build_pseudoinverse(original)
     vectors = probe_vectors(original, args.vectors)
-    eig = None
-    if args.eigen_k is not None:
-        eig = eigen_relative_error(
-            laplacian_spectrum(original), laplacian_spectrum(reduced), args.eigen_k
-        )
-    report = compare_operators(base.pinv, candidate, vectors, node_w, eig)
+    spectrum = laplacian_spectrum(original) if args.eigen_k is not None else None
+    report, candidate = compare_output(base, vectors, reduced, cmap, spectrum, args.eigen_k)
     if args.out:
         report.write_csv(args.out)
     if args.json:
@@ -164,7 +156,7 @@ def _cmd_metrics(args) -> int:
     if args.sigma is not None:
         rng = np.random.default_rng(args.seed)
         probe = rng.standard_normal((original.n_nodes, args.sigma_vectors))
-        sig = check_sigma_approx(base.pinv, candidate, probe, args.sigma, node_w)
+        sig = check_sigma_approx(base.pinv, candidate, probe, args.sigma, base.weights)
         # A check that no vector reached checks nothing, so it does not pass.
         if not sig.n_premise:
             status = "vacuous"
@@ -197,8 +189,9 @@ def _cmd_compare(args) -> int:
     return 0
 
 
-def _vector_count(text: str) -> int:
-    # A guarantee checked over no vectors would pass whatever the graphs are.
+def _at_least_one(text: str) -> int:
+    # A guarantee checked over no vectors would pass whatever the graphs are,
+    # and no eigenvalue gap is defined for k = 0.
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
@@ -299,10 +292,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cmap", default=None,
                    help="contraction map JSON (identity when omitted)")
     p.add_argument("--vectors", type=_vector_labels, default="fiedler,median")
-    p.add_argument("--eigen-k", type=int, default=None)
+    p.add_argument("--eigen-k", type=_at_least_one, default=None)
     p.add_argument("--sigma", type=_sigma, default=None,
                    help="also check the sigma-approximation guarantee")
-    p.add_argument("--sigma-vectors", type=_vector_count, default=1000)
+    p.add_argument("--sigma-vectors", type=_at_least_one, default=1000)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default=None, help="metric CSV output")
     p.add_argument("--json", default=None, help="metric JSON output")

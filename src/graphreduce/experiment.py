@@ -2,14 +2,16 @@
 
 An experiment fixes one input graph (generated or loaded from an edge list),
 runs each configured algorithm (reduce / sparsify / coarsen) down to every
-target size in a decreasing schedule, lifts each output's pseudoinverse back
-to the original nodes, compares it against the original along fixed test
-vectors, and aggregates mean and standard deviation over repeats. Rows come
-out in long format (level, algorithm, metric, vector, mean, std) so they can
-be plotted without further reshaping; writing them is the caller's job.
-A spec is checked when it is built: a missing or unknown key, a value of the
-wrong type, an algorithm that cannot run to the levels' target or an eigen_k
-that a node level cannot hold raises ValueError.
+target size in a decreasing schedule, scores each output with
+`metrics.compare_output` (the path `graphreduce metrics` takes too), and
+aggregates mean and standard deviation over repeats. An output with at most
+eigen_k nodes gives no eigen sample, so the eigen row averages the others.
+Rows come out in long format (level, algorithm, metric, vector, mean, std)
+so they can be plotted without further reshaping; writing them is the
+caller's job. A spec is checked when it is built: a missing or unknown key,
+a value of the wrong type, an algorithm that cannot run to the levels'
+target, a node level below 2 or an eigen_k that a node level cannot hold
+raises ValueError.
 """
 
 from __future__ import annotations
@@ -26,14 +28,8 @@ from .action import Priority
 from .baselines import matching_coarsen, samples_for_edge_target, ss_sparsify
 from .generators import generate
 from .graph import ContractionMap, WeightedGraph, _check_count, read_edgelist
-from .laplacian import (
-    DisconnectedGraphError, build_pseudoinverse, lift, symmetrized_laplacian
-)
-from .metrics import (
-    eigen_relative_error,
-    hyperbolic_distance,
-    laplacian_spectrum,
-)
+from .laplacian import DisconnectedGraphError, build_pseudoinverse, symmetrized_laplacian
+from .metrics import compare_output, laplacian_spectrum
 from .reducer import (
     BetaCap,
     EdgeBudget,
@@ -155,6 +151,9 @@ class LevelSchedule:
             raise ValueError("need at least one level")
         for size in self.sizes:
             _check_count("level size", size, 1)
+            if self.target == "nodes" and size < 2:
+                raise ValueError(f"node level {size} is below 2: a one-node output's "
+                                 "pseudoinverse is 0, so no distance is defined")
         if any(b >= a for a, b in zip(self.sizes, self.sizes[1:])):
             raise ValueError(f"level sizes must strictly decrease, got {self.sizes}")
 
@@ -270,28 +269,27 @@ def load_graph(spec: ExperimentSpec) -> WeightedGraph:
 def _run_reduce(g, options: dict, target: str, size: int, seed: int):
     stops = [_COUNT_STOPS[target](size), *map(parse_stop, options.get("stop", []))]
     result = reduce_graph(g, stops, parse_config(options, target), seed=seed)
-    return result.graph, result.cmap, result.state
+    return result.graph, result.cmap
 
 
 def _run_sparsify(g, options: dict, target: str, size: int, seed: int):
     n_samples = samples_for_edge_target(g, size)
     h = ss_sparsify(g, n_samples, np.random.default_rng(seed))
-    # build_pseudoinverse raises when h is disconnected
-    return h, ContractionMap.identity(h.nodes()), build_pseudoinverse(h)
+    return h, ContractionMap.identity(h.nodes())
 
 
 def _run_coarsen(g, options: dict, target: str, size: int, seed: int):
-    coarse, cmap = matching_coarsen(
+    return matching_coarsen(
         g,
         strategy=options.get("strategy", "random"),
         levels=1,
         rng=np.random.default_rng(seed),
         target_nodes=size,
     )
-    return coarse, cmap, build_pseudoinverse(coarse)
 
 
-# Each runner returns (output graph, contraction map, pseudoinverse state).
+# Each runner returns (output graph, contraction map). `compare_output` builds
+# and scores it, and raises DisconnectedGraphError for a disconnected one.
 _RUNNERS = {"reduce": _run_reduce, "sparsify": _run_sparsify, "coarsen": _run_coarsen}
 
 
@@ -306,7 +304,6 @@ def _aggregate(values: list[float]) -> tuple[float, float]:
 def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
     g = load_graph(spec)
     base = build_pseudoinverse(g)
-    node_w = base.weights
     vectors = probe_vectors(g, spec.vectors)
     base_spectrum = laplacian_spectrum(g) if spec.eigen_k else None
 
@@ -324,25 +321,19 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
                     np.random.SeedSequence((spec.seed, ai, li, r)).generate_state(1)[0]
                 )
                 try:
-                    out_graph, cmap, state = _RUNNERS[algo.kind](
+                    out_graph, cmap = _RUNNERS[algo.kind](
                         g, algo.options, spec.levels.target, size, sub_seed
+                    )
+                    report, _ = compare_output(
+                        base, vectors, out_graph, cmap, base_spectrum, spec.eigen_k
                     )
                 except ALGORITHM_FAILURES:
                     failures += 1
                     continue
-                candidate = lift(state.pinv, cmap, state.nodes, state.weights, node_w)
-                for label, vec in vectors.items():
-                    samples["hyperbolic", label].append(
-                        hyperbolic_distance(
-                            base.pinv, candidate, vec, node_weights=node_w
-                        )
-                    )
-                if spec.eigen_k:
-                    samples["eigen_relative_error", ""].append(
-                        eigen_relative_error(
-                            base_spectrum, laplacian_spectrum(out_graph), spec.eigen_k
-                        )
-                    )
+                for label, distance in report.distances.items():
+                    samples["hyperbolic", label].append(distance)
+                if report.eigen_error is not None:
+                    samples["eigen_relative_error", ""].append(report.eigen_error)
                 samples["edges", ""].append(out_graph.n_edges)
                 samples["nodes", ""].append(out_graph.n_nodes)
 

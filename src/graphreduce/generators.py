@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import inspect
 import math
+import numbers
 from typing import Callable, Sequence
 
 import numpy as np
@@ -158,8 +159,10 @@ _FAMILIES = {"path": path, "cycle": cycle, "torus": torus, "er": er, "sbm": sbm,
 def generate(kind: str, params: dict, seed: int | None = None) -> WeightedGraph:
     """Build a named family from its arguments by name, `rng` made from `seed`.
 
-    The CLI and experiment entry: params that are not a dict, an unknown key
-    or a count (n, rows, cols, k) that is not an integer >= 1 raises ValueError.
+    The CLI and experiment entry: params that are not a dict, an unknown key,
+    a count (n, rows, cols, k) that is not an integer >= 1, a probability (p,
+    p_in, p_out) that is not a real number or a weight_law that is neither a
+    string nor None raises ValueError.
     """
     if kind not in _FAMILIES:
         raise ValueError(f"unknown graph kind {kind!r}")
@@ -172,6 +175,12 @@ def generate(kind: str, params: dict, seed: int | None = None) -> WeightedGraph:
         raise ValueError(f"{kind} takes no params {unknown}")
     for name in sorted({"n", "rows", "cols", "k"} & set(params)):
         _check_count(name, params[name], 1)
+    for name in sorted({"p", "p_in", "p_out"} & set(params)):
+        # A bool is an int to Python: true would read as probability 1.
+        if isinstance(params[name], bool) or not isinstance(params[name], numbers.Real):
+            raise ValueError(f"{name} must be a number, got {params[name]!r}")
+    if not isinstance(params.get("weight_law"), (str, type(None))):
+        raise ValueError(f"weight_law must be a string, got {params['weight_law']!r}")
     if "rng" in takes:
         params = {**params, "rng": np.random.default_rng(seed)}
     return family(**params)

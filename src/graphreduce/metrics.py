@@ -15,8 +15,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .graph import WeightedGraph
-from .laplacian import symmetrized_laplacian
+from .graph import ContractionMap, WeightedGraph
+from .laplacian import PseudoinverseState, build_pseudoinverse, lift, symmetrized_laplacian
 
 
 def kernel_project(
@@ -197,3 +197,27 @@ def compare_operators(
         distances=distances,
         eigen_error=eigen_error,
     )
+
+
+def compare_output(
+    base: PseudoinverseState,
+    vectors: dict[str, np.ndarray],
+    graph: WeightedGraph,
+    cmap: ContractionMap,
+    spectrum: np.ndarray | None = None,
+    eigen_k: int | None = None,
+) -> tuple[ComparisonReport, np.ndarray]:
+    """The report and lifted candidate of `graph`: its pseudoinverse, lifted
+    through `cmap`, against the original's `base` along `vectors`. With
+    `eigen_k`, the eigenvalue error against the original's `spectrum`, or
+    None when `graph` has at most `eigen_k` nodes."""
+    if graph.n_nodes == 1:
+        raise ValueError("the reduced graph has one node: its pseudoinverse is 0, "
+                         "so no distance is defined")
+    state = build_pseudoinverse(graph)
+    candidate = lift(state.pinv, cmap, state.nodes, state.weights, base.weights)
+    eig = None
+    if eigen_k is not None and graph.n_nodes > eigen_k:
+        eig = eigen_relative_error(spectrum, laplacian_spectrum(graph), eigen_k)
+    report = compare_operators(base.pinv, candidate, vectors, base.weights, eig)
+    return report, candidate

@@ -4,10 +4,13 @@ import re
 
 import pytest
 
+import graphreduce.cli as cli
+import graphreduce.metrics as metrics
 import graphreduce.reducer as reducer
 from graphreduce.cli import main
+from graphreduce.experiment import probe_vectors
 from graphreduce.graph import read_contraction_map, read_edgelist
-from graphreduce.laplacian import SingularUpdateError
+from graphreduce.laplacian import SingularUpdateError, build_pseudoinverse
 from tests.conftest import count_dense_builds
 
 
@@ -280,6 +283,75 @@ class TestMetrics:
         assert payload["sup_distance"] > 0
         assert set(payload["distances"]) == {"fiedler", "median"}
         assert payload["eigen_error"] >= 0
+
+    def reduce_to(self, tmp_path, er_graph, nodes):
+        prefix = tmp_path / f"r{nodes}"
+        assert run("reduce", "--input", str(er_graph), "--stop", f"nodes={nodes}",
+                   "--priority", "nodes", "--seed", "4", "--out", str(prefix)) == 0
+        return ["--original", str(er_graph), "--reduced", f"{prefix}.edges",
+                "--reduced-node-weights", f"{prefix}.nodeweights",
+                "--cmap", f"{prefix}.cmap.json"]
+
+    def test_scores_through_compare_output_once(self, monkeypatch, tmp_path, er_graph):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[2].n_nodes)
+            return metrics.compare_output(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "compare_output", counting)
+        args = self.reduce_to(tmp_path, er_graph, 20)
+        assert run("metrics", *args, "--eigen-k", "3", "--sigma", "3") == 0
+        assert calls == [20]
+
+    def test_prints_the_distance_compare_output_returns(
+        self, tmp_path, er_graph, capsys
+    ):
+        args = self.reduce_to(tmp_path, er_graph, 20)
+        capsys.readouterr()
+        assert run("metrics", *args, "--vectors", "fiedler") == 0
+        original = read_edgelist(er_graph)
+        reduced = read_edgelist(tmp_path / "r20.edges", tmp_path / "r20.nodeweights")
+        report, _ = metrics.compare_output(
+            build_pseudoinverse(original), probe_vectors(original, ["fiedler"]),
+            reduced, read_contraction_map(tmp_path / "r20.cmap.json"),
+        )
+        expected = f"hyperbolic[fiedler] = {report.distances['fiedler']:.6g}"
+        assert expected in capsys.readouterr().out.splitlines()
+
+    @pytest.mark.parametrize("k", ["0", "-2"])
+    def test_eigen_k_below_one_is_usage_error(self, er_graph, capsys, k):
+        with pytest.raises(SystemExit) as exc:
+            run("metrics", "--original", str(er_graph), "--reduced", str(er_graph),
+                "--eigen-k", k)
+        assert exc.value.code == 2
+        assert f"--eigen-k: must be at least 1, got {k}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("k, name, n", [("20", "reduced", 20), ("32", "original", 32),
+                                            ("500", "original", 32)])
+    def test_eigen_k_must_be_below_both_node_counts_before_any_build(
+        self, monkeypatch, tmp_path, er_graph, capsys, k, name, n
+    ):
+        args = self.reduce_to(tmp_path, er_graph, 20)
+
+        def no_build(g):
+            raise AssertionError("built before the check")
+
+        monkeypatch.setattr(cli, "build_pseudoinverse", no_build)
+        monkeypatch.setattr(metrics, "build_pseudoinverse", no_build)
+        capsys.readouterr()
+        assert run("metrics", *args, "--eigen-k", k) == 1
+        assert capsys.readouterr().err == (
+            f"error: --eigen-k {k} needs more nodes than the {name} graph's {n}\n")
+
+    def test_a_one_node_reduced_graph_is_refused_by_name(self, tmp_path, er_graph, capsys):
+        args = self.reduce_to(tmp_path, er_graph, 1)
+        assert read_edgelist(tmp_path / "r1.edges", tmp_path / "r1.nodeweights").n_nodes == 1
+        capsys.readouterr()
+        assert run("metrics", *args) == 1
+        assert capsys.readouterr().err == (
+            "error: the reduced graph has one node: its pseudoinverse is 0, "
+            "so no distance is defined\n")
 
     def test_bad_sigma_exits_nonzero(self, tmp_path, er_graph):
         with pytest.raises(SystemExit) as exc:

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import graphreduce.experiment as experiment
+import graphreduce.metrics as metrics
 from graphreduce.action import Priority
 from graphreduce.experiment import (
     AlgorithmSpec,
@@ -135,6 +137,19 @@ class TestSpecValidation:
             LevelSchedule("edges", (40.5, 20))
         with pytest.raises(ValueError):
             LevelSchedule("volume", (4,))
+
+    def test_a_node_level_below_two_is_refused(self):
+        # A one-node output's pseudoinverse is 0, so no distance is defined;
+        # the sweep used to abort after level 4 had run.
+        d = {"graph": {"kind": "cycle", "params": {"n": 8}},
+             "levels": {"target": "nodes", "sizes": [4, 1]},
+             "algorithms": [{"name": "c", "kind": "coarsen"}], "runs": 2}
+        with pytest.raises(ValueError, match="^node level 1 is below 2"):
+            ExperimentSpec.from_dict(d)
+        assert LevelSchedule("edges", (4, 1)).sizes == (4, 1)
+        d["levels"]["sizes"] = [4, 2]
+        rows = run_experiment(ExperimentSpec.from_dict(d))
+        assert [r.mean for r in rows if r.metric == "nodes"] == [4.0, 2.0]
 
     def test_algorithm_kind_checked(self):
         with pytest.raises(ValueError):
@@ -412,6 +427,52 @@ class TestRunExperiment:
             ("hyperbolic", "median"), ("hyperbolic", "fiedler"),
             ("eigen_relative_error", ""), ("edges", ""), ("nodes", ""), ("failures", ""),
         ]
+
+    def test_eigen_row_averages_only_outputs_with_more_than_eigen_k_nodes(self):
+        # Edge levels cannot bound eigen_k by the outputs' node counts. An
+        # output with at most eigen_k nodes records its distances but no eigen
+        # error; the sweep used to abort on it.
+        spec = ExperimentSpec.from_dict({
+            "graph": {"kind": "er", "params": {"n": 20, "p": 0.3}},
+            "levels": {"target": "edges", "sizes": [40, 20]},
+            "algorithms": [{"name": "ss", "kind": "sparsify"},
+                           {"name": "ours", "kind": "reduce"}],
+            "runs": 2, "eigen_k": 17,
+        })
+        cell = {(r.algorithm, r.level, r.metric): r for r in run_experiment(spec)}
+        assert cell["ss", 40, "nodes"].mean == 20
+        assert math.isfinite(cell["ss", 40, "eigen_relative_error"].std)
+        assert cell["ss", 40, "eigen_relative_error"].std > 0
+        # Outputs of 17 and 18 nodes: two distances, one eigen error.
+        assert cell["ours", 40, "nodes"].std > 0 and cell["ours", 40, "nodes"].mean == 17.5
+        assert cell["ours", 40, "hyperbolic"].std > 0
+        eig = cell["ours", 40, "eigen_relative_error"]
+        assert math.isfinite(eig.mean) and eig.std == 0.0
+        # No output of 17 nodes or more: distances, and a NaN eigen row.
+        assert cell["ours", 20, "nodes"].mean + cell["ours", 20, "nodes"].std < 17
+        assert math.isfinite(cell["ours", 20, "hyperbolic"].mean)
+        assert math.isnan(cell["ours", 20, "eigen_relative_error"].mean)
+        assert cell["ours", 20, "failures"].mean == 0
+
+    def test_each_run_that_did_not_fail_is_scored_once_by_compare_output(
+        self, monkeypatch
+    ):
+        returned = []
+
+        def counting(*args, **kwargs):
+            out = metrics.compare_output(*args, **kwargs)
+            returned.append(args[2].n_nodes)
+            return out
+
+        monkeypatch.setattr(experiment, "compare_output", counting)
+        # At 8 edges every sparsified output is disconnected, and fails inside
+        # compare_output's build.
+        spec = edge_spec([40, 8], [AlgorithmSpec("ours", "reduce"),
+                                   AlgorithmSpec("ss", "sparsify")], runs=3)
+        rows = run_experiment(spec)
+        failures = sum(r.mean for r in rows if r.metric == "failures")
+        assert failures >= 3
+        assert len(returned) == 2 * 2 * 3 - failures
 
     def test_eigen_metric_present_when_requested(self):
         spec = edge_spec([30], [AlgorithmSpec("ours", "reduce")], eigen_k=3)

@@ -221,3 +221,32 @@ def test_generate_refuses_inexact_counts_and_unknown_keys():
     # numpy integers are counts too; the seed still makes the weights.
     a = generate("torus", {"rows": np.int64(3), "cols": 4, "weight_law": "uniform:1,2"}, seed=5)
     assert edge_set(a) == edge_set(torus(3, 4, "uniform:1,2", np.random.default_rng(5)))
+
+
+def test_generate_refuses_a_string_p():
+    # It used to fail deep inside er: '<' between a float and a str.
+    with pytest.raises(ValueError, match=re.escape("p must be a number, got '0.2'")):
+        generate("er", {"n": 30, "p": "0.2"})
+
+
+def test_generate_refuses_a_string_block_probability():
+    for key in ("p_in", "p_out"):
+        params = {"n": 30, "k": 2, "p_in": 0.5, "p_out": 0.1, key: "0.3"}
+        with pytest.raises(ValueError, match=re.escape(f"{key} must be a number, got '0.3'")):
+            generate("sbm", params)
+
+
+def test_generate_refuses_a_bool_p():
+    # True is an int to Python and would read as probability 1.
+    with pytest.raises(ValueError, match="p must be a number, got True"):
+        generate("er", {"n": 30, "p": True})
+    # numpy floats are numbers.
+    assert generate("er", {"n": 16, "p": np.float64(0.4)}, seed=3).n_nodes == 16
+
+
+def test_generate_refuses_a_weight_law_that_is_not_a_string():
+    with pytest.raises(ValueError, match="weight_law must be a string, got 5"):
+        generate("torus", {"rows": 4, "cols": 4, "weight_law": 5})
+    # JSON null is the family's default, unit weights.
+    g = generate("torus", {"rows": 3, "cols": 3, "weight_law": None})
+    assert {w for _, _, w in edge_set(g)} == {1.0}
